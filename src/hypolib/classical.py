@@ -24,7 +24,6 @@ below one, so truncation at k = 4 is exact, not approximate.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -276,21 +275,6 @@ class LacunarySpec:
     def coeff_budget(self) -> float:
         """B = sum |p_j|; |p(w)| <= B |w| on the closed unit disk."""
         return float(sum(abs(c) for c in self.poly.coeffs[1:]))
-
-    def to_json(self) -> str:
-        payload = {
-            "coefficients": [[c.real, c.imag] for c in self.poly.coeffs],
-            "coeff_budget": self.coeff_budget,
-            "k_max": self.k_max,
-            "note": self.note,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LacunarySpec":
-        payload = json.loads(text)
-        coeffs = tuple(complex(re, im) for re, im in payload["coefficients"])
-        return cls(ComplexPoly.from_coeffs(coeffs), int(payload["k_max"]), payload.get("note", ""))
 
 
 def spiral_deviation(poly: ComplexPoly, sample_count: int = 4096) -> float:

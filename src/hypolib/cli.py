@@ -34,7 +34,6 @@ from .transforms import (
     convergence_probe,
     density_preset,
     dirichlet_solve,
-    poisson_transform,
     riquier_solve,
 )
 

@@ -88,10 +88,7 @@ def _xi_point(xi):
 
 def lambda_kernel(z: complex, xi, sp: SpectralParam):
     """Base eigenkernel P(z, xi)^{mu + 1/2}; xi is an angle or angle array."""
-    p = poisson_kernel(z, _xi_point(xi))
-    if isinstance(p, np.ndarray):
-        return np.exp(sp.exponent * np.log(p))
-    return cmath.exp(sp.exponent * math.log(p))
+    return polyharmonic_kernel(0, z, xi, sp)
 
 
 def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:

@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import MaxTerms, NonConvergence, SlowConvergence, StencilOutOfDomain
 from .geometry import ensure_disk
@@ -78,8 +77,7 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @lru_cache(maxsize=64)
 def _gl_nodes(order: int):
-    x, w = roots_legendre(order)
-    return x.copy(), w.copy()
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _stable(new: complex, old: complex, spec: QuadratureSpec) -> bool:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ComplexPoly", "differentiate", "scale_add", "evaluate"]
+__all__ = ["ComplexPoly"]
 
 
 def _trim(cs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -64,12 +64,9 @@ class ComplexPoly:
 
     def evaluate(self, w):
         """Horner evaluation; w may be a scalar or a numpy array."""
-        if isinstance(w, np.ndarray):
-            acc = np.full_like(w, self.coeffs[-1], dtype=complex)
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * w + c
-            return acc
         acc = self.coeffs[-1]
+        if isinstance(w, np.ndarray):
+            acc = np.full_like(w, acc, dtype=complex)
         for c in reversed(self.coeffs[:-1]):
             acc = acc * w + c
         return acc
@@ -81,15 +78,3 @@ class ComplexPoly:
             abs((a[k] if k < len(a) else 0j) - (b[k] if k < len(b) else 0j)) for k in range(n)
         )
 
-
-def differentiate(p: ComplexPoly) -> ComplexPoly:
-    return p.differentiate()
-
-
-def scale_add(p: ComplexPoly, q: ComplexPoly, c: complex) -> ComplexPoly:
-    """p + c q."""
-    return p.add(q.scale(c))
-
-
-def evaluate(p: ComplexPoly, w):
-    return p.evaluate(w)

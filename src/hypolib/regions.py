@@ -27,21 +27,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import FitResidualLarge, RatioDiverging
-from .geometry import distance_to_segment
 from .kernels import SpectralParam
-from .numerics import DEFAULT_SPEC, QuadratureSpec, next_pow2, parallel_map
+from .numerics import DEFAULT_SPEC, QuadratureSpec, parallel_map
 from .spherical import spherical_function
 from .transforms import (
-    Atoms,
     Density,
     Mixture,
-    _kernel_row,
+    _grid_size,
+    _normalizer,
+    _row_fft,  # noqa: F401  (perfbench reads this cache's hit ratio as regions._row_fft)
     _zero_free_cached,
+    circle_coeffs,
     density_preset,
     poisson_transform,
 )
@@ -194,30 +194,10 @@ class SampleNet:
         )
 
 
-def _grid_size(r: float, cap: int) -> int:
-    tau = 2.0 * math.sqrt(r) / (1.0 - r)
-    return min(cap, next_pow2(max(4096, int(32.0 * tau))))
-
-
-@lru_cache(maxsize=64)
-def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    from .kernels import make_spectral
-
-    phi = 2.0 * math.pi * np.arange(size) / size
-    row = np.asarray(_kernel_row(n, make_spectral(lam), r, phi), dtype=complex)
-    out = np.fft.fft(row)
-    out.setflags(write=False)
-    return out
-
-
 def _field_at_radius(n: int, sp: SpectralParam, g_samples: np.ndarray, r: float) -> np.ndarray:
     """Normalized transform at every grid angle on the circle |z| = r."""
-    size = g_samples.size
-    row_hat = _row_fft(n, sp.lam, float(r), size)
-    g_hat = np.fft.fft(np.asarray(g_samples, dtype=complex))
-    conv = np.fft.ifft(row_hat * g_hat) / size
-    phi_n = spherical_function(n, float(r), sp)
-    return conv / phi_n
+    coeffs = circle_coeffs(n, sp, np.asarray(g_samples, dtype=complex), r)
+    return np.fft.ifft(coeffs) * g_samples.size / _normalizer(n, sp, float(r))
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
@@ -229,6 +209,30 @@ def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarr
     return np.arcsin(window * np.linspace(-1.0, 1.0, count))
 
 
+def _region_sups(n: int, sp: SpectralParam, g: Density, regions, net: SampleNet) -> np.ndarray:
+    """Per region: sampled sup of |normalized transform of g| over the net.
+
+    Each rung convolves once on its grid and reads every region's fan off
+    that one field; rungs inside the zero-free radius are skipped.
+    """
+    r_floor = _zero_free_cached(n, sp.lam)
+
+    def rung(r: float) -> np.ndarray:
+        size = _grid_size(r, net.grid_cap)
+        samples = np.asarray(g(2.0 * math.pi * np.arange(size) / size), dtype=complex)
+        field = np.abs(_field_at_radius(n, sp, samples, r))
+        sups = np.zeros(len(regions))
+        for j, reg in enumerate(regions):
+            offs = _angular_offsets(reg, r, net.angular_count)
+            if offs.size:
+                idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
+                sups[j] = np.max(field[idx % size])
+        return sups
+
+    rungs = parallel_map(rung, [r for r in net.radii() if r >= r_floor])
+    return np.max([np.zeros(len(regions)), *rungs], axis=0)
+
+
 def tubular_maximal(
     n: int,
     sp: SpectralParam,
@@ -237,26 +241,10 @@ def tubular_maximal(
     zeta_angle: float,
     kind: str = _TUBE,
     net: SampleNet = SampleNet(),
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Sampled supremum of the normalized transform over the region."""
     region = AdmissibleRegion(zeta_angle, width, kind)
-    r_floor = _zero_free_cached(n, sp.lam)
-    best = 0.0
-    for r in net.radii():
-        if r < r_floor:
-            continue
-        size = _grid_size(r, net.grid_cap)
-        samples = np.asarray(g(2.0 * math.pi * np.arange(size) / size), dtype=complex)
-        field = _field_at_radius(n, sp, samples, r)
-        offs = _angular_offsets(region, r, net.angular_count)
-        if offs.size == 0:
-            continue
-        idx = np.unique(
-            np.round((zeta_angle + offs) / (2.0 * math.pi / size)).astype(int) % size
-        )
-        best = max(best, float(np.max(np.abs(field[idx]))))
-    return best
+    return float(_region_sups(n, sp, g, [region], net)[0])
 
 
 @dataclass(frozen=True)
@@ -284,48 +272,6 @@ _DEFAULT_SUITE = (
 _HL_GRID = 4096
 
 
-def _suite_ratios(
-    n: int,
-    sp: SpectralParam,
-    width: float,
-    kind: str,
-    suite,
-    zetas: np.ndarray,
-    net: SampleNet,
-) -> tuple[tuple[str, float], ...]:
-    region_probe = [AdmissibleRegion(float(a), width, kind) for a in zetas]
-    r_floor = _zero_free_cached(n, sp.lam)
-    radii = [r for r in net.radii() if r >= r_floor]
-    rows = []
-    for test_id, preset in suite:
-        g = density_preset(preset) if isinstance(preset, str) else preset
-        hl_samples = np.asarray(g(2.0 * math.pi * np.arange(_HL_GRID) / _HL_GRID))
-        hl = np.array([hl_maximal(hl_samples, float(a)) for a in zetas])
-
-        sup = np.zeros(len(zetas))
-
-        def rung(r: float, g=g) -> tuple[float, np.ndarray]:
-            size = _grid_size(r, net.grid_cap)
-            samples = np.asarray(g(2.0 * math.pi * np.arange(size) / size), dtype=complex)
-            return r, _field_at_radius(n, sp, samples, r)
-
-        for r, field in parallel_map(rung, radii):
-            size = field.size
-            for j, reg in enumerate(region_probe):
-                offs = _angular_offsets(reg, r, net.angular_count)
-                if offs.size == 0:
-                    continue
-                idx = np.unique(
-                    np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
-                    % size
-                )
-                sup[j] = max(sup[j], float(np.max(np.abs(field[idx]))))
-        with np.errstate(divide="ignore"):
-            ratio = float(np.max(np.where(hl > 0, sup / hl, 0.0)))
-        rows.append((test_id, ratio))
-    return tuple(rows)
-
-
 def maximal_inequality_probe(
     n: int,
     sp: SpectralParam,
@@ -343,8 +289,23 @@ def maximal_inequality_probe(
     supremum had not stabilized.
     """
     zetas = 2.0 * math.pi * np.arange(zeta_count) / zeta_count
-    base = _suite_ratios(n, sp, width, kind, suite, zetas, net)
-    fine = _suite_ratios(n, sp, width, kind, suite, zetas, net.doubled())
+    regions = [AdmissibleRegion(float(a), width, kind) for a in zetas]
+    hl_grid = 2.0 * math.pi * np.arange(_HL_GRID) / _HL_GRID
+    tests = []
+    for test_id, preset in suite:
+        g = density_preset(preset) if isinstance(preset, str) else preset
+        hl_samples = np.asarray(g(hl_grid))
+        tests.append((test_id, g, np.array([hl_maximal(hl_samples, float(a)) for a in zetas])))
+
+    def ratios(net: SampleNet) -> tuple[tuple[str, float], ...]:
+        rows = []
+        for test_id, g, hl in tests:
+            sup = _region_sups(n, sp, g, regions, net)
+            with np.errstate(divide="ignore"):
+                rows.append((test_id, float(np.max(np.where(hl > 0, sup / hl, 0.0)))))
+        return tuple(rows)
+
+    base, fine = ratios(net), ratios(net.doubled())
     c0 = max(r for _, r in base)
     c1 = max(r for _, r in fine)
     if c1 >= 2.0 * c0:
@@ -385,7 +346,7 @@ def fatou_probe(
     rows: list[FatouRow] = []
     for ang in zeta_angles:
         region = AdmissibleRegion(float(ang), width, kind)
-        target = complex(np.asarray(density(np.array([float(ang)])))[0]) if density else 0.0j
+        target = density.at(float(ang)) if density else 0.0j
         for k in depths:
             r = 1.0 - 10.0 ** (-k)
             big_r = math.log((1.0 + r) / (1.0 - r))

@@ -36,10 +36,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from .errors import PositivityViolation, ScanInconclusive
-from .geometry import RadialFrame
+from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
     DEFAULT_SPEC,
@@ -49,6 +50,7 @@ from .numerics import (
     integrate_circle,
     integrate_halfline_peak,
     integrate_panels,
+    _dyadic_edges,
     _refine_panels,
 )
 from .polynomials import ComplexPoly
@@ -58,7 +60,6 @@ __all__ = [
     "closed_form",
     "closed_form_many",
     "abs_spherical_function",
-    "odd_log_moment",
     "boundary_constant",
     "AsymptoticLaw",
     "asymptotic_law",
@@ -110,27 +111,19 @@ def _kernel_mean(
             return _poly_values(poly, R - L, use_abs) * np.exp(-c * L)
 
         breaks = (math.sqrt(math.expm1(R)),) if use_abs else ()
+        arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
         if refine:
             i_u = integrate_halfline_peak(f_u, u_top, spec, breakpoints=breaks)
-            i_phi = _refine_panels(f_phi, (math.pi / 2, 3 * math.pi / 4, math.pi), spec)
+            i_phi = _refine_panels(f_phi, arc, spec)
         else:
-            edges = [0.0]
-            w = 0.5
-            while edges[-1] < u_top:
-                edges.append(min(w, u_top))
-                w *= 2.0
-            edges.extend(b for b in breaks if 0.0 < b < u_top)
+            edges = _dyadic_edges(0.5, u_top) + [b for b in breaks if 0.0 < b < u_top]
             i_u = integrate_panels(f_u, sorted(set(edges)), 2 * spec.panel_order)
-            i_phi = integrate_panels(
-                f_phi, (math.pi / 2, 3 * math.pi / 4, math.pi), 2 * spec.panel_order
-            )
-        pref = np.exp(c * R)
-        return complex(pref * (i_u + i_phi) / math.pi)
+            i_phi = integrate_panels(f_phi, arc, 2 * spec.panel_order)
+        return complex(np.exp(c * R) * (i_u + i_phi) / math.pi)
 
     # moderate radius: no peak to resolve
     def f_circle(phi):
-        denom = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * phi) ** 2
-        logp = np.log((1.0 - r * r) / denom)
+        logp = np.log(poisson_radial_profile(r, phi))
         return _poly_values(poly, logp, use_abs) * np.exp(c * logp)
 
     if use_abs:
@@ -158,8 +151,6 @@ def spherical_function(
     refine: bool = True,
 ) -> complex:
     """Order-n polyspherical function at radius r."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
     return _spherical_cached(n, sp.lam, float(r), spec, False, refine)
 
 
@@ -172,44 +163,19 @@ def abs_spherical_function(
 ) -> float:
     """Circle mean of |order-n kernel|; equals Phi_n itself in the critical
     regime, where the integrand is already nonnegative."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
     return _spherical_cached(n, sp.lam, float(r), spec, True, refine).real
 
 
-def odd_log_moment(k: int, r: float, sp_half=None, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """(1/2pi) int (log P_r)^k sqrt(P_r) dphi.
-
-    For odd k this vanishes identically in r: the integral is a radial
-    eigenfunction of the critical eigenvalue that is 0 at the origin.  Used
-    as the positivity proof's mechanism check (and as a hard cancellation
-    test of the quadrature).
-    """
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    return _kernel_mean(ComplexPoly.monomial(k) if k else ComplexPoly.from_coeffs((1.0,)), 0.5, r, spec)
-
-
-_HALFLINE_CUTOFF = 1e8
-
-
-def boundary_constant(sp: SpectralParam, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def boundary_constant(sp: SpectralParam) -> complex:
     """c(lam) = (2/pi) int_0^inf (1+x^2)^{-(mu+1/2)} dx, generic regime only.
 
-    Truncated at 1e8 with a two-term algebraic tail estimate; c(0) = 1 and
-    c(2) = 1/2 exactly.
+    The beta integral gives c(lam) = Gamma(mu) / (sqrt(pi) Gamma(mu+1/2));
+    c(0) = 1 and c(2) = 1/2 exactly.
     """
     if sp.kind != GENERIC:
         raise ValueError("boundary constant requires the generic regime (Re mu > 0)")
-    s = sp.exponent
-
-    def f(x):
-        return np.exp(-s * np.log1p(x * x))
-
-    head = integrate_halfline_peak(f, _HALFLINE_CUTOFF, spec)
-    T = _HALFLINE_CUTOFF
-    tail = T ** (1.0 - 2.0 * s) / (2.0 * s - 1.0) - s * T ** (-1.0 - 2.0 * s) / (2.0 * s + 1.0)
-    return 2.0 / math.pi * (head + tail)
+    with mpmath.workdps(30):
+        return complex(mpmath.gammaprod([sp.mu], [sp.mu + 0.5]) / mpmath.sqrt(mpmath.pi))
 
 
 def closed_form(r: float, sp: SpectralParam) -> complex:
@@ -250,7 +216,6 @@ def asymptotic_law(
     n: int,
     sp: SpectralParam,
     absolute: bool = False,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> AsymptoticLaw:
     """Boundary asymptotic law of Phi_n (or of |Phi|_n with absolute=True).
 
@@ -266,10 +231,10 @@ def asymptotic_law(
         pref = 2.0 / (math.factorial(2 * n + 1) * math.pi)
         return AsymptoticLaw(prefactor=pref, R_power=2 * n + 1, exp_rate=-0.5)
     if absolute:
-        c_star = boundary_constant(make_spectral(sp.lam_star), spec)
+        c_star = boundary_constant(make_spectral(sp.lam_star))
         pref = c_star / (math.factorial(n) * abs(2.0 * sp.mu) ** n)
         return AsymptoticLaw(prefactor=pref, R_power=n, exp_rate=sp.mu.real - 0.5)
-    c_val = boundary_constant(sp, spec)
+    c_val = boundary_constant(sp)
     pref = c_val / (math.factorial(n) * (2.0 * sp.mu) ** n)
     return AsymptoticLaw(prefactor=pref, R_power=n, exp_rate=sp.mu - 0.5)
 
@@ -348,7 +313,7 @@ def radial_zeros(
                 hi = mid
             else:
                 lo, flo = mid, fm
-            if hi - lo < 1e-13:
+            if abs(hi - lo) < 1e-13:
                 break
         zeros.append(1.0 - math.exp(0.5 * (lo + hi)))
     return sorted(zeros)
@@ -390,7 +355,7 @@ def zero_free_radius(
         return ZeroFreeRadius(n, sp.lam, eps, "positivity+pole-floor")
 
     rs, vals = scan_profile(n, sp, count=count, spec=spec)
-    law = asymptotic_law(n, sp, absolute=True, spec=spec)
+    law = asymptotic_law(n, sp, absolute=True)
     frames = np.log1p(rs) - np.log1p(-rs)
     ref = np.array([abs(law.evaluate(R)) for R in frames])
     ratio = np.abs(vals) / ref

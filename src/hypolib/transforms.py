@@ -18,18 +18,26 @@ the kernel's zero-free radius.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DecayViolation, NormalizationUnavailable, TruncationWarning
-from .geometry import RadialFrame
-from .kernels import CRITICAL, FORBIDDEN, SpectralParam, kernel_poly, polyharmonic_kernel
+from .geometry import RadialFrame, poisson_radial_profile
+from .kernels import (
+    CRITICAL,
+    FORBIDDEN,
+    SpectralParam,
+    kernel_poly,
+    make_spectral,
+    polyharmonic_kernel,
+)
 from .numerics import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -51,6 +59,7 @@ __all__ = [
     "datum_from_json",
     "TransformResult",
     "pair_functional",
+    "circle_coeffs",
     "poisson_transform",
     "normalized_kernel",
     "kernel_decay_probe",
@@ -88,6 +97,10 @@ class Density:
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
+
+    def at(self, phi: float) -> complex:
+        """Value at a single angle."""
+        return complex(np.asarray(self(np.array([phi])))[0])
 
 
 @dataclass(frozen=True)
@@ -250,24 +263,99 @@ def pair_functional(nu: FourierSeq, g_coeffs: dict, rel_tol: float = 1e-11) -> c
 
 @lru_cache(maxsize=4096)
 def _zero_free_cached(n: int, lam: complex) -> float:
-    from .kernels import make_spectral
-
     return zero_free_radius(n, make_spectral(lam)).r_min
+
+
+def _normalizer(
+    n: int, sp: SpectralParam, r: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> complex:
+    """Phi_n(r), refusing the forbidden ray, radii inside the zero-free
+    radius and an underflowing mean."""
+    if sp.kind == FORBIDDEN:
+        raise NormalizationUnavailable("no normalization on the forbidden ray")
+    r_min = _zero_free_cached(n, sp.lam)
+    if r < r_min:
+        raise NormalizationUnavailable(
+            f"|z| = {r:.6f} below the zero-free radius {r_min:.6f} for order {n}"
+        )
+    denom = spherical_function(n, r, sp, spec)
+    if abs(denom) < 1e-300:
+        raise NormalizationUnavailable(f"kernel mean underflow at r = {r}")
+    return denom
 
 
 def _kernel_row(n, sp, r, phi):
     """Order-n kernel at radius r against boundary angle offsets phi."""
-    # (1-r)^2 + 4r sin^2(phi/2) avoids the cancellation in 1+r^2-2r cos(phi)
-    denom = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * np.asarray(phi, float)) ** 2
-    logp = np.log((1.0 - r * r) / denom)
+    logp = np.log(poisson_radial_profile(r, phi))
     return kernel_poly(n, sp).evaluate(logp) * np.exp(sp.exponent * logp)
+
+
+@lru_cache(maxsize=64)
+def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
+    """Unnormalized FFT of the kernel row on `size` equispaced offsets."""
+    phi = 2.0 * math.pi * np.arange(size) / size
+    out = np.fft.fft(np.asarray(_kernel_row(n, make_spectral(lam), r, phi), dtype=complex))
+    out.setflags(write=False)
+    return out
+
+
+def _grid_size(r: float, cap: int = 1 << 20, window: int = 0) -> int:
+    """Circle grid resolving the kernel peak (width ~ 1/tau) and modes +-window."""
+    tau = 2.0 * math.sqrt(r) / (1.0 - r)
+    return min(cap, next_pow2(max(4096, int(32.0 * tau), 4 * window + 4)))
+
+
+def _datum_coeffs(datum, size: int) -> np.ndarray:
+    """int e^{-ik psi} dnu(psi) at k mod size.
+
+    Exact for atoms and Fourier data; for a density (or its samples at
+    2 pi j / size) the FFT of `size` samples.
+    """
+    if isinstance(datum, np.ndarray):
+        return circle_fft(datum)
+    if isinstance(datum, Density):
+        return circle_fft(datum(2.0 * math.pi * np.arange(size) / size))
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    out = np.zeros(size, dtype=complex)
+    if isinstance(datum, Atoms):
+        for ang, w in datum.points:
+            out += complex(w) * np.exp(-1j * k * float(ang))
+    elif isinstance(datum, FourierSeq):
+        w = datum.window()
+        if w >= size // 2:
+            raise ValueError(f"datum window {w} exceeds resolvable modes at size {size}")
+        # <nu, g> = sum g_m conj(nu_m): the measure's mode k is conj(nu_{-k})
+        for m, v in datum.coeffs.items():
+            out[-m % size] += complex(v).conjugate()
+    elif isinstance(datum, Mixture):
+        for part in (datum.density, datum.atoms):
+            if part is not None:
+                out += _datum_coeffs(part, size)
+    else:
+        raise TypeError(f"not a boundary datum: {type(datum).__name__}")
+    return out
+
+
+def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
+    """Fourier coefficients (index k mod size) of theta -> order-n transform
+    of the datum at r e^{i theta}.
+
+    The transform is the convolution of the kernel row with the datum, so
+    mode by mode it is the row's coefficient times the datum's.  The datum
+    may also be an array of N density samples at 2 pi j / N; otherwise N
+    comes from _grid_size.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    if isinstance(datum, np.ndarray):
+        size = datum.size
+    else:
+        size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
+    return _row_fft(n, sp.lam, float(r), size) / size * _datum_coeffs(datum, size)
 
 
 def _density_value(n, sp, datum: Density, z, spec) -> complex:
     r, theta = abs(z), math.atan2(z.imag, z.real)
-    if r == 0.0:
-        return integrate_circle(lambda p: np.asarray(datum(p), dtype=complex), spec,
-                                breakpoints=datum.breakpoints) * kernel_poly(n, sp).evaluate(0.0)
     tau = RadialFrame.from_r(r).tau
 
     def f(phi):
@@ -285,25 +373,24 @@ def _atoms_value(n, sp, datum: Atoms, z) -> complex:
     return total
 
 
-def _fourier_value(n, sp, datum: FourierSeq, z, spec) -> complex:
-    r = abs(z)
+def _fourier_value(n, sp, datum: FourierSeq, z) -> complex:
+    coeffs = circle_coeffs(n, sp, datum, abs(z))
     theta = math.atan2(z.imag, z.real)
-    tau = RadialFrame.from_r(r).tau if r > 0 else 0.0
-    size = next_pow2(int(max(1024, 32.0 * tau, 4 * datum.window() + 4)))
-    size = min(size, 1 << 20)
-    phi = 2.0 * math.pi * np.arange(size) / size
-    row = _kernel_row(n, sp, r, phi) if r > 0 else np.full(size, kernel_poly(n, sp).evaluate(0.0))
-    coeffs = circle_fft(row)
-    w = datum.window()
-    if w >= size // 2:
-        raise ValueError(f"datum window {w} exceeds resolvable modes at size {size}")
-    g_coeffs = {}
-    for m in datum.coeffs:
-        # row is sampled in the offset phi = psi - theta, so undo e^{i m theta}
-        g_coeffs[m] = complex(coeffs[m % size]) * complex(math.cos(m * theta), -math.sin(m * theta))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        return pair_functional(datum, g_coeffs)
+    terms = (coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in datum.coeffs)
+    return complex(sum(terms, 0j))
+
+
+def _value(n, sp, datum, z, spec) -> complex:
+    if isinstance(datum, Density):
+        return _density_value(n, sp, datum, z, spec)
+    if isinstance(datum, Atoms):
+        return _atoms_value(n, sp, datum, z)
+    if isinstance(datum, FourierSeq):
+        return _fourier_value(n, sp, datum, z)
+    if isinstance(datum, Mixture):
+        parts = (p for p in (datum.density, datum.atoms) if p is not None)
+        return sum((_value(n, sp, p, z, spec) for p in parts), 0j)
+    raise TypeError(f"not a boundary datum: {type(datum).__name__}")
 
 
 def poisson_transform(
@@ -318,53 +405,16 @@ def poisson_transform(
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
-    if isinstance(datum, Density):
-        value = _density_value(n, sp, datum, z, spec)
-    elif isinstance(datum, Atoms):
-        value = _atoms_value(n, sp, datum, z)
-    elif isinstance(datum, FourierSeq):
-        value = _fourier_value(n, sp, datum, z, spec)
-    elif isinstance(datum, Mixture):
-        value = 0j
-        if datum.density is not None:
-            value += _density_value(n, sp, datum.density, z, spec)
-        if datum.atoms is not None:
-            value += _atoms_value(n, sp, datum.atoms, z)
-    else:
-        raise TypeError(f"not a boundary datum: {type(datum).__name__}")
-
+    value = _value(n, sp, datum, z, spec)
     r = abs(z)
-    frame = RadialFrame.from_r(r)
-    normalized = None
-    if normalize:
-        if sp.kind == FORBIDDEN:
-            raise NormalizationUnavailable("no normalization on the forbidden ray")
-        r_min = _zero_free_cached(n, sp.lam)
-        if r < r_min:
-            raise NormalizationUnavailable(
-                f"|z| = {r:.6f} below the zero-free radius {r_min:.6f} for order {n}"
-            )
-        denom = spherical_function(n, r, sp, spec)
-        if abs(denom) < 1e-300:
-            raise NormalizationUnavailable(f"kernel mean underflow at r = {r}")
-        normalized = value / denom
-    return TransformResult(value=value, normalized=normalized, frame=frame)
+    normalized = value / _normalizer(n, sp, r, spec) if normalize else None
+    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))
 
 
 def normalized_kernel(n: int, sp: SpectralParam, z: complex, xi: float,
                       spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """Order-n kernel at (z, boundary angle xi) over its circle mean at |z|."""
-    if sp.kind == FORBIDDEN:
-        raise NormalizationUnavailable("no normalization on the forbidden ray")
-    r = abs(complex(z))
-    r_min = _zero_free_cached(n, sp.lam)
-    if r < r_min:
-        raise NormalizationUnavailable(
-            f"|z| = {r:.6f} below the zero-free radius {r_min:.6f} for order {n}"
-        )
-    denom = spherical_function(n, r, sp, spec)
-    if abs(denom) < 1e-300:
-        raise NormalizationUnavailable(f"kernel mean underflow at r = {r}")
+    denom = _normalizer(n, sp, abs(complex(z)), spec)
     return polyharmonic_kernel(n, complex(z), float(xi), sp) / denom
 
 
@@ -440,7 +490,7 @@ class DirichletSolution:
             for r in radii:
                 z = r * complex(math.cos(ang), math.sin(ang))
                 res = poisson_transform(0, self.sp, self.g, z, self.spec)
-                tgt = complex(np.asarray(self.g(np.array([ang])))[0])
+                tgt = self.g.at(ang)
                 rows.append(SweepRow(ang, r, res.normalized, tgt, abs(res.normalized - tgt)))
         return rows
 
@@ -490,7 +540,7 @@ class RiquierSolution:
                     z = r * complex(math.cos(ang), math.sin(ang))
                     phi_k = spherical_function(k, r, self.sp, self.spec)
                     vk = self.layer(k, z) / phi_k
-                    tgt = complex(np.asarray(g(np.array([ang])))[0])
+                    tgt = g.at(ang)
                     own.append(SweepRow(ang, r, vk, tgt, abs(vk - tgt)))
                     for j in range(k):
                         vj = self.layer(j, z) / phi_k
@@ -521,59 +571,37 @@ def convergence_probe(
     pointwise-ae: same rows but only at angles away from breakpoints.
     Lp: discrete L^p distance between the normalized field and g per radius.
     weak-star: pairings of the normalized field against e^{i k phi} per
-    radius (they tend to the datum's Fourier coefficients conj(nu_-k)/...,
-    for an atom of mass 1 at angle 0: all 1).
+    radius, read off circle_coeffs (they tend to the datum's coefficients
+    int e^{-ik psi} dnu; for an atom of mass 1 at angle 0: all 1).
     """
     if mode not in ("uniform", "pointwise-ae", "Lp", "weak-star"):
         raise ValueError(f"unknown probe mode {mode!r}")
     report = {"mode": mode, "radii": list(radii), "rows": []}
-    if mode in ("uniform", "pointwise-ae"):
-        g = datum if isinstance(datum, Density) else None
-        if g is None:
-            raise ValueError("uniform/pointwise probes need a Density datum")
-        if xi_angles is None:
-            xi_angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
-        if mode == "pointwise-ae":
-            xi_angles = [
-                a for a in xi_angles
-                if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b in g.breakpoints)
-            ]
+    if mode == "weak-star":
         for r in radii:
-            errs = []
-            for ang in xi_angles:
-                z = r * complex(math.cos(ang), math.sin(ang))
-                res = poisson_transform(n, sp, g, z, spec)
-                tgt = complex(np.asarray(g(np.array([ang])))[0])
-                errs.append(abs(res.normalized - tgt))
-            report["rows"].append({"r": r, "sup_error": max(errs)})
-    elif mode == "Lp":
-        g = datum
-        if not isinstance(g, Density):
-            raise ValueError("Lp probe needs a Density datum")
-        angles = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-        for r in radii:
-            diffs = []
-            for ang in angles:
-                z = r * complex(math.cos(ang), math.sin(ang))
-                res = poisson_transform(n, sp, g, z, spec)
-                tgt = complex(np.asarray(g(np.array([ang])))[0])
-                diffs.append(abs(res.normalized - tgt) ** p)
-            report["rows"].append({"r": r, "lp_error": float(np.mean(diffs)) ** (1.0 / p)})
-    else:
-        has_atoms = isinstance(datum, Atoms) or (
-            isinstance(datum, Mixture) and datum.atoms is not None and datum.atoms.points
-        )
-        for r in radii:
-            size = 512
-            if has_atoms:
-                tau = 2.0 * math.sqrt(r) / (1.0 - r)
-                size = min(1 << 16, next_pow2(max(1024, int(32.0 * tau))))
-            angles = 2.0 * math.pi * np.arange(size) / size
-            vals = np.array(
-                [poisson_transform(n, sp, datum, r * np.exp(1j * a), spec).normalized
-                 for a in angles]
-            )
-            coeffs = circle_fft(vals)
-            pair = {int(k): complex(coeffs[k % size]) for k in test_modes}
+            coeffs = circle_coeffs(n, sp, datum, r) / _normalizer(n, sp, r, spec)
+            pair = {int(k): complex(coeffs[k % coeffs.size]) for k in test_modes}
             report["rows"].append({"r": r, "pairings": pair})
+        return report
+    if not isinstance(datum, Density):
+        raise ValueError(f"{mode} probe needs a Density datum")
+    if mode == "Lp":
+        xi_angles = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+    elif xi_angles is None:
+        xi_angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+    if mode == "pointwise-ae":
+        xi_angles = [
+            a for a in xi_angles
+            if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b in datum.breakpoints)
+        ]
+    for r in radii:
+        errs = []
+        for a in xi_angles:
+            res = poisson_transform(n, sp, datum, r * complex(math.cos(a), math.sin(a)), spec)
+            errs.append(abs(res.normalized - datum.at(a)))
+        if mode == "Lp":
+            lp = float(np.mean([e**p for e in errs])) ** (1.0 / p)
+            report["rows"].append({"r": r, "lp_error": lp})
+        else:
+            report["rows"].append({"r": r, "sup_error": max(errs)})
     return report

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,13 @@ def test_criteria_range_expansion(tmp_path):
     assert main(["selftest", "--seed", "5", "--criteria", "2-3,6", "--out", str(out)]) == 0
     rows = read_csv(out)
     assert [r[0] for r in rows[1:]] == ["2", "3", "6"]
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, hypolib.cli; print('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from hypolib.kernels import make_spectral
 from hypolib.regions import (
     AdmissibleRegion,
     SampleNet,
+    _region_sups,
     fatou_probe,
     hl_maximal,
     maximal_inequality_probe,
@@ -82,6 +83,18 @@ def test_tubular_maximal_of_constant_datum_is_unity():
         0, sp, 0.7, density_preset("one"), 0.4, net=SampleNet(radial_rungs=4, angular_count=5)
     )
     assert got == pytest.approx(1.0, rel=1e-8)
+
+
+def test_tubular_maximal_is_the_one_region_case_of_the_suite_sups():
+    sp = make_spectral(-0.25)
+    net = SampleNet(radial_rungs=4, angular_count=5)
+    g = density_preset("sawtooth")
+    zetas = (0.0, 1.3, -2.4)
+    regions = [AdmissibleRegion(z, 1.0, "enlarged") for z in zetas]
+    together = _region_sups(1, sp, g, regions, net)
+    alone = [tubular_maximal(1, sp, 1.0, g, z, kind="enlarged", net=net) for z in zetas]
+    assert list(together) == alone
+    assert min(alone) > 0
 
 
 def test_maximal_probe_is_stable_under_refinement():

@@ -112,6 +112,18 @@ def test_forbidden_ray_zeros_sit_in_independent_brackets():
     assert 0.996 < zs[1] < 0.998
 
 
+def test_radial_zeros_are_sign_changes_to_bisection_accuracy():
+    sp = make_spectral(-1.0)
+    zs = radial_zeros(sp)
+    assert zs
+    for z in zs:
+        s = math.log(1.0 - z)
+        below, above = (
+            spherical_function(0, 1.0 - math.exp(s + d), sp).real for d in (1e-9, -1e-9)
+        )
+        assert below * above < 0
+
+
 def test_radial_zeros_require_the_forbidden_ray():
     with pytest.raises(ValueError):
         radial_zeros(make_spectral(2.0), r_max=0.99, count=500)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypolib.kernels import make_spectral, polyharmonic_kernel
+from hypolib.numerics import circle_fft
 from hypolib.spherical import spherical_function
 from hypolib.transforms import (
     Atoms,
@@ -173,13 +174,31 @@ def test_convergence_probe_lp_handles_jumps():
 
 
 def test_weak_star_pairings_of_a_unit_atom():
-    # classical case: pairing against e^{ik phi} equals r^{|k|}
+    # classical case: pairing against e^{ik phi} equals r^{|k|} e^{-ik xi};
+    # r = 0.999 runs on the 65536-point grid
     sp = make_spectral(0.0)
-    datum = Atoms(((0.0, 1.0),))
-    rep = convergence_probe(0, sp, datum, "weak-star", radii=(0.99,))
-    pairings = rep["rows"][0]["pairings"]
-    for k, v in pairings.items():
-        assert v == pytest.approx(0.99 ** abs(k), rel=1e-9)
+    xi = 0.7
+    rep = convergence_probe(0, sp, Atoms(((xi, 1.0),)), "weak-star", radii=(0.99, 0.999))
+    for row in rep["rows"]:
+        for k, v in row["pairings"].items():
+            assert abs(v - row["r"] ** abs(k) * cmath.exp(-1j * k * xi)) < 1e-12
+
+
+@pytest.mark.parametrize("lam,n", [(2.0, 0), (1 + 1j, 1), (-0.25, 1)])
+def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
+    # pairings read off the circle engine against 512 adaptive per-point
+    # transforms and their FFT
+    sp = make_spectral(lam)
+    g = density_preset("cos")
+    radii = (0.9, 0.99)
+    rep = convergence_probe(n, sp, g, "weak-star", radii=radii)
+    size = 512
+    for r, row in zip(radii, rep["rows"]):
+        vals = [poisson_transform(n, sp, g, r * cmath.exp(2j * math.pi * j / size)).normalized
+                for j in range(size)]
+        oracle = circle_fft(vals)
+        for k, v in row["pairings"].items():
+            assert abs(v - oracle[k % size]) < 1e-12
 
 
 def test_convergence_probe_rejects_bad_mode():
