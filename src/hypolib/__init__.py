@@ -9,14 +9,13 @@ from .errors import (
     FitFailed,
     FitResidualLarge,
     HypolibError,
-    MaxTerms,
     NonConvergence,
     NormalizationUnavailable,
     PositivityViolation,
     PrecisionLoss,
     RatioDiverging,
+    ResultOverflow,
     ScanInconclusive,
-    SlowConvergence,
     StencilOutOfDomain,
     TruncationWarning,
 )

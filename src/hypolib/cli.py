@@ -127,7 +127,7 @@ def _cmd_spherical(args) -> int:
     for r in args.r_grid:
         v = spherical_function(args.n, float(r), sp)
         closed_re = closed_im = diff = ""
-        if args.n == 0 and r * r <= 0.999:
+        if args.n == 0:
             cf = closed_form(float(r), sp)
             closed_re, closed_im, diff = cf.real, cf.imag, abs(cf - v)
         rows.append([float(r), v.real, v.imag, closed_re, closed_im, diff])

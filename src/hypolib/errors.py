@@ -13,12 +13,13 @@ class NonConvergence(HypolibError):
         self.last_estimates = tuple(last_estimates or ())
 
 
-class SlowConvergence(HypolibError):
-    """Series argument too close to 1 for the requested accuracy."""
+class ResultOverflow(HypolibError):
+    """A value does not fit in a double; index names the first such entry
+    of a batch."""
 
-
-class MaxTerms(HypolibError):
-    """Series hit the term cap before meeting the stopping rule."""
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class StencilOutOfDomain(HypolibError):

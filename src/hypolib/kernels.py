@@ -66,6 +66,8 @@ class SpectralParam:
 
 def make_spectral(lam: complex) -> SpectralParam:
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     w = lam + 0.25
     if w == 0:
         return SpectralParam(lam=lam, mu=0j, kind=CRITICAL, lam_star=-0.25)

@@ -8,13 +8,18 @@ accumulating at phi = 0, for integrands with a peak of angular width
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
 
 The Gauss hypergeometric evaluator targets nonpositive real arguments only:
-the Pfaff transform x -> x/(x-1) maps (-inf, 0] onto [0, 1) and the series is
-summed there.  That is the exact shape needed by the closed-form spherical
-function, whose transformed argument is r^2.
+the Pfaff transform x -> x/(x-1) maps (-inf, 0] onto y in [0, 1).  The
+series is summed in y for y <= 1/2 and in 1 - y = 1/(1-x) past that, through
+the connection formula DLMF 15.8.4, so no series runs in an argument above
+1/2.  Where c - a - b is within 0.02 of an integer, the connection
+coefficients' poles are avoided by averaging over a small circle in a.  That
+covers the closed-form spherical function, whose transformed argument is r^2,
+up to the boundary.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,9 +27,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import mpmath
 import numpy as np
 
-from .errors import MaxTerms, NonConvergence, SlowConvergence, StencilOutOfDomain
+from .errors import NonConvergence, ResultOverflow, StencilOutOfDomain
 from .geometry import ensure_disk
 
 __all__ = [
@@ -180,58 +186,134 @@ def integrate_halfline_peak(
     return _refine_panels(g, sorted(edges), spec)
 
 
-def gauss_2f1(a, b, c, x: float, max_terms: int = 500_000) -> complex:
-    """Gauss hypergeometric F(a, b; c; x) for real x <= 0.
+# Degenerate band of the connection formula: s = c - a - b within _BAND of
+# an integer, where its two coefficients have poles that cancel.  There the
+# value is the trapezoid mean over the circle |t| = _CAUCHY_RADIUS of
+# F(a + t, b; c; y), which is entire in t; the nodes stay at least
+# _CAUCHY_RADIUS - _BAND away from the poles.
+_BAND = 0.02
+_CAUCHY_RADIUS = 0.05
+_CAUCHY_NODES = 24
+# cap on block length x lanes in _series, which bounds its temporaries
+_BLOCK_ELEMENTS = 4096
 
-    Pfaff transform to y = x/(x-1) in [0, 1), then direct series until two
-    consecutive terms fall below 1e-17 of the partial sum.
+
+@lru_cache(maxsize=1024)
+def _connection_logs(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Logs of the DLMF 15.8.4 coefficients of F(a, b; c; y) in 1 - y,
+
+        Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)),
+        Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)),      s = c - a - b,
+
+    at 30 digits; -inf for a coefficient that vanishes.  Logs keep a
+    coefficient's size out of double range until it meets the power of
+    1 - y it multiplies.
     """
-    if x > 0:
-        raise ValueError(f"argument must be <= 0, got {x}")
-    if x == 0.0:
-        return 1.0 + 0j
-    y = x / (x - 1.0)
-    if y > 0.999:
-        raise SlowConvergence(f"transformed argument {y} > 0.999")
-    aa = complex(a)
-    bb = complex(c) - complex(b)
-    cc = complex(c)
-    total = term = 1.0 + 0j
-    small = 0
-    for k in range(max_terms):
-        term *= (aa + k) * (bb + k) / ((cc + k) * (k + 1.0)) * y
-        total += term
-        small = small + 1 if abs(term) <= 1e-17 * abs(total) else 0
-        if small >= 2:
-            return (1.0 - x) ** (-aa) * total
-    raise MaxTerms(f"series did not meet the stopping rule in {max_terms} terms")
+    s = c - a - b
+    logs = []
+    with mpmath.workdps(30):
+        for num, den in (([c, s], [c - a, c - b]), ([c, -s], [a, b])):
+            g = mpmath.gammaprod(num, den)
+            logs.append(complex(mpmath.log(g)) if g != 0 else complex(-math.inf))
+    return logs[0], logs[1]
 
 
-def gauss_2f1_many(a, b, c, xs, max_terms: int = 500_000) -> np.ndarray:
-    """Vectorized gauss_2f1 over an array of nonpositive arguments."""
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs > 0):
-        raise ValueError("all arguments must be <= 0")
-    y = xs / (xs - 1.0)
-    y = np.where(xs == 0.0, 0.0, y)
-    if np.any(y > 0.999):
-        raise SlowConvergence("transformed argument > 0.999 in batch")
-    aa = complex(a)
-    bb = complex(c) - complex(b)
-    cc = complex(c)
-    total = np.ones_like(y, dtype=complex)
-    term = np.ones_like(y, dtype=complex)
-    small = np.zeros_like(y, dtype=int)
-    for k in range(max_terms):
-        term = term * ((aa + k) * (bb + k) / ((cc + k) * (k + 1.0))) * y
-        total = total + term
-        tiny = np.abs(term) <= 1e-17 * np.abs(total)
-        small = np.where(tiny, small + 1, 0)
-        if np.all(small >= 2):
-            break
+def _series(a, b, c, z) -> np.ndarray:
+    """Partial sums of F(a, b; c; z), 0 <= z <= 1/2, with parameters that
+    broadcast against z.
+
+    Terms come in blocks, a running product of the term ratios: 16 terms
+    for a few lanes, down to one as the lanes grow, so small batches pay
+    for a few array operations per block rather than per term.  Summation
+    stops once the last terms of two consecutive blocks fall below 1e-17
+    of the sum in every lane.  Terms eventually shrink by the factor
+    z <= 1/2, so this happens unless a sum overflows; a non-finite lane
+    counts as done and is left to the caller.
+    """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(z))
+    total = np.ones(shape, dtype=complex)
+    term = np.ones(shape, dtype=complex)
+    block = max(1, min(16, _BLOCK_ELEMENTS // max(1, total.size)))
+    k = np.arange(block, dtype=float).reshape((block,) + (1,) * len(shape))
+    while True:
+        prev = term
+        terms = prev * np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z, axis=0)
+        total = total + terms.sum(axis=0)
+        term = terms[-1]
+        tol = 1e-17 * np.abs(total)
+        if not ((np.abs(prev) > tol) | (np.abs(term) > tol)).any():
+            return total
+        k = k + block
+
+
+def _connection(a: complex, b: complex, c: complex, w, L) -> np.ndarray:
+    """exp(-a L) F(a, b; c; 1 - w) for 0 < w < 1/2 and L = -log(w), by
+    DLMF 15.8.4: two series in w, averaged over a circle in a inside the
+    degenerate band."""
+    s = c - a - b
+    if abs(s - round(s.real)) < _BAND:
+        t = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
     else:
-        raise MaxTerms(f"batch series did not converge in {max_terms} terms")
-    return (1.0 - xs) ** (-aa) * total
+        t = np.zeros(1, dtype=complex)
+    at = a + t
+    logs = np.array([_connection_logs(complex(p), b, c) for p in at])
+    # one batch: rows F(a+t, b; 1-s+t; w), then rows F(c-a-t, c-b; 1+s-t; w)
+    f = _series(
+        np.concatenate([at, c - at])[:, None],
+        np.repeat([b, c - b], t.size)[:, None],
+        np.concatenate([1.0 - s + t, 1.0 + s - t])[:, None],
+        w,
+    )
+    f1, f2 = f[: t.size], f[t.size :]
+    # (1-x)^{-a} times the coefficients, and times (1-y)^{s-t} = w^{s-t}
+    first = np.exp(logs[:, :1] - a * L) * f1
+    second = np.exp(logs[:, 1:] - (a + s - t)[:, None] * L) * f2
+    return np.mean(first + second, axis=0)
+
+
+def gauss_2f1(a, b, c, x: float) -> complex:
+    """Gauss hypergeometric F(a, b; c; x) for real x <= 0 (see gauss_2f1_many)."""
+    return complex(gauss_2f1_many(a, b, c, [x])[0])
+
+
+def gauss_2f1_many(a, b, c, xs) -> np.ndarray:
+    """Gauss hypergeometric F(a, b; c; x) over an array of real x <= 0.
+
+    Pfaff: F(a, b; c; x) = (1-x)^{-a} F(a, c-b; c; y), y = x/(x-1) in [0, 1),
+    with 1 - y = 1/(1-x) taken from x itself.  Lanes with y <= 1/2 sum the
+    series in y; the others use the connection formula in 1 - y < 1/2
+    (_connection).  At moderate parameters each lane needs a few dozen
+    terms, however close y is to 1.
+
+    Raises ResultOverflow, with an overflowing lane as `index`, where the
+    evaluation leaves double range.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    if not all(cmath.isfinite(p) for p in (a, b, c)):
+        raise ValueError(f"parameters must be finite, got {(a, b, c)}")
+    if c.imag == 0.0 and c.real <= 0.0 and c.real == math.floor(c.real):
+        raise ValueError(f"c must not be a nonpositive integer, got {c}")
+    xs = np.asarray(xs, dtype=float)
+    x = xs.ravel()
+    if not np.all(np.isfinite(x) & (x <= 0.0)):
+        raise ValueError("all arguments must be finite and <= 0")
+    L = np.log1p(-x)  # log(1 - x) = -log(1 - y)
+    w = 1.0 / (1.0 - x)  # 1 - y
+    near = w >= 0.5
+    far = ~near
+    out = np.empty(x.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if near.any():
+            out[near] = np.exp(-a * L[near]) * _series(a, c - b, c, -x[near] * w[near])
+        if far.any():
+            out[far] = _connection(a, c - b, c, w[far], L[far])
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise ResultOverflow(
+            f"F({a}, {b}; {c}; x) overflows a double at x = {float(x[i])!r}", index=i
+        )
+    return out.reshape(xs.shape)
 
 
 def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:

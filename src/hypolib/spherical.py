@@ -22,8 +22,10 @@ L = log(1 + tau^2 sin^2(phi/2)).  Accuracy is uniform up to R ~ 30; past
 that 1-r itself is at the edge of double precision.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
-transform the series argument is exactly r^2, so the evaluator in numerics
-applies verbatim (guard r^2 <= 0.999).
+transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
+sums it in r^2 up to r^2 = 1/2 and in 1 - r^2 beyond, so every radius in
+[0, 1) costs a few dozen terms.  The argument is built from (1-r)(1+r),
+which keeps 1 - r^2 accurate as r -> 1.
 
 Absolute variant.  |Phi|_n integrates |g_n(log P)| P^{Re mu + 1/2}; the
 integrand has a kink where log P changes sign, at phi = arccos(r)
@@ -39,13 +41,12 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import PositivityViolation, ScanInconclusive
+from .errors import PositivityViolation, ResultOverflow, ScanInconclusive
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    gauss_2f1,
     gauss_2f1_many,
     integrate_circle,
     integrate_halfline_peak,
@@ -179,25 +180,32 @@ def boundary_constant(sp: SpectralParam) -> complex:
 
 
 def closed_form(r: float, sp: SpectralParam) -> complex:
-    """Phi(r) by Gauss-hypergeometric closed form (order 0 only).
-
-    F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); the transformed series argument is
-    r^2, so radii past sqrt(0.999) raise SlowConvergence.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    if r == 0.0:
-        return 1.0 + 0j
-    x = -r * r / (1.0 - r * r)
-    return gauss_2f1(sp.exponent, 0.5 - sp.mu, 1.0, x)
+    """Phi(r) by the Gauss-hypergeometric closed form (order 0 only), for
+    any r in [0, 1): closed_form_many at a single radius."""
+    return complex(closed_form_many([float(r)], sp)[0])
 
 
 def closed_form_many(rs, sp: SpectralParam) -> np.ndarray:
+    """Phi at each radius in [0, 1) by F(mu+1/2, 1/2-mu; 1; x) with
+    x = -r^2/((1-r)(1+r)); see numerics.gauss_2f1_many for the evaluation.
+    For |lam| of order one the error is about 1e-14 relative (on the
+    forbidden ray, where Phi has zeros, relative to Phi(r | -1/4)).
+
+    Raises ResultOverflow, naming lam and the radius, where Phi does not
+    fit in a double.
+    """
     rs = np.asarray(rs, dtype=float)
-    if np.any((rs < 0) | (rs >= 1)):
-        raise ValueError("radii must lie in [0, 1)")
-    x = -rs * rs / (1.0 - rs * rs)
-    return gauss_2f1_many(sp.exponent, 0.5 - sp.mu, 1.0, x)
+    inside = (rs >= 0.0) & (rs < 1.0)
+    if not np.all(inside):
+        raise ValueError(f"radii must lie in [0, 1), got {rs[~inside][:3]}")
+    x = -(rs * rs) / ((1.0 - rs) * (1.0 + rs))
+    try:
+        return gauss_2f1_many(sp.exponent, 0.5 - sp.mu, 1.0, x)
+    except ResultOverflow as exc:
+        raise ResultOverflow(
+            f"Phi at lam = {sp.lam} does not fit in a double at r = {float(rs.flat[exc.index])!r}",
+            index=exc.index,
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,12 @@ def test_spherical_closed_form_cells(tmp_path):
                  "--r-grid", "0.2:0.6:3", "--out", str(out2)]) == 0
     rows2 = read_csv(out2)
     assert rows2[1][3] == ""  # no closed form away from order 0
+    out3 = tmp_path / "sph3.csv"
+    assert main(["spherical", "--lambda", "2", "0", "--r-grid", "0.9996:0.99999:3",
+                 "--out", str(out3)]) == 0
+    rows3 = read_csv(out3)
+    assert len(rows3) == 4
+    assert all(row[3] != "" and float(row[5]) <= 1e-9 * float(row[1]) for row in rows3[1:])
 
 
 def test_float_cells_use_full_precision(tmp_path):
@@ -74,6 +80,7 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    assert main(["spherical", "--lambda", "nan", "0"]) == 2
 
 
 def test_config_supplies_defaults_cli_overrides(tmp_path):

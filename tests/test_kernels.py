@@ -27,6 +27,12 @@ def test_spectral_kinds():
     assert make_spectral(-0.25 + 1e-12j).kind == "generic"
 
 
+def test_spectral_rejects_non_finite_lambda():
+    for lam in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            make_spectral(lam)
+
+
 def test_spectral_mu_values():
     assert make_spectral(2.0).mu == pytest.approx(1.5, rel=1e-14)
     assert make_spectral(-0.25).mu == 0j

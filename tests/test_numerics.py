@@ -53,6 +53,17 @@ def test_gauss_2f1_many_matches_scalar():
     assert np.allclose(batch, single, rtol=1e-12)
 
 
+def test_gauss_2f1_many_rejects_what_it_cannot_evaluate():
+    for a, b, c, xs in (
+        (0.5, 0.5, 1.0, [-1.0, math.nan]),
+        (0.5, 0.5, 1.0, [-math.inf]),
+        (math.nan, 0.5, 1.0, [-1.0]),
+        (0.5, 0.5, -2.0, [-1.0]),
+    ):
+        with pytest.raises(ValueError):
+            gauss_2f1_many(a, b, c, xs)
+
+
 def test_integrate_circle_projects_fourier_modes():
     for k in (0, 1, -3):
         got = integrate_circle(lambda p, k=k: np.exp(1j * k * p))

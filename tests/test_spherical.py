@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypolib.errors import SlowConvergence
-from hypolib.kernels import make_spectral
+from hypolib.errors import ResultOverflow
+from hypolib.kernels import FORBIDDEN, make_spectral
 from hypolib.spherical import (
     abs_spherical_function,
     asymptotic_law,
@@ -62,14 +64,79 @@ def test_closed_form_agrees_with_quadrature(lam):
         )
 
 
-def test_closed_form_many_matches_scalar_and_guards_radius():
+def _oracle(r: float, mu: complex) -> complex:
+    """F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)) by mpmath at 30 digits."""
+    with mp.workdps(30):
+        rr, m = mp.mpf(r), mp.mpc(mu)
+        return complex(mp.hyp2f1(m + 0.5, 0.5 - m, 1, -rr * rr / ((1 - rr) * (1 + rr))))
+
+
+ORACLE_RADII = (0.0, 0.3, 0.7, 0.7072, 0.9, 0.99, 0.9996, 1.0 - 1e-6, 1.0 - 1e-8)
+
+
+def _assert_matches_oracle(rs, sp, rel=1e-13):
+    got = closed_form_many(rs, sp)
+    for r, v in zip(rs, got):
+        want = _oracle(float(r), sp.mu)
+        assert abs(v - want) <= rel * abs(want), (sp.lam, r, v, want)
+
+
+def test_closed_form_many_matches_scalar_and_the_oracle_near_the_boundary():
     sp = make_spectral(1j)
-    rs = np.array([0.2, 0.6, 0.95])
+    rs = np.array([0.2, 0.6, 0.95, 0.9996, 1.0 - 1e-8])
     batch = closed_form_many(rs, sp)
     for r, v in zip(rs, batch):
-        assert v == pytest.approx(closed_form(float(r), sp), rel=1e-12)
-    with pytest.raises(SlowConvergence):
-        closed_form(0.9996, sp)
+        assert v == pytest.approx(closed_form(float(r), sp), rel=1e-14)
+    _assert_matches_oracle(rs, sp)
+
+
+# c - a - b = -2 mu after the Pfaff step is an integer here (the log case of
+# the connection formula), 1e-6 off one, or on either side of the edge of
+# the band where the evaluator averages over a circle in the parameter.
+@pytest.mark.parametrize("two_mu", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("offset", [0.0, 1e-6, -1e-6, 1e-6j, 0.0199, -0.0199, 0.0201, -0.0201])
+def test_closed_form_at_and_near_integer_two_mu(two_mu, offset):
+    mu = (two_mu + offset) / 2.0
+    sp = make_spectral(mu * mu - 0.25)
+    _assert_matches_oracle(ORACLE_RADII, sp)
+
+
+# the closed_form_many inputs of the radial benchmark workload, and the
+# spectral values the suite uses most
+@pytest.mark.parametrize("lam", [1.5 + 1.5j, -1.5 + 1.5j, -1.5 - 1.5j, 1.5 - 1.5j, 0.0, 2.0, -0.25])
+def test_closed_form_on_the_benchmark_lambdas(lam):
+    _assert_matches_oracle(ORACLE_RADII, make_spectral(lam))
+
+
+# lam on a 1e-6 grid of [-3, 3]^2, which holds lam = 0, 2, -1/4 (integer
+# 2 mu).  Unrestricted floats draw values like lam = -8e-250 - 8e-250j,
+# which put mu within 1e-249 of 1/2; there the 30-digit oracle takes 40 s.
+LAM_PART = st.integers(-3_000_000, 3_000_000).map(lambda n: n / 1_000_000)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    re=LAM_PART,
+    im=LAM_PART,
+    rs=st.lists(st.floats(0.0, 1.0 - 1e-8), min_size=1, max_size=6),
+)
+def test_closed_form_many_matches_mpmath_property(re, im, rs):
+    sp = make_spectral(complex(re, im))
+    got = closed_form_many(rs, sp)
+    for r, v in zip(rs, got):
+        want = _oracle(r, sp.mu)
+        # on the forbidden ray Phi is real with zeros; measure the error
+        # against |Phi| <= Phi(r | -1/4) there
+        scale = _oracle(r, 0.0).real if sp.kind == FORBIDDEN else abs(want)
+        assert abs(v - want) <= 1e-13 * scale, (sp.lam, r, v, want)
+
+
+def test_closed_form_overflow_is_a_typed_error():
+    sp = make_spectral(1e6)
+    with pytest.raises(ResultOverflow, match=r"lam = \(1000000\+0j\).* r = 0\.9$"):
+        closed_form(0.9, sp)
+    with pytest.raises(ResultOverflow, match=r"lam = \(1000000\+0j\).* r = 0\.9$"):
+        closed_form_many([0.3, 0.9], sp)
 
 
 def test_boundary_constant_reference_points():
