@@ -87,7 +87,15 @@ def _gl_nodes(order: int):
 
 
 def _stable(new: complex, old: complex, spec: QuadratureSpec) -> bool:
-    return abs(new - old) <= max(spec.abs_tol, spec.rel_tol * abs(new))
+    """Whether doubling left the estimate within tolerance.  An estimate
+    that does not fit in a double raises ResultOverflow, since no amount of
+    doubling repairs it."""
+    try:
+        if cmath.isfinite(new):
+            return abs(new - old) <= max(spec.abs_tol, spec.rel_tol * abs(new))
+    except OverflowError:
+        pass
+    raise ResultOverflow(f"quadrature estimate {new!r} does not fit in a double")
 
 
 def integrate_panels(f: Callable, edges: Sequence[float], order: int) -> complex:

@@ -17,9 +17,10 @@ front half, and R <= b on the back half.
 Maximal operators are sampled suprema over a deterministic net: a radial
 ladder r = 1 - 10^{-e} with equispaced exponents, and per rung a fan of
 angular offsets filling the K_r window.  At a fixed rung the transform is
-evaluated at every grid angle at once through one circular FFT
-convolution of the kernel row with the boundary samples, so refining the
-angular fan or adding anchors costs nothing extra.
+evaluated at every grid angle at once: the kernel row's spectrum times the
+datum's Fourier coefficients, then one inverse FFT.  One row spectrum
+serves every datum of a suite, so refining the angular fan or adding
+anchors costs nothing extra.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .spherical import spherical_function
 from .transforms import (
     Density,
     Mixture,
+    _datum_coeffs,
     _grid_size,
+    _mode_product,
     _normalizer,
-    _row_fft,  # noqa: F401  (perfbench reads this cache's hit ratio as regions._row_fft)
+    _row_fft,
     _zero_free_cached,
-    circle_coeffs,
     density_preset,
     poisson_transform,
 )
@@ -194,10 +196,19 @@ class SampleNet:
         )
 
 
-def _field_at_radius(n: int, sp: SpectralParam, g_samples: np.ndarray, r: float) -> np.ndarray:
-    """Normalized transform at every grid angle on the circle |z| = r."""
-    coeffs = circle_coeffs(n, sp, np.asarray(g_samples, dtype=complex), r)
-    return np.fft.ifft(coeffs) * g_samples.size / _normalizer(n, sp, float(r))
+def _field_at_radius(
+    n: int, sp: SpectralParam, g_coeffs: np.ndarray, r: float, row: np.ndarray, size: int
+) -> np.ndarray:
+    """Normalized transform at every angle of the `size`-point grid on |z| = r.
+
+    row is the kernel-row spectrum there (_row_fft) and g_coeffs the
+    datum's coefficients (_datum_coeffs).  When both are half spectra the
+    field is real and comes from the real-input inverse FFT.
+    """
+    spectrum = _mode_product(row, g_coeffs, size) * (size / _normalizer(n, sp, float(r)))
+    if spectrum.size == size:
+        return np.fft.ifft(spectrum)
+    return np.fft.irfft(spectrum, size)
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
@@ -209,28 +220,34 @@ def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarr
     return np.arcsin(window * np.linspace(-1.0, 1.0, count))
 
 
-def _region_sups(n: int, sp: SpectralParam, g: Density, regions, net: SampleNet) -> np.ndarray:
-    """Per region: sampled sup of |normalized transform of g| over the net.
+def _region_sups(n: int, sp: SpectralParam, densities, regions, net: SampleNet) -> np.ndarray:
+    """Sampled sup of |normalized transform| over the net, per density (rows)
+    and region (columns).
 
-    Each rung convolves once on its grid and reads every region's fan off
-    that one field; rungs inside the zero-free radius are skipped.
+    Each rung takes one kernel-row spectrum and applies it to every
+    density's coefficients, then reads every region's fan off each field;
+    rungs inside the zero-free radius are skipped.
     """
     r_floor = _zero_free_cached(n, sp.lam)
 
     def rung(r: float) -> np.ndarray:
         size = _grid_size(r, net.grid_cap)
-        samples = np.asarray(g(2.0 * math.pi * np.arange(size) / size), dtype=complex)
-        field = np.abs(_field_at_radius(n, sp, samples, r))
-        sups = np.zeros(len(regions))
-        for j, reg in enumerate(regions):
+        row = _row_fft(n, sp.lam, r, size)
+        cells = []
+        for reg in regions:
             offs = _angular_offsets(reg, r, net.angular_count)
-            if offs.size:
-                idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
-                sups[j] = np.max(field[idx % size])
+            idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
+            cells.append(idx % size)
+        sups = np.zeros((len(densities), len(regions)))
+        for i, g in enumerate(densities):
+            field = np.abs(_field_at_radius(n, sp, _datum_coeffs(g, size), r, row, size))
+            for j, idx in enumerate(cells):
+                if idx.size:
+                    sups[i, j] = np.max(field[idx])
         return sups
 
     rungs = parallel_map(rung, [r for r in net.radii() if r >= r_floor])
-    return np.max([np.zeros(len(regions)), *rungs], axis=0)
+    return np.max([np.zeros((len(densities), len(regions))), *rungs], axis=0)
 
 
 def tubular_maximal(
@@ -244,7 +261,7 @@ def tubular_maximal(
 ) -> float:
     """Sampled supremum of the normalized transform over the region."""
     region = AdmissibleRegion(zeta_angle, width, kind)
-    return float(_region_sups(n, sp, g, [region], net)[0])
+    return float(_region_sups(n, sp, [g], [region], net)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -298,9 +315,9 @@ def maximal_inequality_probe(
         tests.append((test_id, g, np.array([hl_maximal(hl_samples, float(a)) for a in zetas])))
 
     def ratios(net: SampleNet) -> tuple[tuple[str, float], ...]:
+        sups = _region_sups(n, sp, [g for _, g, _ in tests], regions, net)
         rows = []
-        for test_id, g, hl in tests:
-            sup = _region_sups(n, sp, g, regions, net)
+        for (test_id, _, hl), sup in zip(tests, sups):
             with np.errstate(divide="ignore"):
                 rows.append((test_id, float(np.max(np.where(hl > 0, sup / hl, 0.0)))))
         return tuple(rows)

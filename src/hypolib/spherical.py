@@ -34,6 +34,7 @@ integrand has a kink where log P changes sign, at phi = arccos(r)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,6 +145,19 @@ def _spherical_cached(
     return _kernel_mean(kernel_poly(n, sp), sp.exponent, r, spec, use_abs, refine)
 
 
+def _finite_mean(n, r, sp, spec, use_abs, refine) -> complex:
+    """_spherical_cached, raising ResultOverflow, naming lam and r, where
+    the mean does not fit in a double."""
+    try:
+        value = _spherical_cached(n, sp.lam, float(r), spec, use_abs, refine)
+        if cmath.isfinite(value):
+            return value
+    except ResultOverflow:
+        pass
+    what = f"mean of |order-{n} kernel|" if use_abs else f"Phi_{n}"
+    raise ResultOverflow(f"{what} at lam = {sp.lam} does not fit in a double at r = {float(r)!r}")
+
+
 def spherical_function(
     n: int,
     r: float,
@@ -151,8 +165,9 @@ def spherical_function(
     spec: QuadratureSpec = DEFAULT_SPEC,
     refine: bool = True,
 ) -> complex:
-    """Order-n polyspherical function at radius r."""
-    return _spherical_cached(n, sp.lam, float(r), spec, False, refine)
+    """Order-n polyspherical function at radius r (ResultOverflow where it
+    does not fit in a double)."""
+    return _finite_mean(n, r, sp, spec, False, refine)
 
 
 def abs_spherical_function(
@@ -164,7 +179,7 @@ def abs_spherical_function(
 ) -> float:
     """Circle mean of |order-n kernel|; equals Phi_n itself in the critical
     regime, where the integrand is already nonnegative."""
-    return _spherical_cached(n, sp.lam, float(r), spec, True, refine).real
+    return _finite_mean(n, r, sp, spec, True, refine).real
 
 
 def boundary_constant(sp: SpectralParam) -> complex:

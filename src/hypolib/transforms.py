@@ -22,7 +22,7 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -89,11 +89,17 @@ class FourierSeq:
 
 @dataclass(frozen=True)
 class Density:
-    """Density against dphi/2pi; breakpoints list its kink angles."""
+    """Density against dphi/2pi; breakpoints list its kink angles.
+
+    modes, when known in closed form, maps an integer array k >= 0 to the
+    coefficients (1/2pi) int rho e^{-ik psi} dpsi of a real density; the
+    negative modes are their conjugates.
+    """
 
     fn: Callable
     name: str
     breakpoints: tuple = ()
+    modes: Optional[Callable] = field(default=None, compare=False)
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -129,18 +135,47 @@ def _sawtooth(phi):
     return np.remainder(phi + math.pi, 2.0 * math.pi) / math.pi - 1.0
 
 
+def _few_modes(table: dict) -> Callable:
+    """Closed-form modes of a trigonometric polynomial, {k >= 0: c_k}."""
+
+    def modes(k):
+        out = np.zeros(k.shape, dtype=complex)
+        for m, c in table.items():
+            out[k == m] = c
+        return out
+
+    return modes
+
+
+def _sawtooth_modes(k):
+    # c_k = i (-1)^k / (pi k), c_0 = 0
+    kk = np.where(k == 0, 1, k)
+    return np.where(k == 0, 0.0, 1j * (1 - 2 * (kk % 2)) / (math.pi * kk))
+
+
+def _indicator_modes(c: float, w: float) -> Callable:
+    # c_k = e^{-ikc} sin(kw) / (pi k), c_0 = w / pi
+    def modes(k):
+        kk = np.where(k == 0, 1, k)
+        out = np.exp(-1j * c * kk) * (np.sin(w * kk) / (math.pi * kk))
+        return np.where(k == 0, w / math.pi, out)
+
+    return modes
+
+
 def density_preset(name: str) -> Density:
-    """Named densities: one, cos, sin, cos2, sawtooth, indicator:<c>:<w>."""
+    """Named densities: one, cos, sin, cos2, sawtooth, indicator:<c>:<w>,
+    each with its Fourier coefficients in closed form."""
     if name == "one":
-        return Density(lambda p: np.ones_like(p), "one")
+        return Density(lambda p: np.ones_like(p), "one", modes=_few_modes({0: 1.0}))
     if name == "cos":
-        return Density(np.cos, "cos")
+        return Density(np.cos, "cos", modes=_few_modes({1: 0.5}))
     if name == "sin":
-        return Density(np.sin, "sin")
+        return Density(np.sin, "sin", modes=_few_modes({1: -0.5j}))
     if name == "cos2":
-        return Density(lambda p: np.cos(2.0 * p), "cos2")
+        return Density(lambda p: np.cos(2.0 * p), "cos2", modes=_few_modes({2: 0.5}))
     if name == "sawtooth":
-        return Density(_sawtooth, "sawtooth", breakpoints=(math.pi,))
+        return Density(_sawtooth, "sawtooth", breakpoints=(math.pi,), modes=_sawtooth_modes)
     if name.startswith("indicator:"):
         parts = name.split(":")
         if len(parts) != 3:
@@ -153,7 +188,7 @@ def density_preset(name: str) -> Density:
             d = np.abs(np.remainder(phi - c + math.pi, 2.0 * math.pi) - math.pi)
             return (d <= w).astype(float)
 
-        return Density(ind, name, breakpoints=(c - w, c + w))
+        return Density(ind, name, breakpoints=(c - w, c + w), modes=_indicator_modes(c, w))
     raise ValueError(f"unknown density preset {name!r}")
 
 
@@ -290,11 +325,17 @@ def _kernel_row(n, sp, r, phi):
     return kernel_poly(n, sp).evaluate(logp) * np.exp(sp.exponent * logp)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    """Unnormalized FFT of the kernel row on `size` equispaced offsets."""
+    """Fourier coefficients of the kernel row from `size` equispaced offsets.
+
+    A real row (every real lam off the forbidden ray) gives the half
+    spectrum, k = 0..size/2; a complex row gives all of them, k mod size.
+    """
     phi = 2.0 * math.pi * np.arange(size) / size
-    out = np.fft.fft(np.asarray(_kernel_row(n, make_spectral(lam), r, phi), dtype=complex))
+    row = np.asarray(_kernel_row(n, make_spectral(lam), r, phi), dtype=complex)
+    out = np.fft.fft(row) if row.imag.any() else np.fft.rfft(row.real)
+    out /= size
     out.setflags(write=False)
     return out
 
@@ -305,16 +346,27 @@ def _grid_size(r: float, cap: int = 1 << 20, window: int = 0) -> int:
     return min(cap, next_pow2(max(4096, int(32.0 * tau), 4 * window + 4)))
 
 
-def _datum_coeffs(datum, size: int) -> np.ndarray:
-    """int e^{-ik psi} dnu(psi) at k mod size.
+def _full(spectrum: np.ndarray, size: int) -> np.ndarray:
+    """Coefficients at k mod size; a half spectrum (k = 0..size/2, of a real
+    function) is completed by conjugate symmetry."""
+    if spectrum.size == size:
+        return spectrum
+    return np.concatenate([spectrum, spectrum[size // 2 - 1:0:-1].conj()])
 
-    Exact for atoms and Fourier data; for a density (or its samples at
-    2 pi j / size) the FFT of `size` samples.
+
+def _datum_coeffs(datum, size: int) -> np.ndarray:
+    """int e^{-ik psi} dnu(psi) on a `size`-point grid.
+
+    A real density gives the half spectrum (see _full); other data give
+    k mod size.  Exact for atoms, Fourier data and densities with
+    closed-form modes; for any other density the FFT of `size` samples.
     """
-    if isinstance(datum, np.ndarray):
-        return circle_fft(datum)
     if isinstance(datum, Density):
-        return circle_fft(datum(2.0 * math.pi * np.arange(size) / size))
+        if datum.modes is not None:
+            return datum.modes(np.arange(size // 2 + 1))
+        samples = np.asarray(datum(2.0 * math.pi * np.arange(size) / size))
+        coeffs = circle_fft(samples)
+        return coeffs if np.iscomplexobj(samples) else coeffs[: size // 2 + 1]
     k = np.fft.fftfreq(size, d=1.0 / size)
     out = np.zeros(size, dtype=complex)
     if isinstance(datum, Atoms):
@@ -330,10 +382,18 @@ def _datum_coeffs(datum, size: int) -> np.ndarray:
     elif isinstance(datum, Mixture):
         for part in (datum.density, datum.atoms):
             if part is not None:
-                out += _datum_coeffs(part, size)
+                out += _full(_datum_coeffs(part, size), size)
     else:
         raise TypeError(f"not a boundary datum: {type(datum).__name__}")
     return out
+
+
+def _mode_product(row: np.ndarray, coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Mode-by-mode product of a kernel-row spectrum and datum coefficients:
+    half when both are half, else at k mod size."""
+    if row.size != coeffs.size:
+        row, coeffs = _full(row, size), _full(coeffs, size)
+    return row * coeffs
 
 
 def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
@@ -341,17 +401,14 @@ def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
     of the datum at r e^{i theta}.
 
     The transform is the convolution of the kernel row with the datum, so
-    mode by mode it is the row's coefficient times the datum's.  The datum
-    may also be an array of N density samples at 2 pi j / N; otherwise N
-    comes from _grid_size.
+    mode by mode it is the row's coefficient times the datum's; the grid
+    size comes from _grid_size.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    if isinstance(datum, np.ndarray):
-        size = datum.size
-    else:
-        size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
-    return _row_fft(n, sp.lam, float(r), size) / size * _datum_coeffs(datum, size)
+    size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
+    row = _row_fft(n, sp.lam, float(r), size)
+    return _full(_mode_product(row, _datum_coeffs(datum, size), size), size)
 
 
 def _density_value(n, sp, datum: Density, z, spec) -> complex:

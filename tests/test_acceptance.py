@@ -8,7 +8,7 @@ Run with -v for one pass/fail line per criterion.
 
 import pytest
 
-from hypolib.acceptance import CRITERIA, run_criterion
+from hypolib.acceptance import CRITERIA, _guard, run_criterion
 
 NAMES = {index: name for index, name in CRITERIA}
 
@@ -19,3 +19,9 @@ NAMES = {index: name for index, name in CRITERIA}
 def test_criterion(index):
     res = run_criterion(index)
     assert res.passed, f"criterion {index} ({res.name}): {res.details}"
+
+
+def test_unexpected_exceptions_become_failed_rows():
+    res = _guard(99, "divides by zero", lambda: 1 / 0)
+    assert not res.passed
+    assert res.details == "aborted by ZeroDivisionError: division by zero"

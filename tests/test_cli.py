@@ -73,6 +73,18 @@ def test_missing_datum_is_a_library_error(capsys):
     assert "datum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [["--r-grid", "0.5:0.9:2"], []])
+def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
+    # on the default grid a non-finite estimate must fail at once, not after
+    # doubling the trapezoid to 2^20 nodes
+    rc = main(["spherical", "--lambda", "1e6", "0", "--n", "1", *grid])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ResultOverflow: Phi_1 at lam = (1000000+0j)")
+    assert "r = " in err
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["spherical", "--lambda", "2"])

@@ -9,8 +9,10 @@ import pytest
 from hypolib.errors import FitResidualLarge
 from hypolib.kernels import make_spectral
 from hypolib.regions import (
+    _DEFAULT_SUITE,
     AdmissibleRegion,
     SampleNet,
+    _field_at_radius,
     _region_sups,
     fatou_probe,
     hl_maximal,
@@ -21,7 +23,16 @@ from hypolib.regions import (
     tubular_maximal,
 )
 from hypolib.spherical import spherical_function
-from hypolib.transforms import Atoms, Mixture, density_preset
+from hypolib.transforms import (
+    Atoms,
+    Mixture,
+    _datum_coeffs,
+    _full,
+    _grid_size,
+    _row_fft,
+    density_preset,
+    poisson_transform,
+)
 
 
 def test_radial_points_belong_to_every_region():
@@ -91,10 +102,48 @@ def test_tubular_maximal_is_the_one_region_case_of_the_suite_sups():
     g = density_preset("sawtooth")
     zetas = (0.0, 1.3, -2.4)
     regions = [AdmissibleRegion(z, 1.0, "enlarged") for z in zetas]
-    together = _region_sups(1, sp, g, regions, net)
+    together = _region_sups(1, sp, [g], regions, net)[0]
     alone = [tubular_maximal(1, sp, 1.0, g, z, kind="enlarged", net=net) for z in zetas]
     assert list(together) == alone
     assert min(alone) > 0
+
+
+@pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 0)])
+def test_sweep_field_matches_the_per_point_oracle_at_the_jumps(lam, n):
+    # the field a maximal rung reads, on the grid cells nearest the kinks,
+    # against adaptive per-point transforms; r = 0.9999 is the deepest rung
+    sp = make_spectral(lam)
+    suite = dict(_DEFAULT_SUITE)
+    for r in (0.99, 0.9999):
+        size = _grid_size(r)
+        row = _row_fft(n, sp.lam, r, size)
+        for g in (density_preset(suite["sawtooth"]), density_preset(suite["indicator"])):
+            field = _field_at_radius(n, sp, _datum_coeffs(g, size), r, row, size)
+            tol = 1e-10 * np.max(np.abs(field))
+            for b in g.breakpoints:
+                j0 = round(b * size / (2.0 * math.pi))
+                for j in range(j0 - 40, j0 + 41):
+                    z = r * cmath.exp(2j * math.pi * j / size)
+                    assert abs(field[j % size] - poisson_transform(n, sp, g, z).normalized) < tol
+
+
+@pytest.mark.parametrize("lam,n", [(0.0, 0), (2.0, 1), (-0.25, 1)])
+def test_real_input_inverse_matches_the_complex_one(lam, n):
+    sp = make_spectral(lam)
+    r = 0.999
+    size = _grid_size(r)
+    row = _row_fft(n, sp.lam, r, size)
+    coeffs = _datum_coeffs(density_preset("indicator:0.3:0.7"), size)
+    assert row.size == coeffs.size == size // 2 + 1
+    real = _field_at_radius(n, sp, coeffs, r, row, size)
+    full = _field_at_radius(n, sp, _full(coeffs, size), r, _full(row, size), size)
+    assert real.dtype == np.float64
+    assert np.max(np.abs(real - full)) < 1e-13
+
+
+def test_probe_leaves_few_kernel_rows_cached():
+    maximal_inequality_probe(0, make_spectral(0.0), 1.0)
+    assert _row_fft.cache_info().currsize <= 4
 
 
 def test_maximal_probe_is_stable_under_refinement():

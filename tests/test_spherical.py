@@ -139,6 +139,14 @@ def test_closed_form_overflow_is_a_typed_error():
         closed_form_many([0.3, 0.9], sp)
 
 
+@pytest.mark.parametrize("r", [0.9, 0.999])
+def test_quadrature_overflow_is_a_typed_error(r):
+    sp = make_spectral(1e6)
+    for mean in (spherical_function, abs_spherical_function):
+        with pytest.raises(ResultOverflow, match=rf"lam = \(1000000\+0j\).* r = {r}$"):
+            mean(0, r, sp)
+
+
 def test_boundary_constant_reference_points():
     assert boundary_constant(make_spectral(2.0)) == pytest.approx(0.5, rel=1e-10)
     assert boundary_constant(make_spectral(0.0)) == pytest.approx(1.0, rel=1e-10)

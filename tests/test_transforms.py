@@ -48,6 +48,17 @@ def test_density_preset_rejects_unknown():
         density_preset("indicator:0:9")
 
 
+def test_preset_modes_match_the_sampled_coefficients():
+    # trigonometric polynomials: 64 samples resolve them exactly
+    size = 64
+    k = np.arange(size // 2 + 1)
+    phi = 2.0 * math.pi * np.arange(size) / size
+    for name in ("one", "cos", "sin", "cos2"):
+        g = density_preset(name)
+        want = circle_fft(g(phi))[: size // 2 + 1]
+        assert np.max(np.abs(g.modes(k) - want)) < 1e-15
+
+
 def test_sawtooth_is_odd_and_breaks_at_pi():
     saw = density_preset("sawtooth")
     phi = np.array([0.4, -0.4])
@@ -182,6 +193,23 @@ def test_weak_star_pairings_of_a_unit_atom():
     for row in rep["rows"]:
         for k, v in row["pairings"].items():
             assert abs(v - row["r"] ** abs(k) * cmath.exp(-1j * k * xi)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,modes",
+    [
+        ("sawtooth", lambda k: 1j * (-1) ** k / (math.pi * k) if k else 0.0),
+        ("indicator:0.3:0.7",
+         lambda k: cmath.exp(-0.3j * k) * math.sin(0.7 * k) / (math.pi * k) if k else 0.7 / math.pi),
+    ],
+)
+def test_weak_star_pairings_of_kinked_presets_are_exact(name, modes):
+    # Poisson case: pairing against e^{ik phi} equals r^{|k|} c_k
+    rep = convergence_probe(0, make_spectral(0.0), density_preset(name), "weak-star",
+                            radii=(0.9, 0.99))
+    for row in rep["rows"]:
+        for k, v in row["pairings"].items():
+            assert abs(v - row["r"] ** abs(k) * modes(k)) < 1e-12
 
 
 @pytest.mark.parametrize("lam,n", [(2.0, 0), (1 + 1j, 1), (-0.25, 1)])
