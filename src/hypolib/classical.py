@@ -342,8 +342,8 @@ def _reduce_angle(alpha: float, bits: int) -> float:
         return float(mpmath.fmod(scaled, 2 * mpmath.pi))
 
 
-def lacunary_function(z: complex, spec: LacunarySpec) -> complex:
-    """Gap series sum_k k! p(z^(2^(k!))) truncated at spec.k_max."""
+def lacunary_function(z: complex, gap: LacunarySpec) -> complex:
+    """Gap series sum_k k! p(z^(2^(k!))) truncated at gap.k_max."""
     z = complex(z)
     r = abs(z)
     if r >= 1.0:
@@ -352,24 +352,24 @@ def lacunary_function(z: complex, spec: LacunarySpec) -> complex:
         return 0.0j
     log_r, alpha = math.log(r), cmath.phase(z)
     total = 0.0j
-    for k in range(1, spec.k_max + 1):
+    for k in range(1, gap.k_max + 1):
         bits = math.factorial(k)
         mod = math.exp(math.ldexp(log_r, bits))
         if mod == 0.0:
             continue
         ang = _reduce_angle(alpha, bits)
         w = mod * complex(math.cos(ang), math.sin(ang))
-        total += math.factorial(k) * spec.poly.evaluate(w)
+        total += math.factorial(k) * gap.poly.evaluate(w)
     return total
 
 
-def lacunary_series(spec: LacunarySpec) -> AnalyticSeries:
+def lacunary_series(gap: LacunarySpec) -> AnalyticSeries:
     """Power-series form: coefficient k! p_j at exponent j 2^(k!)."""
     terms: dict[int, complex] = {}
-    for k in range(1, spec.k_max + 1):
+    for k in range(1, gap.k_max + 1):
         stride = 1 << math.factorial(k)
         weight = math.factorial(k)
-        for j, c in enumerate(spec.poly.coeffs):
+        for j, c in enumerate(gap.poly.coeffs):
             if j == 0 or c == 0.0:
                 continue
             e = j * stride
@@ -386,7 +386,7 @@ class CircleSup:
 
 def lacunary_circle_sup(
     N: int,
-    spec: LacunarySpec,
+    gap: LacunarySpec,
     grid_size: int = 1 << 20,
     offset_count: int = 1,
 ) -> CircleSup:
@@ -404,10 +404,10 @@ def lacunary_circle_sup(
     denom = expo * math.log(2.0)
     base = np.arange(grid_size, dtype=np.int64)
     best = 0.0
-    fine_bits = math.factorial(spec.k_max)
+    fine_bits = math.factorial(gap.k_max)
     for u in range(offset_count):
         acc = np.zeros(grid_size, dtype=complex)
-        for k in range(1, spec.k_max + 1):
+        for k in range(1, gap.k_max + 1):
             bits = math.factorial(k)
             mod = math.exp(math.ldexp(log_r, bits))
             if mod == 0.0:
@@ -417,7 +417,7 @@ def lacunary_circle_sup(
             if u:
                 ang = ang + 2.0 * math.pi * u * 2.0 ** (bits - fine_bits) / offset_count
             w = mod * np.exp(1j * ang)
-            acc += math.factorial(k) * spec.poly.evaluate(w)
+            acc += math.factorial(k) * gap.poly.evaluate(w)
         best = max(best, float(np.max(np.abs(acc))))
     return CircleSup(N=N, radius=radius, value=best / denom)
 
@@ -431,7 +431,7 @@ class Witness:
     poly_value: complex
 
 
-def lacunary_witness(N: int, spec: LacunarySpec, phase_scan: int = 64) -> Witness:
+def lacunary_witness(N: int, gap: LacunarySpec, phase_scan: int = 64) -> Witness:
     """Point with |h(z)| / |log(1-|z|)| pushed above the unit scale.
 
     Takes the spiral sample maximizing |p|, plants z so z^(2^(N!))
@@ -440,7 +440,7 @@ def lacunary_witness(N: int, spec: LacunarySpec, phase_scan: int = 64) -> Witnes
     the lower gap terms while pinning the main one.
     """
     w = _spiral(4096)
-    pv = spec.poly.evaluate(w)
+    pv = gap.poly.evaluate(w)
     i_star = int(np.argmax(np.abs(pv)))
     w_star = complex(w[i_star])
     stride = 1 << math.factorial(N)
@@ -450,7 +450,7 @@ def lacunary_witness(N: int, spec: LacunarySpec, phase_scan: int = 64) -> Witnes
     for m in range(phase_scan):
         alpha = (cmath.phase(w_star) + 2.0 * math.pi * m) / stride
         z = r * complex(math.cos(alpha), math.sin(alpha))
-        ratio = abs(lacunary_function(z, spec)) / denom
+        ratio = abs(lacunary_function(z, gap)) / denom
         if best is None or ratio > best[0]:
             best = (ratio, z)
     return Witness(N=N, z=best[1], ratio=best[0],
@@ -458,7 +458,7 @@ def lacunary_witness(N: int, spec: LacunarySpec, phase_scan: int = 64) -> Witnes
 
 
 def lacunary_growth_probe(
-    spec: LacunarySpec,
+    gap: LacunarySpec,
     radii,
     angles=(0.0, 1.0, 2.5),
 ) -> dict:
@@ -468,25 +468,25 @@ def lacunary_growth_probe(
     triangle-inequality bound; its own ratio to |log(1-r)| is reported
     as the fitted growth constant.
     """
-    budget = spec.coeff_budget
+    budget = gap.coeff_budget
     rows = []
     c_fit = 0.0
     for r in radii:
         denom = abs(math.log(1.0 - r))
         chain = budget * sum(
             math.factorial(k) * math.exp(math.ldexp(math.log(r), math.factorial(k)))
-            for k in range(1, spec.k_max + 1)
+            for k in range(1, gap.k_max + 1)
         )
         c_fit = max(c_fit, chain / denom)
         for a in angles:
             z = r * complex(math.cos(a), math.sin(a))
-            ratio = abs(lacunary_function(z, spec)) / denom
+            ratio = abs(lacunary_function(z, gap)) / denom
             rows.append({"r": r, "angle": a, "ratio": ratio, "envelope": chain / denom})
     return {"rows": rows, "fitted_constant": c_fit,
             "max_ratio": max(row["ratio"] for row in rows)}
 
 
-def lacunary_associate_probe(spec: LacunarySpec, radii, angles=(0.0, 2.0)) -> dict:
+def lacunary_associate_probe(gap: LacunarySpec, radii, angles=(0.0, 2.0)) -> dict:
     """Second-order field of the gap series against its scaling laws.
 
     Checks |f| / R^2 stays bounded (R the hyperbolic distance to the
@@ -494,7 +494,7 @@ def lacunary_associate_probe(spec: LacunarySpec, radii, angles=(0.0, 2.0)) -> di
     the mode-weighted bound, reporting the fitted constant against
     log(1/(1-r)).
     """
-    series = lacunary_series(spec)
+    series = lacunary_series(gap)
     rows = []
     sup_scaled = 0.0
     c_fit = 0.0
@@ -505,7 +505,7 @@ def lacunary_associate_probe(spec: LacunarySpec, radii, angles=(0.0, 2.0)) -> di
         for a in angles:
             z = r * complex(math.cos(a), math.sin(a))
             f = associated_biharmonic(series, z)
-            h = lacunary_function(z, spec)
+            h = lacunary_function(z, gap)
             dev = abs(f - d0 * h)
             scaled = abs(f) / big_r**2
             sup_scaled = max(sup_scaled, scaled)

@@ -60,18 +60,29 @@ def _emit(path: str | None, header: list[str], rows: list[list]) -> None:
             sink.close()
 
 
+def _finite(text: str) -> float:
+    """Value of a float flag; NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return np.linspace(start, stop, count)
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [_finite(tok) for tok in text.split(",") if tok]
 
 
 def _ints(text: str) -> list[int]:
@@ -356,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="graded kernel values at a point")
     common(p)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--z-r", type=float, default=0.5)
-    p.add_argument("--z-angle", type=float, default=0.0)
+    p.add_argument("--z-r", type=_finite, default=0.5)
+    p.add_argument("--z-angle", type=_finite, default=0.0)
     p.add_argument("--xi", type=_floats, default=[0.0, 1.0, 2.0])
     p.set_defaults(fn=_cmd_kernel)
 
@@ -375,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="radial zeros on the forbidden ray")
     common(p)
-    p.add_argument("--r-max", type=float, default=0.9999)
+    p.add_argument("--r-max", type=_finite, default=0.9999)
     p.add_argument("--count", type=int, default=2000)
     p.set_defaults(fn=_cmd_zeros)
 
@@ -389,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riquier", help="two-layer boundary recovery")
     common(p)
     p.add_argument("--presets", default="cos,one")
-    p.add_argument("--r", type=float, default=0.9999)
+    p.add_argument("--r", type=_finite, default=0.9999)
     p.add_argument("--angles", type=int, default=8)
     p.set_defaults(fn=_cmd_riquier)
 
@@ -406,14 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximal", help="maximal-operator comparison suite")
     common(p)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--width", type=_finite, default=1.0)
     p.add_argument("--kind", choices=["tube", "enlarged"], default="tube")
     p.set_defaults(fn=_cmd_maximal)
 
     p = sub.add_parser("fatou", help="admissible-limit sweep rows")
     common(p)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--width", type=_finite, default=1.0)
     p.add_argument("--kind", choices=["tube", "enlarged"], default="tube")
     p.add_argument("--preset", default="cos")
     p.add_argument("--atoms", default=None)

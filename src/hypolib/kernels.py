@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainBroken
+from .errors import ChainBroken, ResultOverflow
 from .geometry import ensure_disk, poisson_kernel
 from .numerics import fd_laplacian
 from .polynomials import ComplexPoly
@@ -94,29 +94,56 @@ def lambda_kernel(z: complex, xi, sp: SpectralParam):
 
 
 def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:
-    """The log-Poisson polynomial g_n attached to the order-n kernel."""
+    """The log-Poisson polynomial g_n attached to the order-n kernel.
+
+    Raises ResultOverflow where its coefficient is not a finite, nonzero
+    double (n! alone leaves double range at n = 171).
+    """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     if n == 0:
         return ComplexPoly.from_coeffs((1.0,))
-    if sp.kind == CRITICAL:
-        return ComplexPoly.monomial(2 * n, 1.0 / math.factorial(2 * n))
-    return ComplexPoly.monomial(n, 1.0 / (math.factorial(n) * (2.0 * sp.mu) ** n))
+    critical = sp.kind == CRITICAL
+    try:
+        if critical:
+            coeff = 1.0 / math.factorial(2 * n)
+        else:
+            coeff = 1.0 / (math.factorial(n) * (2.0 * sp.mu) ** n)
+    except (OverflowError, ZeroDivisionError):
+        coeff = 0.0
+    if coeff == 0.0 or not cmath.isfinite(coeff):
+        raise ResultOverflow(
+            f"the order-{n} kernel coefficient at lam = {sp.lam} does not fit in a double"
+        )
+    return ComplexPoly.monomial(2 * n if critical else n, coeff)
 
 
 def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
     """Order-n member of the graded kernel family at spectral parameter sp.
 
     Equals g_n(log P) P^{mu+1/2} with g_n from kernel_poly; order 0 is the
-    base eigenkernel itself.  xi is an angle or angle array.
+    base eigenkernel itself.  xi is an angle or angle array.  Raises
+    ResultOverflow where a value does not fit in a double.
     """
     p = poisson_kernel(z, _xi_point(xi))
     g = kernel_poly(n, sp)
     if isinstance(p, np.ndarray):
-        logp = np.log(p)
-        return g.evaluate(logp) * np.exp(sp.exponent * logp)
-    logp = math.log(p)
-    return g.evaluate(logp) * cmath.exp(sp.exponent * logp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp = np.log(p)
+            value = g.evaluate(logp) * np.exp(sp.exponent * logp)
+        if np.isfinite(value).all():
+            return value
+    else:
+        logp = math.log(p)
+        try:
+            value = g.evaluate(logp) * cmath.exp(sp.exponent * logp)
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+    raise ResultOverflow(
+        f"the order-{n} kernel at lam = {sp.lam} does not fit in a double at z = {complex(z)}"
+    )
 
 
 def reduce_step(f: ComplexPoly, sp: SpectralParam) -> ComplexPoly:

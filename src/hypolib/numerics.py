@@ -23,7 +23,6 @@ import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -34,8 +33,6 @@ from .errors import NonConvergence, ResultOverflow, StencilOutOfDomain
 from .geometry import ensure_disk
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
     "integrate_circle",
     "integrate_panels",
     "integrate_halfline_peak",
@@ -48,37 +45,14 @@ __all__ = [
 
 _TRAPEZOID_START = 64
 _TRAPEZOID_CAP = 1 << 20
+# integrand peaks narrower than this take the panel path
 _PEAK_THRESHOLD = 0.05
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy/effort knobs shared by the quadrature engines.
-
-    panel_order: Gauss-Legendre nodes per panel (>= 4).
-    peak_scale:  angular width of the integrand's peak at phi = 0; values
-                 below 0.05 switch the circle engine to refined panels.
-    abs_tol / rel_tol: stabilization targets under node doubling.
-    """
-
-    panel_order: int = 16
-    peak_scale: float = 1.0
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.panel_order < 4:
-            raise ValueError(f"panel_order must be >= 4, got {self.panel_order}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.peak_scale > 0:
-            raise ValueError("peak_scale must be positive")
-
-    def with_peak(self, peak_scale: float) -> "QuadratureSpec":
-        return QuadratureSpec(self.panel_order, peak_scale, self.abs_tol, self.rel_tol)
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# Gauss-Legendre nodes per panel before the first doubling
+_PANEL_ORDER = 16
+# an estimate is stable once a doubling moves it by at most
+# max(_ABS_TOL, _REL_TOL |estimate|)
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-11
 
 
 @lru_cache(maxsize=64)
@@ -86,13 +60,13 @@ def _gl_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _stable(new: complex, old: complex, spec: QuadratureSpec) -> bool:
+def _stable(new: complex, old: complex) -> bool:
     """Whether doubling left the estimate within tolerance.  An estimate
     that does not fit in a double raises ResultOverflow, since no amount of
     doubling repairs it."""
     try:
         if cmath.isfinite(new):
-            return abs(new - old) <= max(spec.abs_tol, spec.rel_tol * abs(new))
+            return abs(new - old) <= max(_ABS_TOL, _REL_TOL * abs(new))
     except OverflowError:
         pass
     raise ResultOverflow(f"quadrature estimate {new!r} does not fit in a double")
@@ -110,14 +84,14 @@ def integrate_panels(f: Callable, edges: Sequence[float], order: int) -> complex
     return complex(np.sum(vals * (half[:, None] * w[None, :])))
 
 
-def _refine_panels(f: Callable, edges: Sequence[float], spec: QuadratureSpec) -> complex:
+def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
     """Panel integral with node doubling until stable; two failed doublings abort."""
-    order = spec.panel_order
+    order = _PANEL_ORDER
     prev = integrate_panels(f, edges, order)
     for _ in range(2):
         order *= 2
         cur = integrate_panels(f, edges, order)
-        if _stable(cur, prev, spec):
+        if _stable(cur, prev):
             return cur
         prev = cur
     raise NonConvergence(
@@ -138,20 +112,23 @@ def _dyadic_edges(width: float, stop: float) -> list[float]:
 
 def integrate_circle(
     f: Callable,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    peak_scale: float = 1.0,
     breakpoints: Iterable[float] = (),
 ) -> complex:
     """Mean of f over the circle: (1/2pi) int_{-pi}^{pi} f(phi) dphi.
 
-    f must accept a numpy array of angles.  Integrands with peak_scale < 0.05
-    are assumed peaked at phi = 0 and integrated on dyadic panels; otherwise
-    the periodic trapezoid rule with doubling is used.  Kink angles passed in
-    `breakpoints` force the panel path with edges aligned to them.
+    f must accept a numpy array of angles.  Integrands whose peak at
+    phi = 0 has angular width peak_scale < 0.05 are integrated on dyadic
+    panels; otherwise the periodic trapezoid rule with doubling is used.
+    Kink angles passed in `breakpoints` force the panel path with edges
+    aligned to them.
     """
+    if not peak_scale > 0:
+        raise ValueError(f"peak_scale must be positive, got {peak_scale}")
     breaks = sorted(
         {math.remainder(b, 2.0 * math.pi) for b in breakpoints}
     )
-    if not breaks and spec.peak_scale >= _PEAK_THRESHOLD:
+    if not breaks and peak_scale >= _PEAK_THRESHOLD:
         n = _TRAPEZOID_START
         phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
         prev = complex(np.mean(np.asarray(f(phi), dtype=complex)))
@@ -159,26 +136,25 @@ def integrate_circle(
             n *= 2
             phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
             cur = complex(np.mean(np.asarray(f(phi), dtype=complex)))
-            if _stable(cur, prev, spec):
+            if _stable(cur, prev):
                 return cur
             prev = cur
         raise NonConvergence(
             f"trapezoid rule did not stabilize by n = {n}", last_estimates=(prev,)
         )
 
-    w = min(spec.peak_scale, math.pi / 4.0)
+    w = min(peak_scale, math.pi / 4.0)
     pos = _dyadic_edges(w, math.pi)
     edges = sorted(
         set([-e for e in reversed(pos[1:])] + pos)
         | {b for b in breaks if -math.pi < b < math.pi}
     )
-    return _refine_panels(f, edges, spec) / (2.0 * math.pi)
+    return _refine_panels(f, edges) / (2.0 * math.pi)
 
 
 def integrate_halfline_peak(
     g: Callable,
     tau: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Iterable[float] = (),
 ) -> complex:
     """int_0^tau g(x) dx on log-spaced panels [0,1] u [1,tau].
@@ -191,7 +167,7 @@ def integrate_halfline_peak(
     edges = set(_dyadic_edges(min(0.5, tau), tau))
     edges.update(b for b in breakpoints if 0.0 < b < tau)
     edges.add(tau)
-    return _refine_panels(g, sorted(edges), spec)
+    return _refine_panels(g, sorted(edges))
 
 
 # Degenerate band of the connection formula: s = c - a - b within _BAND of

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FitResidualLarge, RatioDiverging
 from .kernels import SpectralParam
-from .numerics import DEFAULT_SPEC, QuadratureSpec, parallel_map
+from .numerics import parallel_map
 from .spherical import spherical_function
 from .transforms import (
     Density,
@@ -349,7 +349,6 @@ def fatou_probe(
     zeta_angles,
     kind: str = _TUBE,
     depths=(1, 2, 3, 4),
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[FatouRow]:
     """Approach each anchor inside its region and record the limits.
 
@@ -374,10 +373,10 @@ def fatou_probe(
             for frac in (0.0, 0.9):
                 alpha = frac * window
                 z = r * cmath.exp(1j * (float(ang) + alpha))
-                res = poisson_transform(n, sp, datum, z, spec)
+                res = poisson_transform(n, sp, datum, z)
                 atom_part = 0.0
                 if atoms is not None and atoms.points:
-                    atom_res = poisson_transform(n, sp, atoms, z, spec)
+                    atom_res = poisson_transform(n, sp, atoms, z)
                     atom_part = abs(atom_res.normalized)
                 rows.append(
                     FatouRow(

@@ -46,8 +46,7 @@ from .errors import PositivityViolation, ResultOverflow, ScanInconclusive
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
+    _PANEL_ORDER,
     gauss_2f1_many,
     integrate_circle,
     integrate_halfline_peak,
@@ -85,11 +84,15 @@ def _kernel_mean(
     poly: ComplexPoly,
     exponent: complex,
     r: float,
-    spec: QuadratureSpec,
     use_abs: bool = False,
     refine: bool = True,
 ) -> complex:
-    """(1/2pi) int q(log P_r) P_r^{exponent} dphi, q = poly (or |poly|)."""
+    """(1/2pi) int q(log P_r) P_r^{exponent} dphi, q = poly (or |poly|).
+
+    refine=False takes the panels of the half-line path (tau >= _TAU_SWITCH)
+    in one pass at twice the panel order, without the doubling check: scan
+    grade.
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     c = complex(exponent).real if use_abs else complex(exponent)
@@ -115,12 +118,12 @@ def _kernel_mean(
         breaks = (math.sqrt(math.expm1(R)),) if use_abs else ()
         arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
         if refine:
-            i_u = integrate_halfline_peak(f_u, u_top, spec, breakpoints=breaks)
-            i_phi = _refine_panels(f_phi, arc, spec)
+            i_u = integrate_halfline_peak(f_u, u_top, breakpoints=breaks)
+            i_phi = _refine_panels(f_phi, arc)
         else:
             edges = _dyadic_edges(0.5, u_top) + [b for b in breaks if 0.0 < b < u_top]
-            i_u = integrate_panels(f_u, sorted(set(edges)), 2 * spec.panel_order)
-            i_phi = integrate_panels(f_phi, arc, 2 * spec.panel_order)
+            i_u = integrate_panels(f_u, sorted(set(edges)), 2 * _PANEL_ORDER)
+            i_phi = integrate_panels(f_phi, arc, 2 * _PANEL_ORDER)
         return complex(np.exp(c * R) * (i_u + i_phi) / math.pi)
 
     # moderate radius: no peak to resolve
@@ -131,55 +134,43 @@ def _kernel_mean(
     if use_abs:
         # kink of |log P| at phi = arccos(r): split panels there
         edges = (0.0, math.acos(r), 0.5 * (math.acos(r) + math.pi), math.pi)
-        if refine:
-            return complex(_refine_panels(f_circle, edges, spec) / math.pi)
-        return complex(integrate_panels(f_circle, edges, 2 * spec.panel_order) / math.pi)
-    return integrate_circle(f_circle, spec.with_peak(min(1.0, 1.0 / tau if tau > 0 else 1.0)))
+        return complex(_refine_panels(f_circle, edges) / math.pi)
+    return integrate_circle(f_circle, min(1.0, 1.0 / tau if tau > 0 else 1.0))
 
 
 @lru_cache(maxsize=200_000)
-def _spherical_cached(
-    n: int, lam: complex, r: float, spec: QuadratureSpec, use_abs: bool, refine: bool
-) -> complex:
+def _spherical_cached(n: int, lam: complex, r: float, use_abs: bool, refine: bool) -> complex:
+    """_kernel_mean of the order-n kernel, raising ResultOverflow, naming
+    lam and r, where the mean does not fit in a double."""
     sp = make_spectral(lam)
-    return _kernel_mean(kernel_poly(n, sp), sp.exponent, r, spec, use_abs, refine)
-
-
-def _finite_mean(n, r, sp, spec, use_abs, refine) -> complex:
-    """_spherical_cached, raising ResultOverflow, naming lam and r, where
-    the mean does not fit in a double."""
+    poly = kernel_poly(n, sp)
     try:
-        value = _spherical_cached(n, sp.lam, float(r), spec, use_abs, refine)
+        value = _kernel_mean(poly, sp.exponent, r, use_abs, refine)
         if cmath.isfinite(value):
             return value
     except ResultOverflow:
         pass
     what = f"mean of |order-{n} kernel|" if use_abs else f"Phi_{n}"
-    raise ResultOverflow(f"{what} at lam = {sp.lam} does not fit in a double at r = {float(r)!r}")
+    raise ResultOverflow(f"{what} at lam = {lam} does not fit in a double at r = {r!r}")
 
 
-def spherical_function(
-    n: int,
-    r: float,
-    sp: SpectralParam,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    refine: bool = True,
-) -> complex:
+def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
     """Order-n polyspherical function at radius r (ResultOverflow where it
     does not fit in a double)."""
-    return _finite_mean(n, r, sp, spec, False, refine)
+    return _spherical_cached(n, sp.lam, float(r), False, True)
 
 
-def abs_spherical_function(
-    n: int,
-    r: float,
-    sp: SpectralParam,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    refine: bool = True,
-) -> float:
+def abs_spherical_function(n: int, r: float, sp: SpectralParam) -> float:
     """Circle mean of |order-n kernel|; equals Phi_n itself in the critical
     regime, where the integrand is already nonnegative."""
-    return _finite_mean(n, r, sp, spec, True, refine).real
+    return _spherical_cached(n, sp.lam, float(r), True, True).real
+
+
+def _scan_values(n: int, sp: SpectralParam, rs) -> np.ndarray:
+    """Phi_n at each radius, scan grade: spherical_function without the
+    doubling check of its panel paths.  For sign and dip detection, not
+    for reporting."""
+    return np.array([_spherical_cached(n, sp.lam, float(r), False, False) for r in rs])
 
 
 def boundary_constant(sp: SpectralParam) -> complex:
@@ -291,22 +282,17 @@ def scan_profile(
     r_lo: float = 0.05,
     r_hi: float = 1.0 - 1e-6,
     count: int = 2000,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ):
-    """Scan-grade radial profile: (radii, Phi_n values).  Single-pass panels,
-    ~1e-8 relative accuracy; intended for zero detection, not for reporting."""
+    """Scan-grade radial profile: (radii, Phi_n values) from _scan_values;
+    intended for zero detection, not for reporting."""
     rs = _scan_radii(r_lo, r_hi, count)
-    vals = np.array(
-        [spherical_function(n, r, sp, spec, refine=False) for r in rs], dtype=complex
-    )
-    return rs, vals
+    return rs, _scan_values(n, sp, rs)
 
 
 def radial_zeros(
     sp: SpectralParam,
     r_max: float = 0.9999,
     count: int = 2000,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ):
     """Zeros of Phi(.|lam) in (0, r_max] for lam on the forbidden ray.
 
@@ -317,12 +303,10 @@ def radial_zeros(
     if sp.kind != FORBIDDEN:
         raise ValueError("zeros accumulate only for real lam < -1/4")
     rs = _scan_radii(0.05, r_max, count)
-    vals = np.array(
-        [spherical_function(0, r, sp, spec, refine=False).real for r in rs]
-    )
+    vals = _scan_values(0, sp, rs).real
 
     def f(s: float) -> float:
-        return spherical_function(0, 1.0 - math.exp(s), sp, spec).real
+        return spherical_function(0, 1.0 - math.exp(s), sp).real
 
     zeros = []
     sign = np.sign(vals)
@@ -357,7 +341,6 @@ def zero_free_radius(
     sp: SpectralParam,
     eps: float = 0.05,
     count: int = 2000,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> ZeroFreeRadius:
     """Smallest radius r_min with Phi_n zero-free on (r_min, 1).
 
@@ -377,7 +360,7 @@ def zero_free_radius(
             return ZeroFreeRadius(n, sp.lam, 0.0, "positivity")
         return ZeroFreeRadius(n, sp.lam, eps, "positivity+pole-floor")
 
-    rs, vals = scan_profile(n, sp, count=count, spec=spec)
+    rs, vals = scan_profile(n, sp, count=count)
     law = asymptotic_law(n, sp, absolute=True)
     frames = np.log1p(rs) - np.log1p(-rs)
     ref = np.array([abs(law.evaluate(R)) for R in frames])
@@ -406,7 +389,6 @@ def positivity_scan(
     n: int,
     sp: SpectralParam,
     rs=None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     tol: float = 1e-10,
 ) -> PositivityReport:
     """Check Phi_n > 0 on a radial grid for real lam >= -1/4, n >= 1,
@@ -420,7 +402,7 @@ def positivity_scan(
         raise ValueError("positivity scan is for orders n >= 1")
     if rs is None:
         rs = _scan_radii(0.05, 1.0 - 1e-5, 400)
-    vals = np.array([spherical_function(n, float(r), sp, spec, refine=False) for r in rs])
+    vals = _scan_values(n, sp, rs)
     min_re = float(np.min(vals.real))
     max_im = float(np.max(np.abs(vals.imag)))
     if min_re <= 0.0:
@@ -429,8 +411,8 @@ def positivity_scan(
         )
     worst = 0.0
     for r in (0.3, 0.7, 0.9, 0.97):
-        moment = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r, spec)
-        scale = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r, spec, use_abs=True)
+        moment = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r)
+        scale = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r, use_abs=True)
         worst = max(worst, abs(moment) / max(scale.real, 1e-300))
     if worst > tol:
         raise PositivityViolation(f"odd log moment ratio {worst:.3e} exceeds {tol}")

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DecayViolation, NormalizationUnavailable, TruncationWarning
+from .errors import DecayViolation, NonConvergence, NormalizationUnavailable, TruncationWarning
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import (
     CRITICAL,
@@ -38,13 +38,7 @@ from .kernels import (
     make_spectral,
     polyharmonic_kernel,
 )
-from .numerics import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    circle_fft,
-    integrate_circle,
-    next_pow2,
-)
+from .numerics import _stable, circle_fft, integrate_circle, next_pow2
 from .spherical import spherical_function, zero_free_radius
 
 __all__ = [
@@ -301,9 +295,7 @@ def _zero_free_cached(n: int, lam: complex) -> float:
     return zero_free_radius(n, make_spectral(lam)).r_min
 
 
-def _normalizer(
-    n: int, sp: SpectralParam, r: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> complex:
+def _normalizer(n: int, sp: SpectralParam, r: float) -> complex:
     """Phi_n(r), refusing the forbidden ray, radii inside the zero-free
     radius and an underflowing mean."""
     if sp.kind == FORBIDDEN:
@@ -313,7 +305,7 @@ def _normalizer(
         raise NormalizationUnavailable(
             f"|z| = {r:.6f} below the zero-free radius {r_min:.6f} for order {n}"
         )
-    denom = spherical_function(n, r, sp, spec)
+    denom = spherical_function(n, r, sp)
     if abs(denom) < 1e-300:
         raise NormalizationUnavailable(f"kernel mean underflow at r = {r}")
     return denom
@@ -411,7 +403,7 @@ def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
     return _full(_mode_product(row, _datum_coeffs(datum, size), size), size)
 
 
-def _density_value(n, sp, datum: Density, z, spec) -> complex:
+def _density_value(n, sp, datum: Density, z) -> complex:
     r, theta = abs(z), math.atan2(z.imag, z.real)
     tau = RadialFrame.from_r(r).tau
 
@@ -420,7 +412,7 @@ def _density_value(n, sp, datum: Density, z, spec) -> complex:
 
     peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
     breaks = tuple(b - theta for b in datum.breakpoints)
-    return integrate_circle(f, spec.with_peak(peak), breakpoints=breaks)
+    return integrate_circle(f, peak, breakpoints=breaks)
 
 
 def _atoms_value(n, sp, datum: Atoms, z) -> complex:
@@ -437,16 +429,16 @@ def _fourier_value(n, sp, datum: FourierSeq, z) -> complex:
     return complex(sum(terms, 0j))
 
 
-def _value(n, sp, datum, z, spec) -> complex:
+def _value(n, sp, datum, z) -> complex:
     if isinstance(datum, Density):
-        return _density_value(n, sp, datum, z, spec)
+        return _density_value(n, sp, datum, z)
     if isinstance(datum, Atoms):
         return _atoms_value(n, sp, datum, z)
     if isinstance(datum, FourierSeq):
         return _fourier_value(n, sp, datum, z)
     if isinstance(datum, Mixture):
         parts = (p for p in (datum.density, datum.atoms) if p is not None)
-        return sum((_value(n, sp, p, z, spec) for p in parts), 0j)
+        return sum((_value(n, sp, p, z) for p in parts), 0j)
     raise TypeError(f"not a boundary datum: {type(datum).__name__}")
 
 
@@ -455,23 +447,21 @@ def poisson_transform(
     sp: SpectralParam,
     datum: BoundaryDatum,
     z: complex,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     normalize: bool = True,
 ) -> TransformResult:
     """Order-n transform of the boundary datum, with its normalized value."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
-    value = _value(n, sp, datum, z, spec)
+    value = _value(n, sp, datum, z)
     r = abs(z)
-    normalized = value / _normalizer(n, sp, r, spec) if normalize else None
+    normalized = value / _normalizer(n, sp, r) if normalize else None
     return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))
 
 
-def normalized_kernel(n: int, sp: SpectralParam, z: complex, xi: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def normalized_kernel(n: int, sp: SpectralParam, z: complex, xi: float) -> complex:
     """Order-n kernel at (z, boundary angle xi) over its circle mean at |z|."""
-    denom = _normalizer(n, sp, abs(complex(z)), spec)
+    denom = _normalizer(n, sp, abs(complex(z)))
     return polyharmonic_kernel(n, complex(z), float(xi), sp) / denom
 
 
@@ -487,7 +477,6 @@ def kernel_decay_probe(
     sp: SpectralParam,
     radii,
     a: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     angle_count: int = 200,
 ) -> DecayReport:
     """Sup of |normalized kernel| over the angular band away from the peak.
@@ -512,7 +501,7 @@ def kernel_decay_probe(
         lo = 2.0 * (math.log(tau)) ** (-a) if sp.kind == CRITICAL else 2.0 * tau ** (-a)
         lo = min(lo, math.pi / 2)
         psi = np.geomspace(lo, math.pi, angle_count)
-        denom = spherical_function(n, r, sp, spec)
+        denom = spherical_function(n, r, sp)
         vals = np.abs(_kernel_row(n, sp, r, psi) / denom)
         edges.append(lo)
         sups.append(float(np.max(vals)))
@@ -535,10 +524,9 @@ class SweepRow:
 class DirichletSolution:
     sp: SpectralParam
     g: Density
-    spec: QuadratureSpec = DEFAULT_SPEC
 
     def field(self, z: complex) -> complex:
-        return poisson_transform(0, self.sp, self.g, z, self.spec, normalize=False).value
+        return poisson_transform(0, self.sp, self.g, z, normalize=False).value
 
     def verify(self, xi_angles, radii) -> list:
         """Boundary sweep rows: normalized field vs g at each (xi, r)."""
@@ -546,46 +534,49 @@ class DirichletSolution:
         for ang in xi_angles:
             for r in radii:
                 z = r * complex(math.cos(ang), math.sin(ang))
-                res = poisson_transform(0, self.sp, self.g, z, self.spec)
+                res = poisson_transform(0, self.sp, self.g, z)
                 tgt = self.g.at(ang)
                 rows.append(SweepRow(ang, r, res.normalized, tgt, abs(res.normalized - tgt)))
         return rows
 
 
-def dirichlet_solve(sp: SpectralParam, g: Density, spec: QuadratureSpec = DEFAULT_SPEC):
+def dirichlet_solve(sp: SpectralParam, g: Density):
     if sp.kind == FORBIDDEN:
         raise ValueError("no boundary solver on the forbidden ray")
-    return DirichletSolution(sp=sp, g=g, spec=spec)
+    return DirichletSolution(sp=sp, g=g)
 
 
-def spherical_average(f: Callable, r: float, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def spherical_average(f: Callable, r: float) -> complex:
     """(1/2pi) int f(r e^{i phi}) dphi for a pointwise-evaluable field.
 
-    Doubles a trapezoid grid until stable; fields here are smooth in the
-    angle, so spectral accuracy applies.
+    Doubles a trapezoid grid from 64 nodes until stable; a field that has
+    not stabilized at 4096 nodes (a peak narrower than the grid resolves)
+    raises NonConvergence with the last two estimates.
     """
-    n = 64
-    prev = None
-    while n <= 4096:
+
+    def mean(n: int) -> complex:
         phi = 2.0 * math.pi * np.arange(n) / n
-        vals = [complex(f(r * complex(math.cos(p), math.sin(p)))) for p in phi]
-        cur = complex(np.mean(vals))
-        if prev is not None and abs(cur - prev) <= spec.abs_tol + spec.rel_tol * abs(cur):
+        return complex(np.mean([complex(f(r * complex(math.cos(p), math.sin(p)))) for p in phi]))
+
+    n = 64
+    prev = mean(n)
+    while n < 4096:
+        n *= 2
+        cur = mean(n)
+        if _stable(cur, prev):
             return cur
         prev = cur
-        n *= 2
-    return prev
+    raise NonConvergence(f"spherical average did not stabilize by n = {n}", last_estimates=(prev, cur))
 
 
 @dataclass(frozen=True)
 class RiquierSolution:
     sp: SpectralParam
     gs: tuple
-    spec: QuadratureSpec = DEFAULT_SPEC
 
     def layer(self, k: int, z: complex) -> complex:
         """Order-k transform of the k-th datum (the k-th layer field)."""
-        return poisson_transform(k, self.sp, self.gs[k], z, self.spec, normalize=False).value
+        return poisson_transform(k, self.sp, self.gs[k], z, normalize=False).value
 
     def verify(self, xi_angles, radii) -> dict:
         """Boundary traces: each layer over its own normalizer tends to its
@@ -595,7 +586,7 @@ class RiquierSolution:
             for ang in xi_angles:
                 for r in radii:
                     z = r * complex(math.cos(ang), math.sin(ang))
-                    phi_k = spherical_function(k, r, self.sp, self.spec)
+                    phi_k = spherical_function(k, r, self.sp)
                     vk = self.layer(k, z) / phi_k
                     tgt = g.at(ang)
                     own.append(SweepRow(ang, r, vk, tgt, abs(vk - tgt)))
@@ -605,10 +596,10 @@ class RiquierSolution:
         return {"own": own, "cross": cross}
 
 
-def riquier_solve(sp: SpectralParam, gs, spec: QuadratureSpec = DEFAULT_SPEC):
+def riquier_solve(sp: SpectralParam, gs):
     if sp.kind == FORBIDDEN:
         raise ValueError("no boundary solver on the forbidden ray")
-    return RiquierSolution(sp=sp, gs=tuple(gs), spec=spec)
+    return RiquierSolution(sp=sp, gs=tuple(gs))
 
 
 def convergence_probe(
@@ -620,7 +611,6 @@ def convergence_probe(
     xi_angles=None,
     p: float = 2.0,
     test_modes=range(-3, 4),
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> dict:
     """Empirical boundary-convergence report.
 
@@ -636,7 +626,7 @@ def convergence_probe(
     report = {"mode": mode, "radii": list(radii), "rows": []}
     if mode == "weak-star":
         for r in radii:
-            coeffs = circle_coeffs(n, sp, datum, r) / _normalizer(n, sp, r, spec)
+            coeffs = circle_coeffs(n, sp, datum, r) / _normalizer(n, sp, r)
             pair = {int(k): complex(coeffs[k % coeffs.size]) for k in test_modes}
             report["rows"].append({"r": r, "pairings": pair})
         return report
@@ -654,7 +644,7 @@ def convergence_probe(
     for r in radii:
         errs = []
         for a in xi_angles:
-            res = poisson_transform(n, sp, datum, r * complex(math.cos(a), math.sin(a)), spec)
+            res = poisson_transform(n, sp, datum, r * complex(math.cos(a), math.sin(a)))
             errs.append(abs(res.normalized - datum.at(a)))
         if mode == "Lp":
             lp = float(np.mean([e**p for e in errs])) ** (1.0 / p)

@@ -85,6 +85,28 @@ def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
     assert "r = " in err
 
 
+@pytest.mark.parametrize(
+    "argv,start",
+    [
+        (["kernel", "--lambda", "2", "0", "--n", "400"],
+         "ResultOverflow: the order-400 kernel coefficient at lam = (2+0j)"),
+        (["spherical", "--lambda", "2", "0", "--n", "400"],
+         "ResultOverflow: the order-400 kernel coefficient at lam = (2+0j)"),
+        (["kernel", "--lambda", "1e300", "0", "--n", "0", "--z-r", "0.5", "--z-angle", "0",
+          "--xi", "0"],
+         "ResultOverflow: the order-0 kernel at lam = (1e+300+0j) does not fit in a double"
+         " at z = (0.5+0j)"),
+    ],
+    ids=["kernel-n400", "spherical-n400", "kernel-lam1e300"],
+)
+def test_kernel_overflow_is_a_one_line_library_error(argv, start, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(start)
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["spherical", "--lambda", "2"])
@@ -93,6 +115,17 @@ def test_bad_usage_exits_two():
         main(["no-such-command"])
     assert exc.value.code == 2
     assert main(["spherical", "--lambda", "nan", "0"]) == 2
+    for argv in (
+        ["kernel", "--lambda", "2", "0", "--z-angle", "nan"],
+        ["kernel", "--lambda", "2", "0", "--xi", "inf"],
+        ["kernel", "--lambda", "2", "0", "--xi", "0,-inf"],
+        ["spherical", "--lambda", "2", "0", "--r-grid", "0.1:nan:3"],
+        ["zeros", "--lambda", "-1", "0", "--r-max", "inf"],
+        ["maximal", "--lambda", "0", "0", "--width", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_config_supplies_defaults_cli_overrides(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypolib.errors import ResultOverflow
 from hypolib.kernels import (
     fd_verify_kernel,
     kernel_poly,
@@ -67,6 +68,23 @@ def test_kernel_poly_critical_uses_doubled_degree():
     g1 = kernel_poly(1, sp)
     assert g1.degree == 2
     assert g1.evaluate(2.0) == pytest.approx(2.0, rel=1e-14)  # w^2/2 at w=2
+
+
+def test_kernel_poly_coefficient_in_double_range():
+    # 2 mu = 1 at lam = 0, so the coefficient is 1/n!, a double up to n = 170
+    assert kernel_poly(170, make_spectral(0.0)).coeffs[-1] == 1.0 / math.factorial(170)
+    for n, lam in ((171, 0.0), (400, 2.0), (170, 2.0), (86, -0.25), (3, -0.25 + 1e-300j)):
+        with pytest.raises(ResultOverflow, match=rf"order-{n} kernel coefficient at lam = "):
+            kernel_poly(n, make_spectral(lam))
+
+
+def test_kernel_overflow_is_a_typed_error():
+    sp = make_spectral(1e300)
+    for xi in (0.0, np.array([0.0, 1.0])):
+        with pytest.raises(
+            ResultOverflow, match=r"order-0 kernel at lam = \(1e\+300\+0j\).* z = \(0\.5\+0j\)$"
+        ):
+            polyharmonic_kernel(0, 0.5, xi, sp)
 
 
 def test_polyharmonic_kernel_matches_manual_formula():

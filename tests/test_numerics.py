@@ -1,16 +1,17 @@
 """Quadrature, series, FFT helpers, and the discrete Laplacian."""
 
 import cmath
+import importlib
+import inspect
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from hypolib import numerics
 from hypolib.errors import StencilOutOfDomain
 from hypolib.numerics import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
     circle_fft,
     fd_laplacian,
     fourier_mode,
@@ -20,6 +21,26 @@ from hypolib.numerics import (
     integrate_halfline_peak,
     integrate_panels,
 )
+
+
+def test_no_public_function_takes_a_quadrature_knob():
+    # one quadrature policy: no spec or refine parameter anywhere public
+    modules = [importlib.import_module(f"hypolib.{m}") for m in (
+        "acceptance", "classical", "cli", "errors", "geometry", "kernels", "numerics",
+        "polynomials", "regions", "spherical", "transforms")]
+    checked = 0
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if callable(obj):
+                try:
+                    params = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                assert not {"spec", "refine"} & set(params), f"{mod.__name__}.{name}"
+                checked += 1
+    assert checked > 50
+    assert not hasattr(numerics, "QuadratureSpec") and not hasattr(numerics, "DEFAULT_SPEC")
 
 
 def test_gauss_2f1_log_identity():
@@ -73,9 +94,9 @@ def test_integrate_circle_projects_fourier_modes():
 def test_integrate_circle_peaked_kernel_has_unit_mean():
     r = 0.9999
     tau = 2.0 * math.sqrt(r) / (1.0 - r)
-    spec = DEFAULT_SPEC.with_peak(min(1.0, 1.0 / tau))
     val = integrate_circle(
-        lambda p: (1 - r * r) / ((1 - r) ** 2 + 4 * r * np.sin(0.5 * p) ** 2), spec
+        lambda p: (1 - r * r) / ((1 - r) ** 2 + 4 * r * np.sin(0.5 * p) ** 2),
+        peak_scale=min(1.0, 1.0 / tau),
     )
     assert val == pytest.approx(1.0, rel=1e-11)
 
@@ -131,9 +152,3 @@ def test_circle_fft_recovers_coefficients():
     assert fourier_mode(coeffs, -2) == pytest.approx(-1.0, abs=1e-12)
     assert fourier_mode(coeffs, 5) == pytest.approx(0.0, abs=1e-12)
 
-
-def test_quadrature_spec_with_peak_is_a_copy():
-    spec = QuadratureSpec()
-    tweaked = spec.with_peak(0.01)
-    assert tweaked.peak_scale == 0.01
-    assert spec.peak_scale == 1.0

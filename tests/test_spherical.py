@@ -17,6 +17,7 @@ from hypolib.spherical import (
     closed_form_many,
     positivity_scan,
     radial_zeros,
+    scan_profile,
     small_radius_law,
     spherical_function,
     zero_free_radius,
@@ -145,6 +146,16 @@ def test_quadrature_overflow_is_a_typed_error(r):
     for mean in (spherical_function, abs_spherical_function):
         with pytest.raises(ResultOverflow, match=rf"lam = \(1000000\+0j\).* r = {r}$"):
             mean(0, r, sp)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scan_profile_skips_only_the_doubling_check(n):
+    # the scan's single pass at twice the panel order is the value the
+    # checked path accepts after its first doubling, bit for bit
+    sp = make_spectral(1 + 1j)
+    rs, vals = scan_profile(n, sp, count=300)
+    assert rs[0] < 0.9 < 0.999 < rs[-1]  # both sides of the quadrature switch
+    assert np.array_equal(vals, [spherical_function(n, float(r), sp) for r in rs])
 
 
 def test_boundary_constant_reference_points():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from hypolib.errors import NonConvergence
+from hypolib.geometry import poisson_kernel
 from hypolib.kernels import make_spectral, polyharmonic_kernel
 from hypolib.numerics import circle_fft
 from hypolib.spherical import spherical_function
@@ -249,6 +251,14 @@ def test_spherical_average_basics():
     assert spherical_average(lambda z: abs(z) ** 2, 0.7) == pytest.approx(
         0.49, rel=1e-11
     )
+
+
+def test_spherical_average_refuses_an_unresolved_field():
+    # the Poisson kernel at r = 0.9999 has mean 1, but its peak is far
+    # narrower than 4096 nodes resolve
+    with pytest.raises(NonConvergence, match="n = 4096") as exc:
+        spherical_average(lambda z: poisson_kernel(z, 1.0), 0.9999)
+    assert len(exc.value.last_estimates) == 2
 
 
 def test_pair_functional_conjugates_the_functional():
