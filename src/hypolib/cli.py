@@ -71,13 +71,18 @@ def _finite(text: str) -> float:
     return value
 
 
+# Largest count a start:stop:count grid flag accepts; each point is a full
+# computation, so a larger grid would run for minutes before any output.
+_GRID_CAP = 100_000
+
+
 def _grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
     start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-    if count < 1:
-        raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if not 1 <= count <= _GRID_CAP:
+        raise argparse.ArgumentTypeError(f"grid count must lie in [1, {_GRID_CAP}], got {count}")
     return np.linspace(start, stop, count)
 
 

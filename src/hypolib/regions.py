@@ -16,11 +16,12 @@ front half, and R <= b on the back half.
 
 Maximal operators are sampled suprema over a deterministic net: a radial
 ladder r = 1 - 10^{-e} with equispaced exponents, and per rung a fan of
-angular offsets filling the K_r window.  At a fixed rung the transform is
-evaluated at every grid angle at once: the kernel row's spectrum times the
-datum's Fourier coefficients, then one inverse FFT.  One row spectrum
-serves every datum of a suite, so refining the angular fan or adding
-anchors costs nothing extra.
+angular offsets filling the K_r window.  At a fixed rung the transform of
+a kinked datum is evaluated at every grid angle at once: the kernel row's
+spectrum times the datum's Fourier coefficients, then one inverse FFT.  A
+trigonometric polynomial is summed mode by mode at the fan cells alone.
+One row spectrum serves every datum of a suite, so refining the angular
+fan or adding anchors costs nothing extra.
 """
 
 from __future__ import annotations
@@ -211,6 +212,22 @@ def _field_at_radius(
     return np.fft.irfft(spectrum, size)
 
 
+def _field_at_cells(
+    n: int, sp: SpectralParam, table: dict, r: float, row: np.ndarray, size: int, cells
+) -> np.ndarray:
+    """_field_at_radius at the grid cells only, for a real density with
+    finitely many modes {k >= 0: c_k}: sum_k row_k c_k e^{ik theta} / Phi_n(r).
+
+    The kernel row is even in the angle and the density real, so mode -k
+    pairs row_k with conj(c_k): each k > 0 adds row_k 2 Re(c_k e^{ik theta}).
+    """
+    acc = np.zeros(cells.shape, dtype=complex)
+    for k, c in table.items():
+        wave = c * np.exp(2j * math.pi * (k * cells % size) / size)
+        acc += row[k] * (wave if k == 0 else 2.0 * wave.real)
+    return acc / _normalizer(n, sp, float(r))
+
+
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
     big_r = math.log((1.0 + r) / (1.0 - r))
     b = region.effective_width(big_r)
@@ -220,17 +237,25 @@ def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarr
     return np.arcsin(window * np.linspace(-1.0, 1.0, count))
 
 
-def _region_sups(n: int, sp: SpectralParam, densities, regions, net: SampleNet) -> np.ndarray:
-    """Sampled sup of |normalized transform| over the net, per density (rows)
+def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np.ndarray]:
+    """Sampled sup of |normalized transform| over each net, per density (rows)
     and region (columns).
 
     Each rung takes one kernel-row spectrum and applies it to every
-    density's coefficients, then reads every region's fan off each field;
-    rungs inside the zero-free radius are skipped.
+    density, then reads every region's fan off the field; rungs inside the
+    zero-free radius are skipped.  Trigonometric polynomials are summed at
+    the fan cells; other densities pay one inverse FFT per rung, and their
+    closed-form coefficients, which do not depend on the grid, are built
+    once at the finest grid of all the nets' rungs and sliced.
     """
     r_floor = _zero_free_cached(n, sp.lam)
+    rungs = [(k, r) for k, net in enumerate(nets) for r in net.radii() if r >= r_floor]
+    top = max((_grid_size(r, nets[k].grid_cap) for k, r in rungs), default=0)
+    closed = [_datum_coeffs(g, top) if callable(g.modes) else None for g in densities]
 
-    def rung(r: float) -> np.ndarray:
+    def rung(job) -> np.ndarray:
+        k, r = job
+        net = nets[k]
         size = _grid_size(r, net.grid_cap)
         row = _row_fft(n, sp.lam, r, size)
         cells = []
@@ -238,16 +263,26 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, net: SampleNet) 
             offs = _angular_offsets(reg, r, net.angular_count)
             idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
             cells.append(idx % size)
+        flat = np.concatenate(cells)
+        splits = np.cumsum([idx.size for idx in cells])[:-1]
         sups = np.zeros((len(densities), len(regions)))
         for i, g in enumerate(densities):
-            field = np.abs(_field_at_radius(n, sp, _datum_coeffs(g, size), r, row, size))
-            for j, idx in enumerate(cells):
-                if idx.size:
-                    sups[i, j] = np.max(field[idx])
+            if isinstance(g.modes, dict):
+                vals = _field_at_cells(n, sp, g.modes, r, row, size, flat)
+            else:
+                coeffs = _datum_coeffs(g, size) if closed[i] is None else closed[i][: size // 2 + 1]
+                vals = _field_at_radius(n, sp, coeffs, r, row, size)[flat]
+            for j, part in enumerate(np.split(np.abs(vals), splits)):
+                if part.size:
+                    sups[i, j] = np.max(part)
         return sups
 
-    rungs = parallel_map(rung, [r for r in net.radii() if r >= r_floor])
-    return np.max([np.zeros((len(densities), len(regions))), *rungs], axis=0)
+    done = parallel_map(rung, rungs)
+    zero = np.zeros((len(densities), len(regions)))
+    return [
+        np.max([zero, *(s for (k, _), s in zip(rungs, done) if k == j)], axis=0)
+        for j in range(len(nets))
+    ]
 
 
 def tubular_maximal(
@@ -261,7 +296,7 @@ def tubular_maximal(
 ) -> float:
     """Sampled supremum of the normalized transform over the region."""
     region = AdmissibleRegion(zeta_angle, width, kind)
-    return float(_region_sups(n, sp, [g], [region], net)[0, 0])
+    return float(_region_sups(n, sp, [g], [region], [net])[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -314,15 +349,15 @@ def maximal_inequality_probe(
         hl_samples = np.asarray(g(hl_grid))
         tests.append((test_id, g, np.array([hl_maximal(hl_samples, float(a)) for a in zetas])))
 
-    def ratios(net: SampleNet) -> tuple[tuple[str, float], ...]:
-        sups = _region_sups(n, sp, [g for _, g, _ in tests], regions, net)
+    def ratios(sups: np.ndarray) -> tuple[tuple[str, float], ...]:
         rows = []
         for (test_id, _, hl), sup in zip(tests, sups):
             with np.errstate(divide="ignore"):
                 rows.append((test_id, float(np.max(np.where(hl > 0, sup / hl, 0.0)))))
         return tuple(rows)
 
-    base, fine = ratios(net), ratios(net.doubled())
+    densities = [g for _, g, _ in tests]
+    base, fine = map(ratios, _region_sups(n, sp, densities, regions, [net, net.doubled()]))
     c0 = max(r for _, r in base)
     c1 = max(r for _, r in fine)
     if c1 >= 2.0 * c0:

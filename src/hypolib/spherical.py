@@ -226,6 +226,19 @@ class AsymptoticLaw:
         return self.prefactor * R**self.R_power * np.exp(self.exp_rate * R)
 
 
+def _in_double_range(what: str, n: int, sp: SpectralParam, value, zero_ok: bool = False):
+    """value(), refused with ResultOverflow naming n and lam where it leaves
+    double range: a factorial too large for a float, an infinite or NaN
+    result, or (unless zero_ok) a nonzero result that underflowed to 0."""
+    try:
+        out = value()
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if not cmath.isfinite(out) or (out == 0 and not zero_ok):
+        raise ResultOverflow(f"the order-{n} {what} at lam = {sp.lam} does not fit in a double")
+    return out
+
+
 def asymptotic_law(
     n: int,
     sp: SpectralParam,
@@ -236,20 +249,25 @@ def asymptotic_law(
     Generic:   Phi_n  ~ [c(lam)/(n! (2 mu)^n)] R^n e^{(mu-1/2) R}
                |Phi|_n ~ [c(lam*)/(n! |2 mu|^n)] R^n e^{(Re mu - 1/2) R}
     Critical:  Phi_n = |Phi|_n ~ [2/((2n+1)! pi)] R^{2n+1} e^{-R/2}
+
+    Raises ResultOverflow where the prefactor does not fit in a double.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     if sp.kind == FORBIDDEN:
         raise ValueError("no boundary law on the forbidden ray")
+    what = "boundary law prefactor"
     if sp.kind == CRITICAL:
-        pref = 2.0 / (math.factorial(2 * n + 1) * math.pi)
+        pref = _in_double_range(what, n, sp, lambda: 2.0 / (math.factorial(2 * n + 1) * math.pi))
         return AsymptoticLaw(prefactor=pref, R_power=2 * n + 1, exp_rate=-0.5)
     if absolute:
         c_star = boundary_constant(make_spectral(sp.lam_star))
-        pref = c_star / (math.factorial(n) * abs(2.0 * sp.mu) ** n)
+        pref = _in_double_range(
+            what, n, sp, lambda: c_star / (math.factorial(n) * abs(2.0 * sp.mu) ** n)
+        )
         return AsymptoticLaw(prefactor=pref, R_power=n, exp_rate=sp.mu.real - 0.5)
     c_val = boundary_constant(sp)
-    pref = c_val / (math.factorial(n) * (2.0 * sp.mu) ** n)
+    pref = _in_double_range(what, n, sp, lambda: c_val / (math.factorial(n) * (2.0 * sp.mu) ** n))
     return AsymptoticLaw(prefactor=pref, R_power=n, exp_rate=sp.mu - 0.5)
 
 
@@ -258,17 +276,22 @@ def small_radius_law(n: int, r: float, sp: SpectralParam) -> complex:
 
     Critical: r^{2n}/(n!)^2.  Generic even n: r^n/(((n/2)!)^2 (2mu)^n);
     generic odd n: r^{n+1}/(((n+1)/2)! ((n-1)/2)! (2mu)^{n-1}) -- the odd
-    circle moment of cos^n kills the r^n term.
+    circle moment of cos^n kills the r^n term.  Raises ResultOverflow where
+    the term does not fit in a double.
     """
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    if sp.kind == CRITICAL:
-        return r ** (2 * n) / math.factorial(n) ** 2
-    if n % 2 == 0:
-        half = n // 2
-        return r**n / (math.factorial(half) ** 2 * (2.0 * sp.mu) ** n)
-    up, dn = (n + 1) // 2, (n - 1) // 2
-    return r ** (n + 1) / (math.factorial(up) * math.factorial(dn) * (2.0 * sp.mu) ** (n - 1))
+
+    def term():
+        if sp.kind == CRITICAL:
+            return r ** (2 * n) / math.factorial(n) ** 2
+        if n % 2 == 0:
+            half = n // 2
+            return r**n / (math.factorial(half) ** 2 * (2.0 * sp.mu) ** n)
+        up, dn = (n + 1) // 2, (n - 1) // 2
+        return r ** (n + 1) / (math.factorial(up) * math.factorial(dn) * (2.0 * sp.mu) ** (n - 1))
+
+    return _in_double_range(f"small-radius law (r = {r})", n, sp, term, zero_ok=r == 0)
 
 
 def _scan_radii(r_lo: float, r_hi: float, count: int) -> np.ndarray:

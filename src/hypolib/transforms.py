@@ -28,7 +28,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DecayViolation, NonConvergence, NormalizationUnavailable, TruncationWarning
+from .errors import (
+    DecayViolation,
+    NonConvergence,
+    NormalizationUnavailable,
+    ResultOverflow,
+    TruncationWarning,
+)
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import (
     CRITICAL,
@@ -85,15 +91,17 @@ class FourierSeq:
 class Density:
     """Density against dphi/2pi; breakpoints list its kink angles.
 
-    modes, when known in closed form, maps an integer array k >= 0 to the
-    coefficients (1/2pi) int rho e^{-ik psi} dpsi of a real density; the
-    negative modes are their conjugates.
+    modes, when known in closed form, gives the coefficients
+    c_k = (1/2pi) int rho e^{-ik psi} dpsi of a real density for k >= 0
+    (the negative modes are their conjugates): a table {k: c_k} of the
+    nonzero ones for a trigonometric polynomial, else a map from an integer
+    array k to c_k.
     """
 
     fn: Callable
     name: str
     breakpoints: tuple = ()
-    modes: Optional[Callable] = field(default=None, compare=False)
+    modes: Union[dict, Callable, None] = field(default=None, compare=False)
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -129,18 +137,6 @@ def _sawtooth(phi):
     return np.remainder(phi + math.pi, 2.0 * math.pi) / math.pi - 1.0
 
 
-def _few_modes(table: dict) -> Callable:
-    """Closed-form modes of a trigonometric polynomial, {k >= 0: c_k}."""
-
-    def modes(k):
-        out = np.zeros(k.shape, dtype=complex)
-        for m, c in table.items():
-            out[k == m] = c
-        return out
-
-    return modes
-
-
 def _sawtooth_modes(k):
     # c_k = i (-1)^k / (pi k), c_0 = 0
     kk = np.where(k == 0, 1, k)
@@ -161,13 +157,13 @@ def density_preset(name: str) -> Density:
     """Named densities: one, cos, sin, cos2, sawtooth, indicator:<c>:<w>,
     each with its Fourier coefficients in closed form."""
     if name == "one":
-        return Density(lambda p: np.ones_like(p), "one", modes=_few_modes({0: 1.0}))
+        return Density(lambda p: np.ones_like(p), "one", modes={0: 1.0})
     if name == "cos":
-        return Density(np.cos, "cos", modes=_few_modes({1: 0.5}))
+        return Density(np.cos, "cos", modes={1: 0.5})
     if name == "sin":
-        return Density(np.sin, "sin", modes=_few_modes({1: -0.5j}))
+        return Density(np.sin, "sin", modes={1: -0.5j})
     if name == "cos2":
-        return Density(lambda p: np.cos(2.0 * p), "cos2", modes=_few_modes({2: 0.5}))
+        return Density(lambda p: np.cos(2.0 * p), "cos2", modes={2: 0.5})
     if name == "sawtooth":
         return Density(_sawtooth, "sawtooth", breakpoints=(math.pi,), modes=_sawtooth_modes)
     if name.startswith("indicator:"):
@@ -312,9 +308,17 @@ def _normalizer(n: int, sp: SpectralParam, r: float) -> complex:
 
 
 def _kernel_row(n, sp, r, phi):
-    """Order-n kernel at radius r against boundary angle offsets phi."""
+    """Order-n kernel at radius r against boundary angle offsets phi.
+
+    Real (and computed in real arithmetic) when the exponent and g_n are
+    real, which holds for every real lam off the forbidden ray.
+    """
     logp = np.log(poisson_radial_profile(r, phi))
-    return kernel_poly(n, sp).evaluate(logp) * np.exp(sp.exponent * logp)
+    poly = kernel_poly(n, sp)
+    coeffs = np.array(poly.coeffs)
+    if sp.exponent.imag == 0.0 and not coeffs.imag.any():
+        return np.polynomial.polynomial.polyval(logp, coeffs.real) * np.exp(sp.exponent.real * logp)
+    return poly.evaluate(logp) * np.exp(sp.exponent * logp)
 
 
 @lru_cache(maxsize=4)
@@ -325,8 +329,8 @@ def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
     spectrum, k = 0..size/2; a complex row gives all of them, k mod size.
     """
     phi = 2.0 * math.pi * np.arange(size) / size
-    row = np.asarray(_kernel_row(n, make_spectral(lam), r, phi), dtype=complex)
-    out = np.fft.fft(row) if row.imag.any() else np.fft.rfft(row.real)
+    row = _kernel_row(n, make_spectral(lam), r, phi)
+    out = np.fft.rfft(row) if np.isrealobj(row) else np.fft.fft(row)
     out /= size
     out.setflags(write=False)
     return out
@@ -354,6 +358,13 @@ def _datum_coeffs(datum, size: int) -> np.ndarray:
     closed-form modes; for any other density the FFT of `size` samples.
     """
     if isinstance(datum, Density):
+        if isinstance(datum.modes, dict):
+            out = np.zeros(size // 2 + 1, dtype=complex)
+            for k, c in datum.modes.items():
+                if k >= size // 2:
+                    raise ValueError(f"mode {k} exceeds resolvable modes at size {size}")
+                out[k] = c
+            return out
         if datum.modes is not None:
             return datum.modes(np.arange(size // 2 + 1))
         samples = np.asarray(datum(2.0 * math.pi * np.arange(size) / size))
@@ -449,11 +460,18 @@ def poisson_transform(
     z: complex,
     normalize: bool = True,
 ) -> TransformResult:
-    """Order-n transform of the boundary datum, with its normalized value."""
+    """Order-n transform of the boundary datum, with its normalized value.
+
+    Raises ResultOverflow, naming lam, n and z, where the value does not fit
+    in a double.
+    """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
-    value = _value(n, sp, datum, z)
+    try:
+        value = _value(n, sp, datum, z)
+    except ResultOverflow as exc:
+        raise ResultOverflow(f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}") from exc
     r = abs(z)
     normalized = value / _normalizer(n, sp, r) if normalize else None
     return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hypolib.cli import main
+from hypolib.cli import _GRID_CAP, main
 
 
 def read_csv(path):
@@ -96,8 +96,15 @@ def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
           "--xi", "0"],
          "ResultOverflow: the order-0 kernel at lam = (1e+300+0j) does not fit in a double"
          " at z = (0.5+0j)"),
+        (["asymptotics", "--lambda", "2", "0", "--n", "400"],
+         "ResultOverflow: the order-400 boundary law prefactor at lam = (2+0j)"),
+        (["asymptotics", "--lambda", "-0.25", "0", "--n", "90"],
+         "ResultOverflow: the order-90 boundary law prefactor at lam = (-0.25+0j)"),
+        (["fatou", "--lambda", "1e4", "0"],
+         "ResultOverflow: order-0 transform at lam = (10000+0j), z = "),
     ],
-    ids=["kernel-n400", "spherical-n400", "kernel-lam1e300"],
+    ids=["kernel-n400", "spherical-n400", "kernel-lam1e300", "asymptotics-n400",
+         "asymptotics-critical-n90", "fatou-lam1e4"],
 )
 def test_kernel_overflow_is_a_one_line_library_error(argv, start, capsys):
     assert main(argv) == 1
@@ -122,6 +129,8 @@ def test_bad_usage_exits_two():
         ["spherical", "--lambda", "2", "0", "--r-grid", "0.1:nan:3"],
         ["zeros", "--lambda", "-1", "0", "--r-max", "inf"],
         ["maximal", "--lambda", "0", "0", "--width", "nan"],
+        ["spherical", "--lambda", "2", "0", "--r-grid", f"0.1:0.9:{_GRID_CAP + 1}"],
+        ["examples", "--r-grid", "0.1:0.9:0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -12,6 +12,8 @@ from hypolib.regions import (
     _DEFAULT_SUITE,
     AdmissibleRegion,
     SampleNet,
+    _angular_offsets,
+    _field_at_cells,
     _field_at_radius,
     _region_sups,
     fatou_probe,
@@ -30,6 +32,7 @@ from hypolib.transforms import (
     _full,
     _grid_size,
     _row_fft,
+    _zero_free_cached,
     density_preset,
     poisson_transform,
 )
@@ -102,7 +105,7 @@ def test_tubular_maximal_is_the_one_region_case_of_the_suite_sups():
     g = density_preset("sawtooth")
     zetas = (0.0, 1.3, -2.4)
     regions = [AdmissibleRegion(z, 1.0, "enlarged") for z in zetas]
-    together = _region_sups(1, sp, [g], regions, net)[0]
+    together = _region_sups(1, sp, [g], regions, [net])[0][0]
     alone = [tubular_maximal(1, sp, 1.0, g, z, kind="enlarged", net=net) for z in zetas]
     assert list(together) == alone
     assert min(alone) > 0
@@ -139,6 +142,62 @@ def test_real_input_inverse_matches_the_complex_one(lam, n):
     full = _field_at_radius(n, sp, _full(coeffs, size), r, _full(row, size), size)
     assert real.dtype == np.float64
     assert np.max(np.abs(real - full)) < 1e-13
+
+
+@pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (2.0, 1), (1 + 1j, 0)])
+def test_cell_synthesis_matches_the_inverse_fft(lam, n):
+    sp = make_spectral(lam)
+    for r in (0.9, 0.9999):
+        size = _grid_size(r)
+        row = _row_fft(n, sp.lam, r, size)
+        cells = np.arange(3, size, 97)
+        for name in ("one", "cos", "sin", "cos2"):
+            g = density_preset(name)
+            field = _field_at_radius(n, sp, _datum_coeffs(g, size), r, row, size)
+            got = _field_at_cells(n, sp, g.modes, r, row, size, cells)
+            assert np.max(np.abs(got - field[cells])) <= 1e-14 * np.max(np.abs(field))
+
+
+def test_sliced_closed_form_coefficients_are_bit_identical():
+    sizes = {_grid_size(r) for net in (SampleNet(), SampleNet().doubled()) for r in net.radii()}
+    top = max(sizes)
+    for name in ("sawtooth", "indicator:0.0:0.5235987755982988", "indicator:0.3:0.7"):
+        g = density_preset(name)
+        whole = _datum_coeffs(g, top)
+        for size in sizes:
+            assert np.array_equal(whole[: size // 2 + 1], _datum_coeffs(g, size))
+
+
+def _inverse_fft_sups(n, sp, densities, regions, net):
+    # every density through the full-grid inverse FFT, rung by rung
+    out = np.zeros((len(densities), len(regions)))
+    for r in net.radii():
+        if r < _zero_free_cached(n, sp.lam):
+            continue
+        size = _grid_size(r, net.grid_cap)
+        row = _row_fft(n, sp.lam, r, size)
+        for i, g in enumerate(densities):
+            field = np.abs(_field_at_radius(n, sp, _datum_coeffs(g, size), r, row, size))
+            for j, reg in enumerate(regions):
+                offs = _angular_offsets(reg, r, net.angular_count)
+                if offs.size:
+                    idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
+                    out[i, j] = max(out[i, j], np.max(field[idx % size]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "lam,n,kind", [(0.0, 0, "tube"), (-0.25, 1, "enlarged"), (1 + 1j, 0, "tube")]
+)
+def test_region_sups_match_an_inverse_fft_of_every_density(lam, n, kind):
+    sp = make_spectral(lam)
+    net = SampleNet(radial_rungs=3, angular_count=5, max_exponent=3.0)
+    densities = [density_preset(preset) for _, preset in _DEFAULT_SUITE]
+    regions = [AdmissibleRegion(a, 1.0, kind) for a in np.linspace(0.0, 2.0 * math.pi, 7)[:-1]]
+    nets = [net, net.doubled()]
+    for got, one in zip(_region_sups(n, sp, densities, regions, nets), nets):
+        want = _inverse_fft_sups(n, sp, densities, regions, one)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def test_probe_leaves_few_kernel_rows_cached():

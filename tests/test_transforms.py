@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hypolib.errors import NonConvergence
-from hypolib.geometry import poisson_kernel
-from hypolib.kernels import make_spectral, polyharmonic_kernel
+from hypolib.geometry import poisson_kernel, poisson_radial_profile
+from hypolib.kernels import kernel_poly, make_spectral, polyharmonic_kernel
 from hypolib.numerics import circle_fft
 from hypolib.spherical import spherical_function
 from hypolib.transforms import (
@@ -16,6 +16,8 @@ from hypolib.transforms import (
     Density,
     FourierSeq,
     Mixture,
+    _datum_coeffs,
+    _kernel_row,
     convergence_probe,
     datum_from_json,
     datum_to_json,
@@ -53,12 +55,11 @@ def test_density_preset_rejects_unknown():
 def test_preset_modes_match_the_sampled_coefficients():
     # trigonometric polynomials: 64 samples resolve them exactly
     size = 64
-    k = np.arange(size // 2 + 1)
     phi = 2.0 * math.pi * np.arange(size) / size
     for name in ("one", "cos", "sin", "cos2"):
         g = density_preset(name)
         want = circle_fft(g(phi))[: size // 2 + 1]
-        assert np.max(np.abs(g.modes(k) - want)) < 1e-15
+        assert np.max(np.abs(_datum_coeffs(g, size) - want)) < 1e-15
 
 
 def test_sawtooth_is_odd_and_breaks_at_pi():
@@ -234,6 +235,19 @@ def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
 def test_convergence_probe_rejects_bad_mode():
     with pytest.raises(ValueError):
         convergence_probe(0, make_spectral(0.0), density_preset("cos"), "L-infinity")
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, -0.25, 5.5])
+def test_real_kernel_row_matches_the_complex_evaluation(lam):
+    sp = make_spectral(lam)
+    phi = np.linspace(-math.pi, math.pi, 1001)
+    for n in (0, 1, 3):
+        for r in (0.3, 0.999):
+            row = _kernel_row(n, sp, r, phi)
+            logp = np.log(poisson_radial_profile(r, phi))
+            want = kernel_poly(n, sp).evaluate(logp) * np.exp(sp.exponent * logp)
+            assert row.dtype == np.float64
+            assert np.all(np.abs(row - want) <= 1e-15 * np.abs(want))
 
 
 def test_kernel_decay_probe_band_sups_vanish():
