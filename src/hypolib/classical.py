@@ -32,7 +32,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import FitFailed, PrecisionLoss, TruncationWarning
+from .errors import FitFailed, PrecisionLoss, ResultOverflow, TruncationWarning
 from .polynomials import ComplexPoly
 
 __all__ = [
@@ -384,42 +384,44 @@ class CircleSup:
     value: float
 
 
-def lacunary_circle_sup(
-    N: int,
-    gap: LacunarySpec,
-    grid_size: int = 1 << 20,
-    offset_count: int = 1,
-) -> CircleSup:
+# Largest N whose circle exponent N! sqrt(N) is a double; 171! alone is not.
+_CIRCLE_N_MAX = 170
+
+
+def lacunary_circle_sup(N: int, gap: LacunarySpec, grid_size: int = 1 << 20) -> CircleSup:
     """Sampled sup of |h| / |log(1-r)| on the circle r = 1 - 2^(-N! sqrt N).
 
-    The grid has power-of-two size, so the angle of z^(2^(k!)) at grid
-    node i sits exactly at node (2^(k!) i) mod grid_size and the term
-    values come from integer index maps, not repeated powering.  Offsets
-    rotate the whole grid to expose terms whose stride collapses mod the
-    grid size.
+    The angle of z^(2^(k!)) at grid node i sits exactly at node
+    (stride_k i) mod grid_size, stride_k = 2^(k!) mod grid_size, so term k
+    repeats with period P_k = grid_size / gcd(stride_k, grid_size) and the
+    sum with the lcm P of the P_k (2^19 on the default grid).  Each term is
+    evaluated on its own P_k nodes and added, repeated, into one period of
+    the sum; every node adds the same values in the same order as a
+    full-grid sum, so the sup over that period is the grid's, bit for bit.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    if N > _CIRCLE_N_MAX:
+        raise ResultOverflow(f"the circle exponent N! sqrt(N) at N = {N} does not fit in a double")
     expo = math.factorial(N) * math.sqrt(N)
     radius = 1.0 - 2.0 ** (-expo)
     log_r = math.log1p(-(2.0 ** (-expo)))
     denom = expo * math.log(2.0)
-    base = np.arange(grid_size, dtype=np.int64)
-    best = 0.0
-    fine_bits = math.factorial(gap.k_max)
-    for u in range(offset_count):
-        acc = np.zeros(grid_size, dtype=complex)
-        for k in range(1, gap.k_max + 1):
-            bits = math.factorial(k)
-            mod = math.exp(math.ldexp(log_r, bits))
-            if mod == 0.0:
-                continue
+    terms = []
+    for k in range(1, gap.k_max + 1):
+        bits = math.factorial(k)
+        mod = math.exp(math.ldexp(log_r, bits))
+        if mod != 0.0:
             stride = pow(2, bits, grid_size)
-            ang = 2.0 * math.pi * ((stride * base) % grid_size) / grid_size
-            if u:
-                ang = ang + 2.0 * math.pi * u * 2.0 ** (bits - fine_bits) / offset_count
-            w = mod * np.exp(1j * ang)
-            acc += math.factorial(k) * gap.poly.evaluate(w)
-        best = max(best, float(np.max(np.abs(acc))))
-    return CircleSup(N=N, radius=radius, value=best / denom)
+            terms.append((k, mod, stride, grid_size // math.gcd(stride, grid_size)))
+    acc = np.zeros(math.lcm(*(term[3] for term in terms)), dtype=complex)
+    for k, mod, stride, period in terms:
+        ang = 2.0 * math.pi * ((stride * np.arange(period, dtype=np.int64)) % grid_size) / grid_size
+        w = mod * np.exp(1j * ang)
+        acc.reshape(-1, period)[...] += math.factorial(k) * gap.poly.evaluate(w)
+    return CircleSup(N=N, radius=radius, value=float(np.max(np.abs(acc))) / denom)
 
 
 @dataclass(frozen=True)

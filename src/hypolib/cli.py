@@ -71,19 +71,37 @@ def _finite(text: str) -> float:
     return value
 
 
-# Largest count a start:stop:count grid flag accepts; each point is a full
-# computation, so a larger grid would run for minutes before any output.
+# Largest values the count flags accept.  Each unit is a full computation (a
+# grid radius, a zero-scan radius, a sweep angle) or, for --grid-size, one
+# circle node per term; past these caps a call would run for many seconds
+# before any output.
 _GRID_CAP = 100_000
+_SCAN_CAP = 20_000
+_ANGLE_CAP = 2_000
+_CIRCLE_GRID_CAP = 1 << 22
+
+
+def _bounded(low: int, cap: int, what: str):
+    """Parser of an integer flag that must lie in [low, cap]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not low <= value <= cap:
+            raise argparse.ArgumentTypeError(f"{what} must lie in [{low}, {cap}], got {value}")
+        return value
+
+    return parse
 
 
 def _grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}")
-    start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-    if not 1 <= count <= _GRID_CAP:
-        raise argparse.ArgumentTypeError(f"grid count must lie in [1, {_GRID_CAP}], got {count}")
-    return np.linspace(start, stop, count)
+    count = _bounded(1, _GRID_CAP, "grid count")(parts[2])
+    return np.linspace(_finite(parts[0]), _finite(parts[1]), count)
 
 
 def _floats(text: str) -> list[float]:
@@ -392,21 +410,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="radial zeros on the forbidden ray")
     common(p)
     p.add_argument("--r-max", type=_finite, default=0.9999)
-    p.add_argument("--count", type=int, default=2000)
+    p.add_argument("--count", type=_bounded(2, _SCAN_CAP, "count"), default=2000)
     p.set_defaults(fn=_cmd_zeros)
 
     p = sub.add_parser("dirichlet", help="boundary recovery sweep")
     common(p)
     p.add_argument("--preset", default="cos")
     p.add_argument("--radii", type=_floats, default=[0.9, 0.99, 0.999, 0.9999])
-    p.add_argument("--angles", type=int, default=12)
+    p.add_argument("--angles", type=_bounded(1, _ANGLE_CAP, "angle count"), default=12)
     p.set_defaults(fn=_cmd_dirichlet)
 
     p = sub.add_parser("riquier", help="two-layer boundary recovery")
     common(p)
     p.add_argument("--presets", default="cos,one")
     p.add_argument("--r", type=_finite, default=0.9999)
-    p.add_argument("--angles", type=int, default=8)
+    p.add_argument("--angles", type=_bounded(1, _ANGLE_CAP, "angle count"), default=8)
     p.set_defaults(fn=_cmd_riquier)
 
     p = sub.add_parser("convergence", help="boundary-convergence probe")
@@ -447,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lacunary", help="gap-series circle sup report")
     common(p, lam=False)
     p.add_argument("--N", type=_ints, default=[2, 3])
-    p.add_argument("--grid-size", type=int, default=1 << 20)
+    p.add_argument("--grid-size", type=_bounded(1, _CIRCLE_GRID_CAP, "grid size"),
+                   default=1 << 20)
     p.set_defaults(fn=_cmd_lacunary)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -1,12 +1,15 @@
 """Flat-case mode weights and the gap-series construction."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from hypolib.classical import (
+    _CIRCLE_N_MAX,
+    LacunarySpec,
     associate_deviation_bound,
     associated_biharmonic,
     demo_lacunary_spec,
@@ -20,7 +23,7 @@ from hypolib.classical import (
     runge_spiral_fit,
     spiral_deviation,
 )
-from hypolib.errors import FitFailed
+from hypolib.errors import FitFailed, ResultOverflow
 from hypolib.polynomials import ComplexPoly
 
 
@@ -110,6 +113,67 @@ def test_circle_sup_frozen_value():
     sup = lacunary_circle_sup(2, spec, grid_size=1 << 16)
     assert sup.radius == pytest.approx(1.0 - 2.0 ** (-2 * math.sqrt(2)), rel=1e-14)
     assert sup.value == pytest.approx(6.8995033096161391, rel=1e-9)
+
+
+def full_grid_circle_sup(N, gap, grid_size):
+    """Sampled circle sup summed over every grid node, as a reference."""
+    expo = math.factorial(N) * math.sqrt(N)
+    log_r = math.log1p(-(2.0 ** (-expo)))
+    denom = expo * math.log(2.0)
+    base = np.arange(grid_size, dtype=np.int64)
+    acc = np.zeros(grid_size, dtype=complex)
+    for k in range(1, gap.k_max + 1):
+        bits = math.factorial(k)
+        mod = math.exp(math.ldexp(log_r, bits))
+        if mod == 0.0:
+            continue
+        stride = pow(2, bits, grid_size)
+        ang = 2.0 * math.pi * ((stride * base) % grid_size) / grid_size
+        w = mod * np.exp(1j * ang)
+        acc += math.factorial(k) * gap.poly.evaluate(w)
+    return float(np.max(np.abs(acc))) / denom
+
+
+# the demo polynomial peaks at node 0, where every term is real and positive;
+# this one peaks elsewhere, so a misplaced term shows in the sup
+_TWISTED_SPEC = LacunarySpec(poly=ComplexPoly.from_coeffs((0, 7, 2j, -1, 0.5 - 3j)))
+
+
+@pytest.mark.parametrize("grid_size", [12, 1000, 4096, 1 << 16])
+@pytest.mark.parametrize("spec", [demo_lacunary_spec(), _TWISTED_SPEC], ids=["demo", "twisted"])
+def test_circle_sup_over_one_period_is_bit_identical(spec, grid_size):
+    # 12 and 1000 are not powers of two; their term periods are 6, 3, 3
+    # and 500, 250, 125
+    for N in (1, 2, 3, 4):
+        assert lacunary_circle_sup(N, spec, grid_size=grid_size).value == full_grid_circle_sup(
+            N, spec, grid_size
+        )
+
+
+def test_circle_sup_peak_memory():
+    spec = demo_lacunary_spec()
+    tracemalloc.start()
+    try:
+        lacunary_circle_sup(3, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
+def test_circle_sup_refuses_bad_input():
+    spec = demo_lacunary_spec()
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        lacunary_circle_sup(0, spec)
+    for size in (0, -4):
+        with pytest.raises(ValueError, match=f"grid_size must be >= 1, got {size}"):
+            lacunary_circle_sup(2, spec, grid_size=size)
+    assert math.isfinite(math.factorial(_CIRCLE_N_MAX) * math.sqrt(_CIRCLE_N_MAX))
+    with pytest.raises(OverflowError):
+        math.factorial(_CIRCLE_N_MAX + 1) * math.sqrt(_CIRCLE_N_MAX + 1)
+    assert math.isfinite(lacunary_circle_sup(_CIRCLE_N_MAX, spec, grid_size=12).value)
+    with pytest.raises(ResultOverflow, match=f"at N = {_CIRCLE_N_MAX + 1} "):
+        lacunary_circle_sup(_CIRCLE_N_MAX + 1, spec, grid_size=12)
 
 
 def test_witness_points_push_past_unit_scale():

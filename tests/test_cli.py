@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hypolib.cli import _GRID_CAP, main
+from hypolib.cli import _ANGLE_CAP, _CIRCLE_GRID_CAP, _GRID_CAP, _SCAN_CAP, _build_parser, main
 
 
 def read_csv(path):
@@ -102,9 +102,11 @@ def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
          "ResultOverflow: the order-90 boundary law prefactor at lam = (-0.25+0j)"),
         (["fatou", "--lambda", "1e4", "0"],
          "ResultOverflow: order-0 transform at lam = (10000+0j), z = "),
+        (["lacunary", "--N", "200"],
+         "ResultOverflow: the circle exponent N! sqrt(N) at N = 200 does not fit in a double"),
     ],
     ids=["kernel-n400", "spherical-n400", "kernel-lam1e300", "asymptotics-n400",
-         "asymptotics-critical-n90", "fatou-lam1e4"],
+         "asymptotics-critical-n90", "fatou-lam1e4", "lacunary-N200"],
 )
 def test_kernel_overflow_is_a_one_line_library_error(argv, start, capsys):
     assert main(argv) == 1
@@ -122,6 +124,8 @@ def test_bad_usage_exits_two():
         main(["no-such-command"])
     assert exc.value.code == 2
     assert main(["spherical", "--lambda", "nan", "0"]) == 2
+    assert main(["lacunary", "--N", "0"]) == 2
+    assert main(["lacunary", "--N", "-3"]) == 2
     for argv in (
         ["kernel", "--lambda", "2", "0", "--z-angle", "nan"],
         ["kernel", "--lambda", "2", "0", "--xi", "inf"],
@@ -131,10 +135,39 @@ def test_bad_usage_exits_two():
         ["maximal", "--lambda", "0", "0", "--width", "nan"],
         ["spherical", "--lambda", "2", "0", "--r-grid", f"0.1:0.9:{_GRID_CAP + 1}"],
         ["examples", "--r-grid", "0.1:0.9:0"],
+        # every count flag refuses a value below its floor and one past its cap
+        ["zeros", "--lambda", "-1", "0", "--count", "1"],
+        ["zeros", "--lambda", "-1", "0", "--count", "0"],
+        ["zeros", "--lambda", "-1", "0", "--count", str(_SCAN_CAP + 1)],
+        ["dirichlet", "--lambda", "0", "0", "--angles", "0"],
+        ["dirichlet", "--lambda", "0", "0", "--angles", str(_ANGLE_CAP + 1)],
+        ["riquier", "--lambda", "0", "0", "--angles", "-3"],
+        ["riquier", "--lambda", "0", "0", "--angles", str(_ANGLE_CAP + 1)],
+        ["lacunary", "--grid-size", "0"],
+        ["lacunary", "--grid-size", "-4"],
+        ["lacunary", "--grid-size", str(_CIRCLE_GRID_CAP + 1)],
+        ["lacunary", "--grid-size", "1e6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,dest,low,cap",
+    [
+        (["zeros", "--lambda", "-1", "0", "--count"], "count", 2, _SCAN_CAP),
+        (["dirichlet", "--lambda", "0", "0", "--angles"], "angles", 1, _ANGLE_CAP),
+        (["riquier", "--lambda", "0", "0", "--angles"], "angles", 1, _ANGLE_CAP),
+        (["lacunary", "--grid-size"], "grid_size", 1, _CIRCLE_GRID_CAP),
+    ],
+    ids=["zeros-count", "dirichlet-angles", "riquier-angles", "lacunary-grid-size"],
+)
+def test_count_flags_accept_their_bounds(argv, dest, low, cap):
+    # parsed only: a capped value is never run
+    parser = _build_parser()
+    for value in (low, cap):
+        assert getattr(parser.parse_args([*argv, str(value)]), dest) == value
 
 
 def test_config_supplies_defaults_cli_overrides(tmp_path):
