@@ -1,111 +1,140 @@
 """Numerical engine for lambda-polyharmonic potential theory on the
 hyperbolic disk: graded kernels, their circle means, boundary-data
 transforms, admissible-region maximal operators, and the harmonic-case
-series toolkit."""
+series toolkit.
 
-from .errors import (
-    ChainBroken,
-    DecayViolation,
-    FitFailed,
-    FitResidualLarge,
-    HypolibError,
-    NonConvergence,
-    NormalizationUnavailable,
-    PositivityViolation,
-    PrecisionLoss,
-    RatioDiverging,
-    ResultOverflow,
-    ScanInconclusive,
-    StencilOutOfDomain,
-    TruncationWarning,
-)
-from .geometry import (
-    MobiusMap,
-    RadialFrame,
-    busemann,
-    distance_to_segment,
-    hyperbolic_distance,
-    mobius_to_origin,
-    poisson_kernel,
-    poisson_radial_profile,
-    rotate,
-)
-from .kernels import (
-    CRITICAL,
-    FORBIDDEN,
-    GENERIC,
-    SpectralParam,
-    kernel_poly,
-    lambda_kernel,
-    make_spectral,
-    polyharmonic_kernel,
-    reduce_step,
-    verify_reduce_chain,
-)
-from .spherical import (
-    AsymptoticLaw,
-    abs_spherical_function,
-    asymptotic_law,
-    boundary_constant,
-    closed_form,
-    radial_zeros,
-    small_radius_law,
-    spherical_function,
-    zero_free_radius,
-)
-from .transforms import (
-    Atoms,
-    DecayReport,
-    Density,
-    DirichletSolution,
-    FourierSeq,
-    Mixture,
-    RiquierSolution,
-    TransformResult,
-    convergence_probe,
-    datum_from_json,
-    datum_to_json,
-    density_from_table,
-    density_preset,
-    dirichlet_solve,
-    kernel_decay_probe,
-    normalized_kernel,
-    pair_functional,
-    poisson_transform,
-    riquier_solve,
-    spherical_average,
-)
-from .regions import (
-    AdmissibleRegion,
-    FatouRow,
-    MaximalReport,
-    SampleNet,
-    fatou_probe,
-    hl_maximal,
-    maximal_inequality_probe,
-    radial_rigidity_check,
-    region_distance,
-    region_membership,
-    tubular_maximal,
-)
-from .classical import (
-    AnalyticSeries,
-    CircleSup,
-    LacunarySpec,
-    Witness,
-    associate_deviation_bound,
-    associated_biharmonic,
-    demo_lacunary_spec,
-    functional_from_series,
-    lacunary_associate_probe,
-    lacunary_circle_sup,
-    lacunary_function,
-    lacunary_growth_probe,
-    lacunary_series,
-    lacunary_witness,
-    radial_log_weight,
-    runge_spiral_fit,
-    spiral_deviation,
-)
+The exported names load on first use (PEP 562): ``import hypolib`` imports
+none of the submodules, and ``hypolib.<name>`` imports the one module that
+defines ``<name>``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the names the package exports from it
+_EXPORTS = {
+    "errors": (
+        "ChainBroken",
+        "DecayViolation",
+        "FitFailed",
+        "FitResidualLarge",
+        "HypolibError",
+        "NonConvergence",
+        "NormalizationUnavailable",
+        "PositivityViolation",
+        "PrecisionLoss",
+        "RatioDiverging",
+        "ResultOverflow",
+        "ScanInconclusive",
+        "StencilOutOfDomain",
+        "TruncationWarning",
+    ),
+    "geometry": (
+        "MobiusMap",
+        "RadialFrame",
+        "busemann",
+        "distance_to_segment",
+        "hyperbolic_distance",
+        "mobius_to_origin",
+        "poisson_kernel",
+        "poisson_radial_profile",
+        "rotate",
+    ),
+    "kernels": (
+        "CRITICAL",
+        "FORBIDDEN",
+        "GENERIC",
+        "SpectralParam",
+        "kernel_poly",
+        "lambda_kernel",
+        "make_spectral",
+        "polyharmonic_kernel",
+        "reduce_step",
+        "verify_reduce_chain",
+    ),
+    "spherical": (
+        "AsymptoticLaw",
+        "abs_spherical_function",
+        "asymptotic_law",
+        "boundary_constant",
+        "closed_form",
+        "radial_zeros",
+        "small_radius_law",
+        "spherical_function",
+        "zero_free_radius",
+    ),
+    "transforms": (
+        "Atoms",
+        "DecayReport",
+        "Density",
+        "DirichletSolution",
+        "FourierSeq",
+        "Mixture",
+        "RiquierSolution",
+        "TransformResult",
+        "convergence_probe",
+        "datum_from_json",
+        "datum_to_json",
+        "density_from_table",
+        "density_preset",
+        "dirichlet_solve",
+        "kernel_decay_probe",
+        "normalized_kernel",
+        "pair_functional",
+        "poisson_transform",
+        "riquier_solve",
+        "spherical_average",
+    ),
+    "regions": (
+        "AdmissibleRegion",
+        "FatouRow",
+        "MaximalReport",
+        "SampleNet",
+        "fatou_probe",
+        "hl_maximal",
+        "maximal_inequality_probe",
+        "radial_rigidity_check",
+        "region_distance",
+        "region_membership",
+        "tubular_maximal",
+    ),
+    "classical": (
+        "AnalyticSeries",
+        "CircleSup",
+        "LacunarySpec",
+        "Witness",
+        "associate_deviation_bound",
+        "associated_biharmonic",
+        "demo_lacunary_spec",
+        "functional_from_series",
+        "lacunary_associate_probe",
+        "lacunary_circle_sup",
+        "lacunary_function",
+        "lacunary_growth_probe",
+        "lacunary_series",
+        "lacunary_witness",
+        "radial_log_weight",
+        "runge_spiral_fit",
+        "spiral_deviation",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+# library submodules reachable as attributes of the package
+_SUBMODULES = frozenset(_EXPORTS) | {"numerics", "polynomials"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: hypolib.<name> always reads the
+    # defining module, so a name rebound there (a tracer, a test) shows here.
+    if name in _OWNER:
+        return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import FitFailed, PrecisionLoss, ResultOverflow, TruncationWarning
@@ -337,6 +336,8 @@ def _reduce_angle(alpha: float, bits: int) -> float:
     if bits > 200:
         warnings.warn(f"angle scale 2^{bits} exhausts the working precision",
                       PrecisionLoss, stacklevel=3)
+    import mpmath
+
     with mpmath.workprec(256):
         scaled = mpmath.mpf(alpha) * mpmath.mpf(2) ** bits
         return float(mpmath.fmod(scaled, 2 * mpmath.pi))
@@ -388,6 +389,16 @@ class CircleSup:
 _CIRCLE_N_MAX = 170
 
 
+def _circle_exponent(N: int) -> float:
+    """N! sqrt(N), the exponent of the circle r = 1 - 2^(-N! sqrt N);
+    refuses an N with no such circle in double precision."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if N > _CIRCLE_N_MAX:
+        raise ResultOverflow(f"the circle exponent N! sqrt(N) at N = {N} does not fit in a double")
+    return math.factorial(N) * math.sqrt(N)
+
+
 def lacunary_circle_sup(N: int, gap: LacunarySpec, grid_size: int = 1 << 20) -> CircleSup:
     """Sampled sup of |h| / |log(1-r)| on the circle r = 1 - 2^(-N! sqrt N).
 
@@ -399,13 +410,9 @@ def lacunary_circle_sup(N: int, gap: LacunarySpec, grid_size: int = 1 << 20) -> 
     the sum; every node adds the same values in the same order as a
     full-grid sum, so the sup over that period is the grid's, bit for bit.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    expo = _circle_exponent(N)
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if N > _CIRCLE_N_MAX:
-        raise ResultOverflow(f"the circle exponent N! sqrt(N) at N = {N} does not fit in a double")
-    expo = math.factorial(N) * math.sqrt(N)
     radius = 1.0 - 2.0 ** (-expo)
     log_r = math.log1p(-(2.0 ** (-expo)))
     denom = expo * math.log(2.0)

@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a check failed or a computation
 refused (domain errors from the library), 2 usage errors.
+
+Each subcommand imports the library modules it calls, so one process
+loads only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -16,26 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import acceptance
-from .classical import (
-    demo_lacunary_spec,
-    lacunary_associate_probe,
-    lacunary_circle_sup,
-    lacunary_growth_probe,
-    radial_log_weight,
-)
 from .errors import HypolibError
-from .kernels import make_spectral, polyharmonic_kernel
-from .regions import fatou_probe, maximal_inequality_probe
-from .spherical import asymptotic_law, closed_form, radial_zeros, spherical_function
-from .transforms import (
-    Atoms,
-    Mixture,
-    convergence_probe,
-    density_preset,
-    dirichlet_solve,
-    riquier_solve,
-)
 
 
 def _fmt(value) -> str:
@@ -79,6 +63,12 @@ _GRID_CAP = 100_000
 _SCAN_CAP = 20_000
 _ANGLE_CAP = 2_000
 _CIRCLE_GRID_CAP = 1 << 22
+# Most values an integer list (--criteria, lacunary --N) may name; a range
+# is checked against it before it is expanded.
+_LIST_CAP = 1_000
+# Criteria that selftest can run (acceptance.CRITERIA, not imported here so
+# that building the parser loads no library module).
+_CRITERION_COUNT = 13
 
 
 def _bounded(low: int, cap: int, what: str):
@@ -108,18 +98,32 @@ def _floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok]
 
 
-def _ints(text: str) -> list[int]:
-    out: list[int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(tok))
-    return sorted(set(out))
+def _ints(what: str, low: float = -math.inf, high: float = math.inf):
+    """Parser of an integer list like 1-12 or 1,4,13 of at most _LIST_CAP
+    values, each in [low, high]."""
+    value = _bounded(low, high, what)
+
+    def parse(text: str) -> list[int]:
+        out: set[int] = set()
+        for tok in text.split(","):
+            tok = tok.strip()
+            if not tok:
+                continue
+            if "-" in tok[1:]:
+                lo, hi = (value(part) for part in tok.split("-", 1))
+                if hi < lo:
+                    raise argparse.ArgumentTypeError(f"{what} range {tok} runs backwards")
+                if hi - lo >= _LIST_CAP:
+                    raise argparse.ArgumentTypeError(
+                        f"{what} range {tok} is longer than {_LIST_CAP}")
+                out.update(range(lo, hi + 1))
+            else:
+                out.add(value(tok))
+            if len(out) > _LIST_CAP:
+                raise argparse.ArgumentTypeError(f"more than {_LIST_CAP} {what} values")
+        return sorted(out)
+
+    return parse
 
 
 def _lam(args) -> complex:
@@ -127,6 +131,8 @@ def _lam(args) -> complex:
 
 
 def _datum(args):
+    from .transforms import Atoms, Mixture, density_preset
+
     density = density_preset(args.preset) if getattr(args, "preset", None) else None
     atoms = None
     if getattr(args, "atoms", None):
@@ -145,6 +151,8 @@ def _datum(args):
 
 
 def _cmd_kernel(args) -> int:
+    from .kernels import make_spectral, polyharmonic_kernel
+
     sp = make_spectral(_lam(args))
     z = args.z_r * complex(math.cos(args.z_angle), math.sin(args.z_angle))
     rows = []
@@ -156,6 +164,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_spherical(args) -> int:
+    from .kernels import make_spectral
+    from .spherical import closed_form, spherical_function
+
     sp = make_spectral(_lam(args))
     rows = []
     for r in args.r_grid:
@@ -174,6 +185,9 @@ def _cmd_spherical(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .kernels import make_spectral
+    from .spherical import asymptotic_law, spherical_function
+
     sp = make_spectral(_lam(args))
     law = asymptotic_law(args.n, sp)
     rows = []
@@ -192,6 +206,9 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from .kernels import make_spectral
+    from .spherical import radial_zeros
+
     sp = make_spectral(_lam(args))
     zs = radial_zeros(sp, r_max=args.r_max, count=args.count)
     rows = []
@@ -204,6 +221,9 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
+    from .kernels import make_spectral
+    from .transforms import density_preset, dirichlet_solve
+
     sp = make_spectral(_lam(args))
     sol = dirichlet_solve(sp, density_preset(args.preset))
     angles = np.linspace(-math.pi, math.pi, args.angles, endpoint=False)
@@ -229,6 +249,9 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_riquier(args) -> int:
+    from .kernels import make_spectral
+    from .transforms import density_preset, riquier_solve
+
     sp = make_spectral(_lam(args))
     gs = [density_preset(p) for p in args.presets.split(",")]
     sol = riquier_solve(sp, gs)
@@ -258,6 +281,9 @@ def _cmd_riquier(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .kernels import make_spectral
+    from .transforms import convergence_probe
+
     sp = make_spectral(_lam(args))
     datum = _datum(args)
     report = convergence_probe(args.n, sp, datum, args.mode, radii=args.radii)
@@ -281,6 +307,9 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
+    from .kernels import make_spectral
+    from .regions import maximal_inequality_probe
+
     sp = make_spectral(_lam(args))
     rep = maximal_inequality_probe(args.n, sp, width=args.width, kind=args.kind)
     rows = [[tid, ratio] for tid, ratio in rep.ratios]
@@ -291,6 +320,10 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_fatou(args) -> int:
+    from .kernels import make_spectral
+    from .regions import fatou_probe
+    from .transforms import Atoms, Mixture
+
     sp = make_spectral(_lam(args))
     datum = _datum(args)
     if not isinstance(datum, Mixture):
@@ -328,6 +361,13 @@ def _cmd_fatou(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .classical import (
+        demo_lacunary_spec,
+        lacunary_associate_probe,
+        lacunary_growth_probe,
+        radial_log_weight,
+    )
+
     if args.what == "d":
         rows = [
             [n, float(r), radial_log_weight(n, float(r))]
@@ -352,6 +392,10 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_lacunary(args) -> int:
+    from .classical import _circle_exponent, demo_lacunary_spec, lacunary_circle_sup
+
+    for N in args.N:  # refuse a bad N before the first sup is computed
+        _circle_exponent(N)
     spec = demo_lacunary_spec()
     rows = []
     for N in args.N:
@@ -362,7 +406,10 @@ def _cmd_lacunary(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = acceptance.run_all(args.criteria, seed=args.seed)
+    from . import acceptance
+
+    seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+    results = acceptance.run_all(args.criteria, seed=seed)
     rows = [[res.index, res.name, "pass" if res.passed else "fail", res.details] for res in results]
     _emit(args.out, ["criterion", "name", "status", "details"], rows)
     for res in results:
@@ -464,15 +511,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lacunary", help="gap-series circle sup report")
     common(p, lam=False)
-    p.add_argument("--N", type=_ints, default=[2, 3])
+    p.add_argument("--N", type=_ints("N"), default=[2, 3])
     p.add_argument("--grid-size", type=_bounded(1, _CIRCLE_GRID_CAP, "grid size"),
                    default=1 << 20)
     p.set_defaults(fn=_cmd_lacunary)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     common(p, lam=False)
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--criteria", type=_ints, default=None,
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--criteria", type=_ints("criterion", 1, _CRITERION_COUNT), default=None,
                    help="subset like 1-12 or 1,4,13 (default all)")
     p.set_defaults(fn=_cmd_selftest)
 

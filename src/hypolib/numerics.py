@@ -22,11 +22,9 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import NonConvergence, ResultOverflow, StencilOutOfDomain
@@ -193,6 +191,8 @@ def _connection_logs(a: complex, b: complex, c: complex) -> tuple[complex, compl
     coefficient's size out of double range until it meets the power of
     1 - y it multiplies.
     """
+    import mpmath
+
     s = c - a - b
     logs = []
     with mpmath.workdps(30):
@@ -369,5 +369,7 @@ def parallel_map(fn: Callable, items) -> list:
     workers = min(thread_count(), max(1, len(items)))
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -8,7 +8,16 @@ import sys
 
 import pytest
 
-from hypolib.cli import _ANGLE_CAP, _CIRCLE_GRID_CAP, _GRID_CAP, _SCAN_CAP, _build_parser, main
+from hypolib.cli import (
+    _ANGLE_CAP,
+    _CIRCLE_GRID_CAP,
+    _CRITERION_COUNT,
+    _GRID_CAP,
+    _LIST_CAP,
+    _SCAN_CAP,
+    _build_parser,
+    main,
+)
 
 
 def read_csv(path):
@@ -104,9 +113,11 @@ def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
          "ResultOverflow: order-0 transform at lam = (10000+0j), z = "),
         (["lacunary", "--N", "200"],
          "ResultOverflow: the circle exponent N! sqrt(N) at N = 200 does not fit in a double"),
+        (["lacunary", "--N", "1-171"],
+         "ResultOverflow: the circle exponent N! sqrt(N) at N = 171 does not fit in a double"),
     ],
     ids=["kernel-n400", "spherical-n400", "kernel-lam1e300", "asymptotics-n400",
-         "asymptotics-critical-n90", "fatou-lam1e4", "lacunary-N200"],
+         "asymptotics-critical-n90", "fatou-lam1e4", "lacunary-N200", "lacunary-N1-171"],
 )
 def test_kernel_overflow_is_a_one_line_library_error(argv, start, capsys):
     assert main(argv) == 1
@@ -147,6 +158,17 @@ def test_bad_usage_exits_two():
         ["lacunary", "--grid-size", "-4"],
         ["lacunary", "--grid-size", str(_CIRCLE_GRID_CAP + 1)],
         ["lacunary", "--grid-size", "1e6"],
+        # integer lists: values outside [1, 13] for --criteria, ranges checked
+        # on their endpoints and length before they are expanded
+        ["selftest", "--criteria", "14"],
+        ["selftest", "--criteria", "0"],
+        ["selftest", "--criteria", "2,14"],
+        ["selftest", "--criteria", "1-1000000000"],
+        ["selftest", "--criteria", "5-3"],
+        ["selftest", "--criteria", "x"],
+        ["lacunary", "--N", "1-1000000000"],
+        ["lacunary", "--N", f"1-{_LIST_CAP + 1}"],
+        ["lacunary", "--N", f"1-{_LIST_CAP},{_LIST_CAP + 1}-{2 * _LIST_CAP}"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -168,6 +190,31 @@ def test_count_flags_accept_their_bounds(argv, dest, low, cap):
     parser = _build_parser()
     for value in (low, cap):
         assert getattr(parser.parse_args([*argv, str(value)]), dest) == value
+
+
+def test_integer_lists_accept_their_bounds():
+    # parsed only: nothing is run
+    parser = _build_parser()
+    criteria = parser.parse_args(["selftest", "--criteria", f"1-{_CRITERION_COUNT}"]).criteria
+    assert criteria == list(range(1, _CRITERION_COUNT + 1))
+    assert parser.parse_args(["lacunary", "--N", f"1-{_LIST_CAP}"]).N == list(range(1, _LIST_CAP + 1))
+
+
+def test_criterion_count_matches_the_acceptance_table():
+    from hypolib import acceptance
+
+    assert _CRITERION_COUNT == len(acceptance.CRITERIA)
+
+
+def test_lacunary_refuses_every_N_before_the_first_sup(monkeypatch, capsys):
+    from hypolib.polynomials import ComplexPoly
+
+    def no_sup(self, z):
+        raise AssertionError("a circle sup ran before every N was checked")
+
+    monkeypatch.setattr(ComplexPoly, "evaluate", no_sup)
+    assert main(["lacunary", "--N", "2,171"]) == 1
+    assert capsys.readouterr().err.startswith("ResultOverflow: the circle exponent N! sqrt(N) at N = 171 ")
 
 
 def test_config_supplies_defaults_cli_overrides(tmp_path):
@@ -214,6 +261,14 @@ def test_selftest_exit_codes_and_determinism(tmp_path):
     assert all(r[2] == "pass" for r in rows[1:])
 
 
+def test_selftest_default_seed(tmp_path):
+    # criterion 1 is seeded, so a different default seed would change its row
+    plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+    assert main(["selftest", "--criteria", "1,2", "--out", str(plain)]) == 0
+    assert main(["selftest", "--seed", "1301", "--criteria", "1,2", "--out", str(seeded)]) == 0
+    assert plain.read_bytes() == seeded.read_bytes()
+
+
 def test_selftest_reports_failure_with_exit_one(tmp_path):
     out = tmp_path / "red.csv"
     rc = main(["selftest", "--seed", "5", "--criteria", "4", "--out", str(out)])
@@ -229,11 +284,41 @@ def test_criteria_range_expansion(tmp_path):
     assert [r[0] for r in rows[1:]] == ["2", "3", "6"]
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, hypolib.cli; print('scipy' in sys.modules)"
+def _loaded_after(code: str) -> set[str]:
+    """Modules a fresh interpreter holds after running code."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_scipy_out():
+    loaded = _loaded_after("import hypolib.cli")
+    assert "scipy" not in loaded
+    assert "mpmath" not in loaded
+    assert {m for m in loaded if m.startswith("hypolib")} == {
+        "hypolib", "hypolib.cli", "hypolib.errors"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["kernel", "--lambda", "2", "0"],
+         {"spherical", "transforms", "regions", "classical", "acceptance"}),
+        (["examples", "--what", "d"], {"kernels", "spherical"}),
+        (["lacunary", "--grid-size", "64"], {"kernels", "spherical"}),
+    ],
+    ids=["kernel", "examples-d", "lacunary"],
+)
+def test_subcommand_loads_only_its_modules(argv, absent):
+    loaded = _loaded_after(
+        "import contextlib, io, hypolib.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert hypolib.cli.main({argv!r}) == 0"
+    )
+    assert "mpmath" not in loaded
+    assert {f"hypolib.{m}" for m in absent}.isdisjoint(loaded)
