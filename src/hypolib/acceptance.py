@@ -20,36 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import (
-    AnalyticSeries,
-    associate_deviation_bound,
-    associated_biharmonic,
-    demo_lacunary_spec,
-    lacunary_circle_sup,
-    lacunary_growth_probe,
-    lacunary_witness,
-    radial_log_weight,
-    runge_spiral_fit,
-)
+# Library modules are bound as modules: this one is imported on first use,
+# which may fall after some of their functions were rebound (a tracer, a
+# mock), and a "from" import would keep whatever was bound at that moment.
+from . import classical, kernels, regions, spherical, transforms
 from .errors import FitFailed
-from .kernels import fd_verify_kernel, make_spectral, verify_reduce_chain
-from .regions import fatou_probe, maximal_inequality_probe
-from .spherical import (
-    asymptotic_law,
-    boundary_constant,
-    closed_form,
-    closed_form_many,
-    radial_zeros,
-    small_radius_law,
-    spherical_function,
-)
-from .transforms import (
-    Atoms,
-    Mixture,
-    density_preset,
-    dirichlet_solve,
-    riquier_solve,
-)
 
 DEFAULT_SEED = 1301
 
@@ -93,9 +68,9 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst = math.inf
         worst_tag = ""
         for lam in (2.0, -0.25, 1j, 1 + 1j):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for z, xi in zip(pts, xis):
-                res = np.array([fd_verify_kernel(0, z, xi, sp, h) for h in hs])
+                res = np.array([kernels.fd_verify_kernel(0, z, xi, sp, h) for h in hs])
                 slope = float(np.polyfit(log_h, np.log(res), 1)[0])
                 if slope < worst:
                     worst, worst_tag = slope, f"lam={lam} z={z:.3f}"
@@ -111,9 +86,9 @@ def criterion_2() -> CriterionResult:
     def body():
         worst = 0.0
         for lam in (2.0, 0.5, 1j, 1 + 1j, -0.25):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for n in range(7):
-                rep = verify_reduce_chain(n, sp, tol=1e-12)
+                rep = kernels.verify_reduce_chain(n, sp, tol=1e-12)
                 worst = max(worst, rep.final_residual, *(rep.step_residuals or (0.0,)))
         return True, f"max chain residual {worst:.3e} (need <= 1e-12)"
 
@@ -131,10 +106,10 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
             lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if lam.real <= -0.25 and abs(lam.imag) < 0.05:
                 lam = complex(lam.real, 0.5)
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for r in radii:
-                cf = closed_form(float(r), sp)
-                qd = spherical_function(0, float(r), sp)
+                cf = spherical.closed_form(float(r), sp)
+                qd = spherical.spherical_function(0, float(r), sp)
                 worst = max(worst, abs(cf - qd) / max(1.0, abs(cf)))
         ok = worst <= 1e-8
         return ok, f"max scaled |closed - quadrature| {worst:.3e} (need <= 1e-8)"
@@ -149,13 +124,13 @@ def criterion_4() -> CriterionResult:
         lines = []
         ok = True
         for lam, tol in ((2.0, 0.15), (1j, 0.15), (-0.25, 0.20)):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for n in (0, 1, 2):
-                law = asymptotic_law(n, sp)
+                law = spherical.asymptotic_law(n, sp)
                 errs = []
                 for R in (10.0, 15.0, 20.0, 25.0):
                     r = math.tanh(R / 2.0)
-                    ratio = spherical_function(n, r, sp) / law.evaluate(R)
+                    ratio = spherical.spherical_function(n, r, sp) / law.evaluate(R)
                     errs.append(abs(ratio - 1.0))
                 trend = all(
                     b <= a or b <= _TREND_FLOOR for a, b in zip(errs, errs[1:])
@@ -168,7 +143,7 @@ def criterion_4() -> CriterionResult:
                         f" (tol {tol:.2f}), trend={'ok' if trend else 'broken'}"
                     )
         for lam, want in ((0.0, 1.0), (2.0, 0.5)):
-            err = abs(boundary_constant(make_spectral(lam)) - want)
+            err = abs(spherical.boundary_constant(kernels.make_spectral(lam)) - want)
             if err > 1e-10:
                 ok = False
                 lines.append(f"c(lam={lam}) off by {err:.2e}")
@@ -183,7 +158,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Zeros accumulate on the ray; none appear off it."""
 
     def body():
-        zs = radial_zeros(make_spectral(-1.0))
+        zs = spherical.radial_zeros(kernels.make_spectral(-1.0))
         gaps = [b - a for a, b in zip(zs, zs[1:])]
         gaps_ok = all(b < a for a, b in zip(gaps, gaps[1:])) if len(gaps) > 1 else True
         ray_ok = len(zs) >= 3 and gaps_ok
@@ -196,7 +171,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
             lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if lam.real <= -0.25 and abs(lam.imag) < 0.05:
                 lam = complex(lam.real, 0.5)
-            vals = np.abs(closed_form_many(rs, make_spectral(lam)))
+            vals = np.abs(spherical.closed_form_many(rs, kernels.make_spectral(lam)))
             min_dip = min(min_dip, float(np.min(vals / np.median(vals))))
         off_ok = min_dip > 1e-4
         ok = ray_ok and off_ok
@@ -214,9 +189,10 @@ def criterion_6() -> CriterionResult:
     def body():
         worst = 0.0
         for lam in (2.0, -0.25):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for n in (1, 2, 3):
-                ratio = spherical_function(n, 1e-3, sp) / small_radius_law(n, 1e-3, sp)
+                law = spherical.small_radius_law(n, 1e-3, sp)
+                ratio = spherical.spherical_function(n, 1e-3, sp) / law
                 worst = max(worst, abs(ratio - 1.0))
         ok = worst <= 0.02
         return ok, f"max |ratio - 1| {worst:.2e} (need <= 0.02)"
@@ -239,10 +215,10 @@ def criterion_7() -> CriterionResult:
         lines = []
         worst = 0.0
         for lam in (-0.25, 0.0, 2.0):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for r in (0.5, 0.9, 0.99):
                 mean = _trapezoid_kernel_mean(sp, r, 1 << 15)
-                phi0 = spherical_function(0, r, sp)
+                phi0 = spherical.spherical_function(0, r, sp)
                 worst = max(worst, abs(mean / phi0 - 1.0))
         norm_ok = worst <= 1e-10
         lines.append(f"max |kernel mean/Phi - 1| {worst:.2e} (need <= 1e-10)")
@@ -251,7 +227,8 @@ def criterion_7() -> CriterionResult:
         angles = np.linspace(-math.pi, math.pi, 12, endpoint=False)
         diri_ok = True
         for lam in (0.0, 1j):
-            sol = dirichlet_solve(make_spectral(lam), density_preset("cos"))
+            datum = transforms.density_preset("cos")
+            sol = transforms.dirichlet_solve(kernels.make_spectral(lam), datum)
             sups = []
             for r in ladder:
                 rows = sol.verify(angles, [r])
@@ -271,10 +248,11 @@ def criterion_8() -> CriterionResult:
     """Two-layer boundary data: top layer recovered, lower layer vanishes."""
 
     def body():
-        sp = make_spectral(0.0)
-        sol = riquier_solve(sp, (density_preset("cos"), density_preset("one")))
+        sp = kernels.make_spectral(0.0)
+        layers = (transforms.density_preset("cos"), transforms.density_preset("one"))
+        sol = transforms.riquier_solve(sp, layers)
         r = 1.0 - 1e-4
-        phi1 = spherical_function(1, r, sp)
+        phi1 = spherical.spherical_function(1, r, sp)
         own = 0.0
         cross = 0.0
         for ang in np.linspace(-math.pi, math.pi, 8, endpoint=False):
@@ -297,9 +275,9 @@ def criterion_9() -> CriterionResult:
         lines = []
         ok = True
         for lam, kind in ((0.0, "tube"), (-0.25, "enlarged")):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for n in (0, 1):
-                rep = maximal_inequality_probe(n, sp, width=1.0, kind=kind)
+                rep = regions.maximal_inequality_probe(n, sp, width=1.0, kind=kind)
                 good = rep.drift < 0.10
                 ok = ok and good
                 lines.append(
@@ -315,14 +293,16 @@ def criterion_10() -> CriterionResult:
     """Region limits hit the density value; the far atom stays invisible."""
 
     def body():
-        datum = Mixture(density=density_preset("cos"), atoms=Atoms(((0.0, 1.0),)))
+        datum = transforms.Mixture(
+            density=transforms.density_preset("cos"), atoms=transforms.Atoms(((0.0, 1.0),))
+        )
         zetas = (math.pi, 0.5 * math.pi, -0.5 * math.pi)
         worst_err = 0.0
         worst_atom = 0.0
         for lam in (0.0, 1j):
-            sp = make_spectral(lam)
+            sp = kernels.make_spectral(lam)
             for n in (0, 1):
-                rows = fatou_probe(n, sp, datum, width=1.0, zeta_angles=zetas)
+                rows = regions.fatou_probe(n, sp, datum, width=1.0, zeta_angles=zetas)
                 deep = [row for row in rows if abs(row.r - (1.0 - 1e-4)) < 1e-12]
                 for row in deep:
                     worst_err = max(worst_err, abs(row.normalized - row.target))
@@ -350,7 +330,7 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
             p = (1.0 - r * r) / den
             coeffs = np.fft.fft(p * np.log(p)) / size
             for m in range(0, 41):
-                want = radial_log_weight(m, r) * r**m
+                want = classical.radial_log_weight(m, r) * r**m
                 fft_err = max(fft_err, abs(coeffs[m].real - want), abs(coeffs[m].imag))
         a_ok = fft_err <= 1e-10
         lines.append(f"fft identity err {fft_err:.2e} (need <= 1e-10)")
@@ -362,7 +342,7 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
             for r in np.linspace(0.05, 0.95, 19):
                 low = -math.log1p(-r * r)
                 up = (1.0 + n * (1.0 - r * r)) * low
-                d = radial_log_weight(n, float(r))
+                d = classical.radial_log_weight(n, float(r))
                 if not (low <= d * (1 + 1e-12) and d <= up * (1 + 1e-12)):
                     b_ok = False
                     excess = d / up if up > 0 else math.inf
@@ -376,15 +356,15 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
         # (c) deviation bound on a random 10-mode series
         rng = np.random.default_rng(seed + 11)
         coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        series = AnalyticSeries.from_dense(coeffs)
+        series = classical.AnalyticSeries.from_dense(coeffs)
         c_ok = True
         c_worst = 0.0
         for r in (0.5, 0.9, 0.99):
-            bound = associate_deviation_bound(series, r)
+            bound = classical.associate_deviation_bound(series, r)
             d0 = -math.log1p(-r * r)
             for ang in np.linspace(-math.pi, math.pi, 16, endpoint=False):
                 z = r * cmath.exp(1j * ang)
-                dev = abs(associated_biharmonic(series, z) - d0 * series.evaluate(z))
+                dev = abs(classical.associated_biharmonic(series, z) - d0 * series.evaluate(z))
                 if dev > bound * (1 + 1e-9):
                     c_ok = False
                     c_worst = max(c_worst, dev / bound)
@@ -403,18 +383,18 @@ def criterion_12() -> CriterionResult:
     def body():
         lines = []
         try:
-            spec = runge_spiral_fit(degree_budget=24)
+            spec = classical.runge_spiral_fit(degree_budget=24)
             a_ok = True
             lines.append("spiral fit met the band")
         except FitFailed as exc:
             spec = None
             a_ok = False
             lines.append(f"spiral fit: {exc}")
-        demo = spec if spec is not None else demo_lacunary_spec()
+        demo = spec if spec is not None else classical.demo_lacunary_spec()
         tag = "" if spec is not None else " [demo polynomial]"
 
         radii = [1.0 - 10.0 ** (-k) for k in (1, 2, 3, 4, 5)]
-        growth = lacunary_growth_probe(demo, radii)
+        growth = classical.lacunary_growth_probe(demo, radii)
         b_ok = math.isfinite(growth["max_ratio"]) and growth["max_ratio"] <= growth[
             "fitted_constant"
         ] * (1 + 1e-12)
@@ -423,14 +403,14 @@ def criterion_12() -> CriterionResult:
             f"{growth['fitted_constant']:.3f}{tag}"
         )
 
-        sups = {N: lacunary_circle_sup(N, demo) for N in (2, 3)}
+        sups = {N: classical.lacunary_circle_sup(N, demo) for N in (2, 3)}
         c_ok = sups[3].value < sups[2].value
         lines.append(
             f"circle sups N=2: {sups[2].value:.4f}, N=3: {sups[3].value:.4f} "
             f"(need N=3 < N=2){tag}"
         )
 
-        wits = {N: lacunary_witness(N, demo) for N in (2, 3)}
+        wits = {N: classical.lacunary_witness(N, demo) for N in (2, 3)}
         d_ok = all(w.ratio > 0.8 for w in wits.values())
         lines.append(
             f"witness ratios N=2: {wits[2].ratio:.3f}, N=3: {wits[3].ratio:.3f} "
@@ -525,5 +505,12 @@ def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def run_all(indices=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    """Run the chosen criteria (all when none are given); an index with no
+    criterion is refused before any runs."""
+    unknown = sorted(set(indices or ()) - _CRITERIA.keys())
+    if unknown:
+        raise ValueError(
+            f"no criterion {', '.join(map(str, unknown))}; criteria run from 1 to {max(_CRITERIA)}"
+        )
     chosen = sorted(indices) if indices else sorted(_CRITERIA)
     return [run_criterion(i, seed) for i in chosen]
