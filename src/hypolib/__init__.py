@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "errors": (
+        "CancellationLoss",
         "ChainBroken",
         "DecayViolation",
         "FitFailed",

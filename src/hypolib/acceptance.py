@@ -107,8 +107,8 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
             if lam.real <= -0.25 and abs(lam.imag) < 0.05:
                 lam = complex(lam.real, 0.5)
             sp = kernels.make_spectral(lam)
-            for r in radii:
-                cf = spherical.closed_form(float(r), sp)
+            closed = spherical.closed_form_many(radii, sp)
+            for r, cf in zip(radii, map(complex, closed)):
                 qd = spherical.spherical_function(0, float(r), sp)
                 worst = max(worst, abs(cf - qd) / max(1.0, abs(cf)))
         ok = worst <= 1e-8

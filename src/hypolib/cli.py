@@ -162,17 +162,19 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_spherical(args) -> int:
     from .kernels import make_spectral
-    from .spherical import closed_form, spherical_function
+    from .spherical import _MAX_ORDER, closed_form_many, spherical_function
 
     sp = make_spectral(_lam(args))
+    rs = [float(r) for r in args.r_grid]
+    closed = closed_form_many(rs, sp, args.n) if 0 <= args.n <= _MAX_ORDER else None
     rows = []
-    for r in args.r_grid:
-        v = spherical_function(args.n, float(r), sp)
+    for i, r in enumerate(rs):
+        v = spherical_function(args.n, r, sp)
         closed_re = closed_im = diff = ""
-        if args.n == 0:
-            cf = closed_form(float(r), sp)
+        if closed is not None:
+            cf = complex(closed[i])
             closed_re, closed_im, diff = cf.real, cf.imag, abs(cf - v)
-        rows.append([float(r), v.real, v.imag, closed_re, closed_im, diff])
+        rows.append([r, v.real, v.imag, closed_re, closed_im, diff])
     _emit(
         args.out,
         ["r", "phi_re", "phi_im", "closed_form_re", "closed_form_im", "diff"],

@@ -22,6 +22,15 @@ class ResultOverflow(HypolibError):
         self.index = index
 
 
+class CancellationLoss(HypolibError):
+    """A series lost too many digits to cancellation to be trusted; index
+    names the first such entry of a batch."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
+
+
 class StencilOutOfDomain(HypolibError):
     """A finite-difference stencil point left the open unit disk."""
 

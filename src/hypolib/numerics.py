@@ -14,7 +14,9 @@ the connection formula DLMF 15.8.4, so no series runs in an argument above
 1/2.  Where c - a - b is within 0.02 of an integer, the connection
 coefficients' poles are avoided by averaging over a small circle in a.  That
 covers the closed-form spherical function, whose transformed argument is r^2,
-up to the boundary.
+up to the boundary.  The same evaluator carries truncated Taylor series in a
+parameter shift ("jets"), which give the polyspherical functions of every
+order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, ResultOverflow, StencilOutOfDomain
+from .errors import CancellationLoss, NonConvergence, ResultOverflow, StencilOutOfDomain
 from .geometry import ensure_disk
 
 __all__ = [
@@ -178,6 +180,23 @@ _CAUCHY_RADIUS = 0.05
 _CAUCHY_NODES = 24
 # cap on block length x lanes in _series, which bounds its temporaries
 _BLOCK_ELEMENTS = 4096
+# A lane whose largest series term exceeds the series' sum by more than this
+# factor has lost six digits or more to cancellation.
+_CANCELLATION_BOUND = 1e6
+# Taylor jets in eps of F(a + eps, b - eps; c; x).  After the Pfaff step both
+# series parameters move with eps and s with -2 eps, so a connection
+# coefficient's poles sit at eps = (s - m)/2 for integers m, and a jet of
+# order k taken at distance d from one loses about (1/d)^k in cancellation.
+# Lanes with s within _JET_BAND of an integer therefore take the jet as the
+# Cauchy mean of F(a + u, b - u; c; x) u^-j over |u| = _JET_RADIUS, whose
+# nodes stay 1/8 or more from every pole; that mean loses
+# _JET_RADIUS^-k against the largest value on the circle, so those lanes sum
+# the series in y up to y = _JET_NEAR, past which Phi_n is no longer small
+# against that value.
+_JET_BAND = 0.25
+_JET_RADIUS = 0.25
+_JET_NODES = 32
+_JET_NEAR = 0.9
 
 
 @lru_cache(maxsize=1024)
@@ -202,9 +221,42 @@ def _connection_logs(a: complex, b: complex, c: complex) -> tuple[complex, compl
     return logs[0], logs[1]
 
 
-def _series(a, b, c, z) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def _polygamma(j: int, z: complex) -> complex:
+    """psi^(j)(z) at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return complex(mpmath.polygamma(j, z))
+
+
+@lru_cache(maxsize=256)
+def _connection_jets(a: complex, b: complex, c: complex, order: int) -> np.ndarray:
+    """Taylor jets in eps of the two DLMF 15.8.4 coefficients of
+    F(a + eps, b + eps; c; y), each divided by its value at eps = 0: rows
+    exp(sum_j g_j eps^j) with g_j the j-th Taylor coefficient of the
+    coefficient's log, [eps^j] log Gamma(z + dz eps) = dz^j psi^(j-1)(z) / j!.
+    """
+    s = c - a - b
+    out = np.zeros((2, order + 1), dtype=complex)
+    for row, (num, den) in enumerate(
+        (([(s, -2)], [(c - a, -1), (c - b, -1)]), ([(-s, 2)], [(a, 1), (b, 1)]))
+    ):
+        g = np.zeros(order + 1, dtype=complex)
+        for j in range(1, order + 1):
+            fact = math.factorial(j)
+            g[j] = sum(dz**j * _polygamma(j - 1, z) for z, dz in num) / fact
+            g[j] -= sum(dz**j * _polygamma(j - 1, z) for z, dz in den) / fact
+        e = out[row]
+        e[0] = 1.0
+        for j in range(1, order + 1):  # (exp G)' = G' exp G, term by term
+            e[j] = sum(i * g[i] * e[j - i] for i in range(1, j + 1)) / j
+    return out
+
+
+def _series(a, b, c, z) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums of F(a, b; c; z), 0 <= z <= 1/2, with parameters that
-    broadcast against z.
+    broadcast against z, and the largest term's modulus in each lane.
 
     Terms come in blocks, a running product of the term ratios: 16 terms
     for a few lanes, down to one as the lanes grow, so small batches pay
@@ -217,23 +269,83 @@ def _series(a, b, c, z) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(a), np.shape(z))
     total = np.ones(shape, dtype=complex)
     term = np.ones(shape, dtype=complex)
+    big = last = np.ones(shape)
     block = max(1, min(16, _BLOCK_ELEMENTS // max(1, total.size)))
     k = np.arange(block, dtype=float).reshape((block,) + (1,) * len(shape))
     while True:
-        prev = term
-        terms = prev * np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z, axis=0)
+        prev = last
+        terms = term * np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z, axis=0)
         total = total + terms.sum(axis=0)
-        term = terms[-1]
+        mods = np.abs(terms)
+        term, last = terms[-1], mods[-1]
+        big = np.maximum(big, mods.max(axis=0) if block > 1 else last)
         tol = 1e-17 * np.abs(total)
-        if not ((np.abs(prev) > tol) | (np.abs(term) > tol)).any():
-            return total
+        if not ((prev > tol) | (last > tol)).any():
+            return total, big
         k = k + block
 
 
-def _connection(a: complex, b: complex, c: complex, w, L) -> np.ndarray:
+def _shift(jet: np.ndarray, factor, slope) -> np.ndarray:
+    """jet times (factor + slope eps), truncated at the jet's order."""
+    out = jet * factor
+    out[1:] += slope * jet[:-1]
+    return out
+
+
+def _series_jet(a, b, c, slopes, z, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor jets in eps of F(a + da eps, b + db eps; c + dc eps; z),
+    (da, db, dc) = slopes, as rows 0..order over the lanes of z, with the
+    largest modulus of a value term (row 0) in each lane.
+
+    Term by term; summation stops once every row's last term falls below
+    1e-17 of the sum of its moduli in every lane.
+    """
+    da, db, dc = slopes
+    term = np.zeros((order + 1,) + np.shape(z), dtype=complex)
+    term[0] = 1.0
+    total = term.copy()
+    size = np.abs(term)
+    big = np.ones(np.shape(z))
+    k = 0
+    while True:
+        t = _shift(_shift(term, a + k, da), b + k, db)
+        # divide by (c + k + dc eps): forward substitution in the rows
+        g0 = c + k
+        t[0] /= g0
+        for j in range(1, order + 1):
+            t[j] = (t[j] - dc * t[j - 1]) / g0
+        term = t * (z / (k + 1.0))
+        total += term
+        mod = np.abs(term)
+        size += mod
+        big = np.maximum(big, mod[0])
+        k += 1
+        if not (mod > 1e-17 * size).any():
+            return total, big
+
+
+def _exp_jet(value, slope, order: int) -> np.ndarray:
+    """Taylor jet of exp(value + slope eps): rows exp(value) slope^j / j!."""
+    out = np.empty((order + 1,) + np.shape(value), dtype=complex)
+    out[0] = np.exp(value)
+    for j in range(1, order + 1):
+        out[j] = out[j - 1] * (slope / j)
+    return out
+
+
+def _jet_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Truncated product of two jets (rows 0..order)."""
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape), dtype=complex)
+    for i in range(p.shape[0]):
+        out[i:] += p[i] * q[: p.shape[0] - i]
+    return out
+
+
+def _connection(a: complex, b: complex, c: complex, w, L) -> tuple[np.ndarray, np.ndarray]:
     """exp(-a L) F(a, b; c; 1 - w) for 0 < w < 1/2 and L = -log(w), by
     DLMF 15.8.4: two series in w, averaged over a circle in a inside the
-    degenerate band."""
+    degenerate band.  Also returns each lane's worst ratio of a series'
+    largest term to its sum."""
     s = c - a - b
     if abs(s - round(s.real)) < _BAND:
         t = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
@@ -242,7 +354,7 @@ def _connection(a: complex, b: complex, c: complex, w, L) -> np.ndarray:
     at = a + t
     logs = np.array([_connection_logs(complex(p), b, c) for p in at])
     # one batch: rows F(a+t, b; 1-s+t; w), then rows F(c-a-t, c-b; 1+s-t; w)
-    f = _series(
+    f, big = _series(
         np.concatenate([at, c - at])[:, None],
         np.repeat([b, c - b], t.size)[:, None],
         np.concatenate([1.0 - s + t, 1.0 + s - t])[:, None],
@@ -252,7 +364,35 @@ def _connection(a: complex, b: complex, c: complex, w, L) -> np.ndarray:
     # (1-x)^{-a} times the coefficients, and times (1-y)^{s-t} = w^{s-t}
     first = np.exp(logs[:, :1] - a * L) * f1
     second = np.exp(logs[:, 1:] - (a + s - t)[:, None] * L) * f2
-    return np.mean(first + second, axis=0)
+    return np.mean(first + second, axis=0), np.max(big / np.abs(f), axis=0)
+
+
+def _connection_jet(a: complex, b: complex, c: complex, w, L, order: int):
+    """Taylor jets in eps of exp(-(a + eps) L) F(a + eps, b + eps; c; 1 - w),
+    as _connection does for eps = 0, off the degenerate band; the second
+    term's power w^{s - 2 eps} contributes exp(+eps L).  None where a
+    connection coefficient vanishes."""
+    s = c - a - b
+    logs = _connection_logs(a, b, c)
+    if not all(math.isfinite(v.real) for v in logs):
+        return None
+    coeffs = _connection_jets(a, b, c, order)[:, :, None]
+    f1, big1 = _series_jet(a, b, 1.0 - s, (1, 1, 2), w, order)
+    f2, big2 = _series_jet(c - a, c - b, 1.0 + s, (-1, -1, -2), w, order)
+    first = _jet_mul(_jet_mul(_exp_jet(logs[0] - a * L, -L, order), coeffs[0]), f1)
+    second = _jet_mul(_jet_mul(_exp_jet(logs[1] - (a + s) * L, L, order), coeffs[1]), f2)
+    return first + second, np.maximum(big1 / np.abs(f1[0]), big2 / np.abs(f2[0]))
+
+
+def _cauchy_jet(a: complex, b: complex, c: complex, w, L, order: int):
+    """The jets of _connection_jet as the mean of the values
+    exp(-(a + u) L) F(a + u, b + u; c; 1 - w) u^-j over the circle
+    |u| = _JET_RADIUS, for the degenerate band."""
+    u = _JET_RADIUS * np.exp(2j * np.pi * np.arange(_JET_NODES) / _JET_NODES)
+    nodes = [_connection(a + p, b + p, c, w, L) for p in u]
+    powers = u[None, :] ** -np.arange(order + 1)[:, None]
+    values = np.array([v for v, _ in nodes])
+    return powers @ values / _JET_NODES, np.max([r for _, r in nodes], axis=0)
 
 
 def gauss_2f1(a, b, c, x: float) -> complex:
@@ -260,7 +400,27 @@ def gauss_2f1(a, b, c, x: float) -> complex:
     return complex(gauss_2f1_many(a, b, c, [x])[0])
 
 
-def gauss_2f1_many(a, b, c, xs) -> np.ndarray:
+def _check_lanes(out: np.ndarray, ratio: np.ndarray, x: np.ndarray, abc: tuple) -> None:
+    """ResultOverflow at the first non-finite lane of F(a, b; c; x) (out has
+    the lanes last), else CancellationLoss at the first lane past
+    _CANCELLATION_BOUND."""
+    finite = np.isfinite(out)
+    if finite.all() and (ratio <= _CANCELLATION_BOUND).all():
+        return
+    bad = np.flatnonzero(~finite.reshape(-1, x.size).all(axis=0))
+    lost = np.flatnonzero(~(ratio <= _CANCELLATION_BOUND))
+    what = "F({}, {}; {}; x)".format(*abc)
+    if bad.size:
+        i = int(bad[0])
+        raise ResultOverflow(f"{what} overflows a double at x = {float(x[i])!r}", index=i)
+    i = int(lost[0])
+    raise CancellationLoss(
+        f"{what} loses {math.log10(ratio[i]):.0f} digits to cancellation at x = {float(x[i])!r}",
+        index=i,
+    )
+
+
+def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     """Gauss hypergeometric F(a, b; c; x) over an array of real x <= 0.
 
     Pfaff: F(a, b; c; x) = (1-x)^{-a} F(a, c-b; c; y), y = x/(x-1) in [0, 1),
@@ -269,35 +429,61 @@ def gauss_2f1_many(a, b, c, xs) -> np.ndarray:
     (_connection).  At moderate parameters each lane needs a few dozen
     terms, however close y is to 1.
 
+    With order = m > 0 the result has shape (m + 1,) + shape(xs): row j is
+    the Taylor coefficient [eps^j] F(a + eps, b - eps; c; x).  The same
+    series and connection formula carry truncated Taylor series in eps;
+    the Gamma-ratio coefficients' jets come from 30-digit polygammas.  On
+    the jets' degenerate band (see _JET_BAND) the lanes past y = _JET_NEAR
+    take the Cauchy mean of F(a + u, b - u; c; x) u^-j over a circle in u
+    (_cauchy_jet), as do lanes where a connection coefficient vanishes.
+
     Raises ResultOverflow, with an overflowing lane as `index`, where the
-    evaluation leaves double range.
+    evaluation leaves double range, and CancellationLoss, with the lane as
+    `index`, where a finite lane's series lost more than six digits to
+    cancellation (its largest term over 1e6 times its sum).
     """
     a, b, c = complex(a), complex(b), complex(c)
     if not all(cmath.isfinite(p) for p in (a, b, c)):
         raise ValueError(f"parameters must be finite, got {(a, b, c)}")
     if c.imag == 0.0 and c.real <= 0.0 and c.real == math.floor(c.real):
         raise ValueError(f"c must not be a nonpositive integer, got {c}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     xs = np.asarray(xs, dtype=float)
     x = xs.ravel()
     if not np.all(np.isfinite(x) & (x <= 0.0)):
         raise ValueError("all arguments must be finite and <= 0")
     L = np.log1p(-x)  # log(1 - x) = -log(1 - y)
     w = 1.0 / (1.0 - x)  # 1 - y
-    near = w >= 0.5
-    far = ~near
-    out = np.empty(x.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    ratio = np.ones(x.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if order == 0:
+            out = np.empty(x.shape, dtype=complex)
+            near = w >= 0.5
+            far = ~near
+            if near.any():
+                f, big = _series(a, c - b, c, -x[near] * w[near])
+                out[near] = np.exp(-a * L[near]) * f
+                ratio[near] = big / np.abs(f)
+            if far.any():
+                out[far], ratio[far] = _connection(a, c - b, c, w[far], L[far])
+            _check_lanes(out, ratio, x, (a, b, c))
+            return out.reshape(xs.shape)
+        out = np.empty((order + 1, x.size), dtype=complex)
+        s = b - a
+        band = abs(s - round(s.real)) < _JET_BAND
+        near = w >= (1.0 - _JET_NEAR if band else 0.5)
+        far = ~near
         if near.any():
-            out[near] = np.exp(-a * L[near]) * _series(a, c - b, c, -x[near] * w[near])
+            f, big = _series_jet(a, c - b, c, (1, 1, 0), -x[near] * w[near], order)
+            out[:, near] = _jet_mul(_exp_jet(-a * L[near], -L[near], order), f)
+            ratio[near] = big / np.abs(f[0])
         if far.any():
-            out[far] = _connection(a, c - b, c, w[far], L[far])
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        i = int(bad[0])
-        raise ResultOverflow(
-            f"F({a}, {b}; {c}; x) overflows a double at x = {float(x[i])!r}", index=i
-        )
-    return out.reshape(xs.shape)
+            args = (a, c - b, c, w[far], L[far], order)
+            jets = None if band else _connection_jet(*args)
+            out[:, far], ratio[far] = jets if jets is not None else _cauchy_jet(*args)
+    _check_lanes(out, ratio, x, (a, b, c))
+    return out.reshape((order + 1,) + xs.shape)
 
 
 def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:

@@ -97,10 +97,14 @@ class AdmissibleRegion:
 
 
 def _front_window(r: float, b: float) -> float:
-    """Max |sin alpha| admitted at radius r for effective width b."""
+    """Max |sin alpha| admitted at radius r for effective width b: 1, every
+    angle, once b >= R, where sinh(b) / sinh(R) >= 1 (and sinh(b) may
+    overflow)."""
     if b < 0.0 or r <= 0.0:
         return -1.0
     big_r = math.log((1.0 + r) / (1.0 - r))
+    if b >= big_r:
+        return 1.0
     return math.sinh(b) / math.sinh(big_r)
 
 

@@ -25,7 +25,20 @@ Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
 sums it in r^2 up to r^2 = 1/2 and in 1 - r^2 beyond, so every radius in
 [0, 1) costs a few dozen terms.  The argument is built from (1-r)(1+r),
-which keeps 1 - r^2 accurate as r -> 1.
+which keeps 1 - r^2 accurate as r -> 1.  Since (log P)^j P^s = d^j/ds^j P^s,
+the order-n mean is a Taylor coefficient in s of the same function:
+
+    Phi_n = [eps^n] F(s0+eps, 1-s0-eps; 1; x) / (2 mu)^n,   s0 = mu + 1/2,
+
+and in the critical regime Phi_n = [eps^2n] at s0 = 1/2.  gauss_2f1_many
+carries these coefficients as truncated Taylor series in eps, so an order-n
+profile costs about n+1 times an order-0 one; orders above _MAX_ORDER can
+lose more than 1e-12 to cancellation and are left to quadrature.  The scans
+(scan_profile, zero_free_radius, positivity_scan, radial_zeros) evaluate
+all their radii in one closed-form call, and take the quadrature profile
+only where the closed form reports CancellationLoss (large |lam| near the
+forbidden ray).  spherical_function itself stays on quadrature, the
+closed form's independent check.
 
 Absolute variant.  |Phi|_n integrates |g_n(log P)| P^{Re mu + 1/2}; the
 integrand has a kink where log P changes sign, at phi = arccos(r)
@@ -42,18 +55,16 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import PositivityViolation, ResultOverflow, ScanInconclusive
+from .errors import (
+    CancellationLoss,
+    NonConvergence,
+    PositivityViolation,
+    ResultOverflow,
+    ScanInconclusive,
+)
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
-from .numerics import (
-    _PANEL_ORDER,
-    gauss_2f1_many,
-    integrate_circle,
-    integrate_halfline_peak,
-    integrate_panels,
-    _dyadic_edges,
-    _refine_panels,
-)
+from .numerics import gauss_2f1_many, integrate_circle, integrate_halfline_peak, _refine_panels
 from .polynomials import ComplexPoly
 
 __all__ = [
@@ -73,6 +84,9 @@ __all__ = [
 ]
 
 _TAU_SWITCH = 20.0
+# highest order the closed form evaluates to 1e-12 relative (jet order 6 in
+# the critical regime)
+_MAX_ORDER = 3
 
 
 def _poly_values(poly: ComplexPoly, w, use_abs: bool):
@@ -85,14 +99,8 @@ def _kernel_mean(
     exponent: complex,
     r: float,
     use_abs: bool = False,
-    refine: bool = True,
 ) -> complex:
-    """(1/2pi) int q(log P_r) P_r^{exponent} dphi, q = poly (or |poly|).
-
-    refine=False takes the panels of the half-line path (tau >= _TAU_SWITCH)
-    in one pass at twice the panel order, without the doubling check: scan
-    grade.
-    """
+    """(1/2pi) int q(log P_r) P_r^{exponent} dphi, q = poly (or |poly|)."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     c = complex(exponent).real if use_abs else complex(exponent)
@@ -117,13 +125,8 @@ def _kernel_mean(
 
         breaks = (math.sqrt(math.expm1(R)),) if use_abs else ()
         arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
-        if refine:
-            i_u = integrate_halfline_peak(f_u, u_top, breakpoints=breaks)
-            i_phi = _refine_panels(f_phi, arc)
-        else:
-            edges = _dyadic_edges(0.5, u_top) + [b for b in breaks if 0.0 < b < u_top]
-            i_u = integrate_panels(f_u, sorted(set(edges)), 2 * _PANEL_ORDER)
-            i_phi = integrate_panels(f_phi, arc, 2 * _PANEL_ORDER)
+        i_u = integrate_halfline_peak(f_u, u_top, breakpoints=breaks)
+        i_phi = _refine_panels(f_phi, arc)
         return complex(np.exp(c * R) * (i_u + i_phi) / math.pi)
 
     # moderate radius: no peak to resolve
@@ -139,38 +142,37 @@ def _kernel_mean(
 
 
 @lru_cache(maxsize=200_000)
-def _spherical_cached(n: int, lam: complex, r: float, use_abs: bool, refine: bool) -> complex:
-    """_kernel_mean of the order-n kernel, raising ResultOverflow, naming
-    lam and r, where the mean does not fit in a double."""
+def _spherical_cached(n: int, lam: complex, r: float, use_abs: bool) -> complex:
+    """_kernel_mean of the order-n kernel.  Where the mean does not fit in a
+    double it raises ResultOverflow, and where the quadrature does not
+    stabilize NonConvergence, each naming n, lam and r."""
     sp = make_spectral(lam)
     poly = kernel_poly(n, sp)
+    what = f"mean of |order-{n} kernel|" if use_abs else f"Phi_{n}"
     try:
-        value = _kernel_mean(poly, sp.exponent, r, use_abs, refine)
+        value = _kernel_mean(poly, sp.exponent, r, use_abs)
         if cmath.isfinite(value):
             return value
     except ResultOverflow:
         pass
-    what = f"mean of |order-{n} kernel|" if use_abs else f"Phi_{n}"
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"{what} at lam = {lam} did not converge at r = {r!r}: {exc}",
+            last_estimates=exc.last_estimates,
+        ) from exc
     raise ResultOverflow(f"{what} at lam = {lam} does not fit in a double at r = {r!r}")
 
 
 def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
     """Order-n polyspherical function at radius r (ResultOverflow where it
     does not fit in a double)."""
-    return _spherical_cached(n, sp.lam, float(r), False, True)
+    return _spherical_cached(n, sp.lam, float(r), False)
 
 
 def abs_spherical_function(n: int, r: float, sp: SpectralParam) -> float:
     """Circle mean of |order-n kernel|; equals Phi_n itself in the critical
     regime, where the integrand is already nonnegative."""
-    return _spherical_cached(n, sp.lam, float(r), True, True).real
-
-
-def _scan_values(n: int, sp: SpectralParam, rs) -> np.ndarray:
-    """Phi_n at each radius, scan grade: spherical_function without the
-    doubling check of its panel paths.  For sign and dip detection, not
-    for reporting."""
-    return np.array([_spherical_cached(n, sp.lam, float(r), False, False) for r in rs])
+    return _spherical_cached(n, sp.lam, float(r), True).real
 
 
 def boundary_constant(sp: SpectralParam) -> complex:
@@ -186,32 +188,52 @@ def boundary_constant(sp: SpectralParam) -> complex:
 
 
 def closed_form(r: float, sp: SpectralParam) -> complex:
-    """Phi(r) by the Gauss-hypergeometric closed form (order 0 only), for
-    any r in [0, 1): closed_form_many at a single radius."""
+    """Phi_0(r) by the Gauss-hypergeometric closed form, for any r in
+    [0, 1): closed_form_many at a single radius."""
     return complex(closed_form_many([float(r)], sp)[0])
 
 
-def closed_form_many(rs, sp: SpectralParam) -> np.ndarray:
-    """Phi at each radius in [0, 1) by F(mu+1/2, 1/2-mu; 1; x) with
-    x = -r^2/((1-r)(1+r)); see numerics.gauss_2f1_many for the evaluation.
-    For |lam| of order one the error is about 1e-14 relative (on the
-    forbidden ray, where Phi has zeros, relative to Phi(r | -1/4)).
+def closed_form_many(rs, sp: SpectralParam, n: int = 0) -> np.ndarray:
+    """Phi_n at each radius in [0, 1), 0 <= n <= _MAX_ORDER, from the Taylor
+    coefficients in s of F(s, 1-s; 1; x), x = -r^2/((1-r)(1+r)) (see the
+    module docstring and numerics.gauss_2f1_many).  For |lam| of order one
+    the error is about 1e-14 relative at n = 0 and within 1e-12 up to
+    n = 3 (on the forbidden ray, where Phi has zeros, relative to
+    Phi(r | -1/4)).
 
-    Raises ResultOverflow, naming lam and the radius, where Phi does not
-    fit in a double.
+    Raises ResultOverflow where Phi_n does not fit in a double and
+    CancellationLoss where its series lost more than six digits to
+    cancellation, each naming lam, n and the radius.
     """
+    if not 0 <= n <= _MAX_ORDER:
+        raise ValueError(f"the closed form covers orders 0 to {_MAX_ORDER}, got {n}")
     rs = np.asarray(rs, dtype=float)
     inside = (rs >= 0.0) & (rs < 1.0)
     if not np.all(inside):
         raise ValueError(f"radii must lie in [0, 1), got {rs[~inside][:3]}")
     x = -(rs * rs) / ((1.0 - rs) * (1.0 + rs))
+    order = 2 * n if sp.kind == CRITICAL else n
+
+    def failure(kind, what: str, i: int):
+        r = float(rs.flat[i])
+        return kind(f"Phi_{n} at lam = {sp.lam} {what} at r = {r!r}", index=i)
+
     try:
-        return gauss_2f1_many(sp.exponent, 0.5 - sp.mu, 1.0, x)
+        jets = gauss_2f1_many(sp.exponent, 0.5 - sp.mu, 1.0, x, order)
     except ResultOverflow as exc:
-        raise ResultOverflow(
-            f"Phi at lam = {sp.lam} does not fit in a double at r = {float(rs.flat[exc.index])!r}",
-            index=exc.index,
-        ) from exc
+        raise failure(ResultOverflow, "does not fit in a double", exc.index) from exc
+    except CancellationLoss as exc:
+        raise failure(CancellationLoss, "lost more than six digits to cancellation", exc.index) from exc
+    if order == 0:
+        return jets
+    if sp.kind == CRITICAL:
+        return jets[order]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = jets[n] / (2.0 * sp.mu) ** n
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise failure(ResultOverflow, "does not fit in a double", int(bad[0]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,6 +321,18 @@ def _scan_radii(r_lo: float, r_hi: float, count: int) -> np.ndarray:
     return 1.0 - np.geomspace(1.0 - r_lo, 1.0 - r_hi, count)
 
 
+def _profile(n: int, sp: SpectralParam, rs) -> np.ndarray:
+    """Phi_n at each radius: the closed form in one call, or quadrature
+    radius by radius where the closed form lost its digits to cancellation
+    or n is past its orders."""
+    if n <= _MAX_ORDER:
+        try:
+            return closed_form_many(rs, sp, n)
+        except CancellationLoss:
+            pass
+    return np.array([spherical_function(n, float(r), sp) for r in rs])
+
+
 def scan_profile(
     n: int,
     sp: SpectralParam,
@@ -306,10 +340,10 @@ def scan_profile(
     r_hi: float = 1.0 - 1e-6,
     count: int = 2000,
 ):
-    """Scan-grade radial profile: (radii, Phi_n values) from _scan_values;
-    intended for zero detection, not for reporting."""
+    """Radial profile (radii, Phi_n values) on a geometric grid in 1 - r,
+    for zero and dip detection."""
     rs = _scan_radii(r_lo, r_hi, count)
-    return rs, _scan_values(n, sp, rs)
+    return rs, _profile(n, sp, rs)
 
 
 def radial_zeros(
@@ -320,33 +354,64 @@ def radial_zeros(
     """Zeros of Phi(.|lam) in (0, r_max] for lam on the forbidden ray.
 
     Phi is real there (the function is even in mu); sign changes on a
-    geometric grid are refined by bisection in log(1-r).  Returns the sorted
-    zeros; consecutive gaps shrink as zeros accumulate at the boundary.
+    geometric grid are refined by bisection in log(1-r).  On the closed
+    form, each bracket's next _LOOKAHEAD bisection points are evaluated
+    together, all brackets in one call; where the closed form lost its
+    digits to cancellation on the grid, scan and bisection use quadrature,
+    one point at a time.  Returns the sorted zeros; consecutive gaps shrink
+    as zeros accumulate at the boundary.
     """
     if sp.kind != FORBIDDEN:
         raise ValueError("zeros accumulate only for real lam < -1/4")
     rs = _scan_radii(0.05, r_max, count)
-    vals = _scan_values(0, sp, rs).real
+    try:
+        sign = np.sign(closed_form_many(rs, sp).real)
+        depth = _LOOKAHEAD
+    except CancellationLoss:
+        sign = np.sign([spherical_function(0, float(r), sp).real for r in rs])
+        depth = 1  # quadrature pays per point: evaluate only what bisection visits
 
-    def f(s: float) -> float:
-        return spherical_function(0, 1.0 - math.exp(s), sp).real
+    def f(s: list) -> np.ndarray:
+        return _profile(0, sp, [1.0 - math.exp(v) for v in s]).real
 
-    zeros = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = math.log(1.0 - rs[i]), math.log(1.0 - rs[i + 1])
-        flo = f(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if abs(hi - lo) < 1e-13:
-                break
-        zeros.append(1.0 - math.exp(0.5 * (lo + hi)))
-    return sorted(zeros)
+    # per bracket: [lo, hi, Phi(lo), bisection steps left]
+    live = [
+        [math.log(1.0 - rs[i]), math.log(1.0 - rs[i + 1]), 0.0, 60]
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    ]
+    for br, flo in zip(live, f([br[0] for br in live])):
+        br[2] = flo
+    brackets = list(live)
+    while live:
+        ahead = [m for lo, hi, _, _ in live for m in _bisection_points(lo, hi, depth)]
+        value = dict(zip(ahead, f(ahead)))
+        for br in live:
+            for _ in range(depth):
+                lo, hi, flo, left = br
+                mid = 0.5 * (lo + hi)
+                fm = value[mid]
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+                br[:] = lo, hi, flo, left - 1
+                if abs(hi - lo) < 1e-13 or left == 1:
+                    br[3] = 0
+                    break
+        live = [br for br in live if br[3] > 0]
+    return sorted(1.0 - math.exp(0.5 * (lo + hi)) for lo, hi, _, _ in brackets)
+
+
+# bisection steps radial_zeros evaluates per closed-form call
+_LOOKAHEAD = 4
+
+
+def _bisection_points(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint bisection of [lo, hi] can visit in its next depth steps."""
+    mid = 0.5 * (lo + hi)
+    if depth == 1:
+        return [mid]
+    return [mid, *_bisection_points(lo, mid, depth - 1), *_bisection_points(mid, hi, depth - 1)]
 
 
 @dataclass(frozen=True)
@@ -385,9 +450,7 @@ def zero_free_radius(
 
     rs, vals = scan_profile(n, sp, count=count)
     law = asymptotic_law(n, sp, absolute=True)
-    frames = np.log1p(rs) - np.log1p(-rs)
-    ref = np.array([abs(law.evaluate(R)) for R in frames])
-    ratio = np.abs(vals) / ref
+    ratio = np.abs(vals) / np.abs(law.evaluate(np.log1p(rs) - np.log1p(-rs)))
     dips = np.nonzero(ratio < 1e-6)[0]
     if dips.size == 0:
         return ZeroFreeRadius(n, sp.lam, float(rs[0]), "scan")
@@ -425,7 +488,7 @@ def positivity_scan(
         raise ValueError("positivity scan is for orders n >= 1")
     if rs is None:
         rs = _scan_radii(0.05, 1.0 - 1e-5, 400)
-    vals = _scan_values(n, sp, rs)
+    vals = _profile(n, sp, rs)
     min_re = float(np.min(vals.real))
     max_im = float(np.max(np.abs(vals.imag)))
     if min_re <= 0.0:

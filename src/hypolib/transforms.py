@@ -462,8 +462,9 @@ def poisson_transform(
 ) -> TransformResult:
     """Order-n transform of the boundary datum, with its normalized value.
 
-    Raises ResultOverflow, naming lam, n and z, where the value does not fit
-    in a double.
+    Raises ResultOverflow where the value does not fit in a double, and
+    NonConvergence where its quadrature does not stabilize, each naming
+    lam, n and z.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -472,6 +473,11 @@ def poisson_transform(
         value = _value(n, sp, datum, z)
     except ResultOverflow as exc:
         raise ResultOverflow(f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}") from exc
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}",
+            last_estimates=exc.last_estimates,
+        ) from exc
     r = abs(z)
     normalized = value / _normalizer(n, sp, r) if normalize else None
     return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))

@@ -48,7 +48,11 @@ def test_spherical_closed_form_cells(tmp_path):
     assert main(["spherical", "--lambda", "2", "0", "--n", "1",
                  "--r-grid", "0.2:0.6:3", "--out", str(out2)]) == 0
     rows2 = read_csv(out2)
-    assert rows2[1][3] == ""  # no closed form away from order 0
+    # the closed form covers order 1 too, and agrees with the quadrature
+    assert all(row[3] != "" and float(row[5]) <= 1e-9 * abs(float(row[1])) for row in rows2[1:])
+    assert main(["spherical", "--lambda", "2", "0", "--n", "4",
+                 "--r-grid", "0.2:0.6:3", "--out", str(out2)]) == 0
+    assert read_csv(out2)[1][3] == ""  # past order 3 the closed form is left out
     out3 = tmp_path / "sph3.csv"
     assert main(["spherical", "--lambda", "2", "0", "--r-grid", "0.9996:0.99999:3",
                  "--out", str(out3)]) == 0
@@ -91,6 +95,28 @@ def test_overflowing_circle_mean_is_a_one_line_library_error(grid, capsys):
     assert err.count("\n") == 1
     assert err.startswith("ResultOverflow: Phi_1 at lam = (1000000+0j)")
     assert "r = " in err
+
+
+def test_cancelling_closed_form_is_a_one_line_library_error(capsys):
+    # at lam = -1000 the series cancel: the closed-form cell would be off by
+    # 5.5e-4 at r = 0.5
+    assert main(["spherical", "--lambda", "-1000", "0", "--r-grid", "0.1:0.9:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("CancellationLoss: Phi_0 at lam = (-1000+0j) lost more than six digits")
+
+
+def test_unconverged_transform_names_its_inputs(capsys):
+    assert main(["riquier", "--lambda", "1e3", "1e3"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("NonConvergence: order-0 transform at lam = (1000+1000j), z = ")
+
+
+@pytest.mark.parametrize("command", ["maximal", "fatou"])
+def test_a_width_past_every_radius_admits_every_angle(command, capsys):
+    assert main([command, "--lambda", "0", "0", "--width", "1e300"]) == 0
+    assert "nan" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -223,12 +249,13 @@ def test_config_supplies_defaults_cli_overrides(tmp_path):
     assert main(["spherical", "--lambda", "2", "0", "--config", str(cfg),
                  "--out", str(out)]) == 0
     rows = read_csv(out)
-    assert len(rows) == 4 and rows[1][3] == ""  # config n=1 took effect
+    # config n=1 took effect: Phi_1(0.2 | 2) = 0.0425..., Phi_0 = 1.04/0.96
+    assert len(rows) == 4 and float(rows[1][1]) == pytest.approx(0.0425190535767587)
     out2 = tmp_path / "b.csv"
     assert main(["spherical", "--lambda", "2", "0", "--config", str(cfg),
                  "--n", "0", "--out", str(out2)]) == 0
     rows2 = read_csv(out2)
-    assert rows2[1][3] != ""  # explicit flag beats the config
+    assert float(rows2[1][1]) == pytest.approx(1.04 / 0.96)  # explicit flag beats the config
 
 
 def test_lacunary_report_frozen_row(tmp_path):
@@ -309,9 +336,10 @@ def test_cli_import_leaves_scipy_out():
         (["kernel", "--lambda", "2", "0"],
          {"spherical", "transforms", "regions", "classical", "acceptance"}),
         (["examples", "--what", "d"], {"kernels", "spherical"}),
+        (["examples", "--what", "growth"], {"kernels", "spherical"}),
         (["lacunary", "--grid-size", "64"], {"kernels", "spherical"}),
     ],
-    ids=["kernel", "examples-d", "lacunary"],
+    ids=["kernel", "examples-d", "examples-growth", "lacunary"],
 )
 def test_subcommand_loads_only_its_modules(argv, absent):
     loaded = _loaded_after(

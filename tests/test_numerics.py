@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hypolib import numerics
-from hypolib.errors import StencilOutOfDomain
+from hypolib.errors import CancellationLoss, StencilOutOfDomain
 from hypolib.numerics import (
     circle_fft,
     fd_laplacian,
@@ -41,6 +41,32 @@ def test_no_public_function_takes_a_quadrature_knob():
                 checked += 1
     assert checked > 50
     assert not hasattr(numerics, "QuadratureSpec") and not hasattr(numerics, "DEFAULT_SPEC")
+
+
+# c - a - b after the Pfaff step: 2.2 - 0.1i, 0.3 + 0.3i, and the integer 0
+# of the critical spherical function, where the jets take the Cauchy mean
+@pytest.mark.parametrize("a,b,c", [
+    (0.3 + 0.2j, 1.7 - 0.4j, 2.5 + 0.1j), (1.2, -0.7 + 0.3j, 0.6), (0.5, 0.5, 1.0)])
+def test_gauss_2f1_jets_match_mpmath_taylor(a, b, c):
+    xs = [-0.3, -0.9, -20.0, -1e4]
+    got = gauss_2f1_many(a, b, c, xs, 3)
+    assert got.shape == (4, 4)
+    for j, x in enumerate(xs):
+        with mp.workdps(30):
+            want = [complex(v) for v in mp.taylor(lambda e: mp.hyp2f1(a + e, b - e, c, x), 0, 3)]
+        scale = max(abs(v) for v in want)
+        assert max(abs(g - v) for g, v in zip(got[:, j], want)) <= 1e-14 * scale, x
+    # row 0 is the value itself
+    assert np.allclose(got[0], gauss_2f1_many(a, b, c, xs), rtol=1e-14, atol=0.0)
+
+
+def test_gauss_2f1_cancellation_is_a_typed_error():
+    # F(1/2 + i tau, 1/2 - i tau; 1; x) at tau = 31.6 (lam = -1000): the
+    # series terms exceed the sum by 1e6 and more from x = -1/3 on
+    mu = 1j * math.sqrt(999.75)
+    with pytest.raises(CancellationLoss) as info:
+        gauss_2f1_many(0.5 + mu, 0.5 - mu, 1.0, [-1e-4, -0.5625])
+    assert info.value.index == 1
 
 
 def test_gauss_2f1_log_identity():

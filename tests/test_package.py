@@ -11,7 +11,7 @@ import hypolib
 # by defining module.
 EXPORTS = {
     "errors": [
-        "ChainBroken", "DecayViolation", "FitFailed", "FitResidualLarge", "HypolibError",
+        "CancellationLoss", "ChainBroken", "DecayViolation", "FitFailed", "FitResidualLarge", "HypolibError",
         "NonConvergence", "NormalizationUnavailable", "PositivityViolation", "PrecisionLoss",
         "RatioDiverging", "ResultOverflow", "ScanInconclusive", "StencilOutOfDomain",
         "TruncationWarning",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypolib.errors import ResultOverflow
-from hypolib.kernels import FORBIDDEN, make_spectral
+from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow
+from hypolib.kernels import CRITICAL, FORBIDDEN, make_spectral
 from hypolib.spherical import (
     abs_spherical_function,
     asymptotic_law,
@@ -148,14 +148,97 @@ def test_quadrature_overflow_is_a_typed_error(r):
             mean(0, r, sp)
 
 
+def test_quadrature_non_convergence_names_its_inputs():
+    # the panel doubling cannot meet its tolerance near |mean| = 1e267
+    with pytest.raises(NonConvergence, match=r"order-0 kernel\| at lam = \(1000000\+0j\) did not"
+                                             r" converge at r = 0\.3: panel quadrature"):
+        abs_spherical_function(0, 0.3, make_spectral(1e6))
+
+
+@pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
-def test_scan_profile_skips_only_the_doubling_check(n):
-    # the scan's single pass at twice the panel order is the value the
-    # checked path accepts after its first doubling, bit for bit
-    sp = make_spectral(1 + 1j)
+def test_scan_profile_agrees_with_quadrature(n, lam):
+    # the scan's closed-form profile against the checked quadrature, on
+    # both sides of the quadrature switch (tau = 20 near r = 0.99)
+    sp = make_spectral(lam)
     rs, vals = scan_profile(n, sp, count=300)
-    assert rs[0] < 0.9 < 0.999 < rs[-1]  # both sides of the quadrature switch
-    assert np.array_equal(vals, [spherical_function(n, float(r), sp) for r in rs])
+    assert rs[0] < 0.9 < 0.999 < rs[-1]
+    quad = np.array([spherical_function(n, float(r), sp) for r in rs])
+    assert np.max(np.abs(vals - quad) / np.abs(quad)) <= 1e-10
+
+
+def _taylor_oracle(lam: complex, r: float, order: int) -> list:
+    """[eps^j] F(s0+eps, 1-s0-eps; 1; -r^2/(1-r^2)), j <= order, by mpmath
+    at 30 digits: s0 = mu + 1/2, or 1/2 in the critical regime."""
+    with mp.workdps(30):
+        rr = mp.mpf(r)
+        x = -rr * rr / (1 - rr * rr)
+        s0 = mp.sqrt(mp.mpc(lam) + mp.mpf(1) / 4) + mp.mpf(1) / 2
+        return [complex(c) for c in mp.taylor(lambda s: mp.hyp2f1(s, 1 - s, 1, x), s0, order)]
+
+
+PHI_N_RADII = (0.0, 0.05, 0.3, 0.7, 0.9, 0.999, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("lam", [2.0, 1j, 0.5 + 1.5j, -2 + 0.3j, -0.25, 0.0, -1.0])
+def test_closed_form_orders_match_the_taylor_oracle(lam):
+    # Phi_n = [eps^n] F / (2 mu)^n, and [eps^2n] F in the critical regime
+    sp = make_spectral(lam)
+    critical = sp.kind == CRITICAL
+    ref = {r: _taylor_oracle(lam, r, 6 if critical else 3) for r in PHI_N_RADII}
+    for n in range(4):
+        got = closed_form_many(PHI_N_RADII, sp, n)
+        for r, v in zip(PHI_N_RADII, got):
+            want = ref[r][2 * n] if critical else ref[r][n] / (2 * sp.mu) ** n
+            if sp.kind == FORBIDDEN:
+                scale = _oracle(r, 0.0).real  # |Phi| <= Phi(r | -1/4) on the ray
+            else:
+                scale = abs(want)
+            assert abs(v - want) <= 1e-12 * scale, (lam, n, r, v, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    re=LAM_PART,
+    im=LAM_PART,
+    n=st.integers(1, 3),
+    # below r ~ 1e-3 the quadrature's rounding of log P (~1e-16) swamps
+    # Phi_n ~ r^n; the oracle test covers the small radii
+    rs=st.lists(st.floats(1e-3, 1.0 - 1e-6), min_size=1, max_size=4),
+)
+def test_closed_form_orders_match_quadrature_property(re, im, n, rs):
+    sp = make_spectral(complex(re, im))
+    got = closed_form_many(rs, sp, n)
+    for r, v in zip(rs, got):
+        want = spherical_function(n, r, sp)
+        # the mean of |kernel| bounds |Phi_n| and does not vanish at its zeros
+        assert abs(v - want) <= 1e-9 * abs_spherical_function(n, r, sp), (sp.lam, n, r, v, want)
+
+
+def test_closed_form_orders_beyond_the_jets_are_refused():
+    with pytest.raises(ValueError, match="orders 0 to 3"):
+        closed_form_many([0.5], make_spectral(2.0), 4)
+
+
+def test_cancellation_is_a_typed_error_naming_its_inputs():
+    sp = make_spectral(-1000.0)
+    with pytest.raises(CancellationLoss, match=r"Phi_0 at lam = \(-1000\+0j\).* r = 0\.6$"):
+        closed_form_many([0.1, 0.6], sp)
+    # the scans take that profile from quadrature instead
+    rs, vals = scan_profile(0, sp, count=20)
+    assert np.array_equal(vals, [spherical_function(0, float(r), sp) for r in rs])
+
+
+def test_forbidden_ray_zeros_past_the_closed_form_keep_the_quadrature_zeros():
+    # lam = -1000 cancels in the closed form; these are the zeros the
+    # quadrature scan and bisection give
+    zs = radial_zeros(make_spectral(-1000.0))
+    assert len(zs) == 98
+    assert zs[:3] == pytest.approx([0.0870735769898704, 0.13600227687519661, 0.18433987759383996],
+                                   abs=1e-12)
+    assert zs[-3:] == pytest.approx([0.9998663064799874, 0.9998789506836631, 0.9998903991141651],
+                                    abs=1e-12)
+    assert math.fsum(zs) == pytest.approx(85.2638853476182, abs=98e-12)
 
 
 def test_boundary_constant_reference_points():
