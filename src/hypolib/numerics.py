@@ -199,6 +199,160 @@ _JET_NODES = 32
 _JET_NEAR = 0.9
 
 
+# Lanczos sum for log Gamma at |z| < _STIRLING_FROM (Godfrey's g = 607/128,
+# 15 coefficients): Gamma(z) = sqrt(2 pi) t^(z + 1/2) e^-t A(z) / z with
+# t = z + g + 1/2 and A(z) = c_0 + sum_k c_k / (z + k).
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+_STIRLING_FROM = 10.0
+# psi^(j) takes its asymptotic series once |z| >= _PSI_FROM, after the
+# recurrence psi^(j)(z) = psi^(j)(z + 1) - (-1)^j j! / z^(j+1)
+_PSI_FROM = 20.0
+# B_2, B_4, ..., B_20; with |z| >= 10 the last Stirling term is below 1e-18
+_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+    -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
+)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _is_pole(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """log sin(pi z) mod 2 pi i, from sin(pi z) = (-1)^m sin(pi (z - m)),
+    m the integer nearest Re z, so the argument stays within pi/2 of 0.
+    Past |Im z| = 10, sin(pi z) = (i/2) e^(-i pi z) (1 - e^(2 i pi z)) for
+    Im z > 0, and the last factor is 1 to within 5e-28."""
+    m = round(z.real)
+    x, y = z.real - m, z.imag
+    if abs(y) <= 10.0:
+        v = cmath.log(cmath.sin(math.pi * complex(x, y)))
+    else:
+        v = complex(math.pi * abs(y) - math.log(2.0), math.copysign(0.5 * math.pi - math.pi * x, y))
+    return v + complex(0.0, math.pi * (m % 2))
+
+
+def _loggamma(z: complex) -> complex:
+    """log Gamma(z) mod 2 pi i in double precision; +inf at a pole.
+
+    Re z < 1/2 reflects, log Gamma(z) = log pi - log sin(pi z)
+    - log Gamma(1 - z); then the Lanczos sum for |z| < _STIRLING_FROM and
+    the Stirling series beyond.  Against 40-digit values the error is
+    within 3e-15 absolute at |z| <= 3 and grows with |z log z| past that:
+    1e-14 at |z| <= 10, 1.5e-13 at 100, 2e-12 at 1000.
+    """
+    z = complex(z)
+    if _is_pole(z):
+        return complex(math.inf)
+    if z.real < 0.5:
+        return math.log(math.pi) - _log_sin_pi(z) - _loggamma(1.0 - z)
+    if abs(z) < _STIRLING_FROM:
+        acc = 0.0j
+        for k in range(len(_LANCZOS) - 1, 0, -1):
+            acc += _LANCZOS[k] / (z + k)
+        t = z + _LANCZOS_G + 0.5
+        return (z + 0.5) * cmath.log(t) - t + _HALF_LOG_2PI + cmath.log((_LANCZOS[0] + acc) / z)
+    inv2 = 1.0 / (z * z)
+    tail = 0.0j
+    for k in range(len(_BERNOULLI), 0, -1):
+        tail = tail * inv2 + _BERNOULLI[k - 1] / (2 * k * (2 * k - 1))
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + tail / z
+
+
+def _cot_derivative(j: int, w: complex) -> complex:
+    """d^j/dw^j cot w.  It is real on the real axis, so the value at Im w < 0
+    is the conjugate of the value at conj(w).  For Im w <= 1 it is a
+    polynomial in c = cot w: p_0 = c and p_(k+1) = -(1 + c^2) p_k'(c).
+    Past that the polynomial cancels (every p_k, k >= 1, vanishes at
+    c = -i, the limit of cot w), and j >= 1 takes the expansion
+    cot w = -i (1 + 2 sum_n q^n), q = e^(2iw): -2i (2i)^j sum_n n^j q^n, which
+    is -2i (2i)^j q A_j(q) / (1 - q)^(j+1) with A_j the Eulerian polynomial.
+    """
+    if w.imag < 0.0:
+        return _cot_derivative(j, w.conjugate()).conjugate()
+    if w.imag <= 1.0:
+        c = cmath.cos(w) / cmath.sin(w)
+        poly = [0, 1]  # coefficients in c, lowest first
+        for _ in range(j):
+            deriv = [k * p for k, p in enumerate(poly)][1:]
+            poly = [-(a + b) for a, b in zip(deriv + [0, 0], [0, 0] + deriv)]
+        acc = 0.0j
+        for coef in reversed(poly):
+            acc = acc * c + coef
+        return acc
+    q = cmath.exp(2j * w)
+    if j == 0:
+        return -1j * (1.0 + q) / (1.0 - q)
+    euler = [1]  # Eulerian numbers A(k, m), m = 0..k-1, built up to k = j
+    for k in range(2, j + 1):
+        prev = [0, *euler, 0]
+        euler = [(m + 1) * prev[m + 1] + (k - m) * prev[m] for m in range(k)]
+    acc = 0.0j
+    for coef in reversed(euler):
+        acc = acc * q + coef
+    return -2j * (2j) ** j * q * acc / (1.0 - q) ** (j + 1)
+
+
+def _polygamma(j: int, z: complex) -> complex:
+    """psi^(j)(z) in double precision, for j >= 0 and z off the poles.
+
+    Re z < 1/2 reflects: psi^(j)(z) = (-1)^j psi^(j)(1 - z)
+    - pi^(j+1) cot^(j)(pi z).  Otherwise the recurrence moves z to
+    |z| >= _PSI_FROM, where the asymptotic series
+    psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k) and its derivatives
+    apply.
+    """
+    z = complex(z)
+    if _is_pole(z):
+        raise ValueError(f"psi^({j}) has a pole at {z}")
+    if z.real < 0.5:
+        cot = _cot_derivative(j, math.pi * complex(z.real - round(z.real), z.imag))
+        return (-1) ** j * _polygamma(j, 1.0 - z) - math.pi ** (j + 1) * cot
+    fact = math.factorial(j)
+    shift = 0.0j
+    while abs(z) < _PSI_FROM:
+        shift += z ** -(j + 1)
+        z += 1.0
+    shift *= (-1) ** j * fact
+    inv = 1.0 / z
+    inv2 = inv * inv
+    # sum_k B_2k (2k + j - 1)! / (2k)! z^-(2k + j), Horner in z^-2
+    tail = 0.0j
+    for k in range(len(_BERNOULLI), 0, -1):
+        tail = tail * inv2 + _BERNOULLI[k - 1] * math.factorial(2 * k + j - 1) / math.factorial(2 * k)
+    tail *= inv2 * inv**j
+    if j == 0:
+        return cmath.log(z) - 0.5 * inv - tail - shift
+    lead = math.factorial(j - 1) * inv**j + 0.5 * fact * inv ** (j + 1)
+    return (-1) ** (j + 1) * (lead + tail) - shift
+
+
+def _log_gamma_ratio(num, den) -> complex:
+    """log(prod Gamma(num) / prod Gamma(den)) mod 2 pi i; -inf where a
+    denominator argument sits at a pole, so the ratio vanishes."""
+    if any(map(_is_pole, den)):
+        return complex(-math.inf)
+    return sum(map(_loggamma, num), 0j) - sum(map(_loggamma, den), 0j)
+
+
 @lru_cache(maxsize=1024)
 def _connection_logs(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """Logs of the DLMF 15.8.4 coefficients of F(a, b; c; y) in 1 - y,
@@ -206,28 +360,12 @@ def _connection_logs(a: complex, b: complex, c: complex) -> tuple[complex, compl
         Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)),
         Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)),      s = c - a - b,
 
-    at 30 digits; -inf for a coefficient that vanishes.  Logs keep a
-    coefficient's size out of double range until it meets the power of
-    1 - y it multiplies.
+    from double-precision log Gammas (_loggamma); -inf for a coefficient
+    that vanishes.  Logs keep a coefficient's size out of double range
+    until it meets the power of 1 - y it multiplies.
     """
-    import mpmath
-
     s = c - a - b
-    logs = []
-    with mpmath.workdps(30):
-        for num, den in (([c, s], [c - a, c - b]), ([c, -s], [a, b])):
-            g = mpmath.gammaprod(num, den)
-            logs.append(complex(mpmath.log(g)) if g != 0 else complex(-math.inf))
-    return logs[0], logs[1]
-
-
-@lru_cache(maxsize=1024)
-def _polygamma(j: int, z: complex) -> complex:
-    """psi^(j)(z) at 30 digits."""
-    import mpmath
-
-    with mpmath.workdps(30):
-        return complex(mpmath.polygamma(j, z))
+    return _log_gamma_ratio((c, s), (c - a, c - b)), _log_gamma_ratio((c, -s), (a, b))
 
 
 @lru_cache(maxsize=256)
@@ -432,7 +570,8 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     With order = m > 0 the result has shape (m + 1,) + shape(xs): row j is
     the Taylor coefficient [eps^j] F(a + eps, b - eps; c; x).  The same
     series and connection formula carry truncated Taylor series in eps;
-    the Gamma-ratio coefficients' jets come from 30-digit polygammas.  On
+    the Gamma-ratio coefficients' jets come from double-precision
+    polygammas (_polygamma).  On
     the jets' degenerate band (see _JET_BAND) the lanes past y = _JET_NEAR
     take the Cauchy mean of F(a + u, b - u; c; x) u^-j over a circle in u
     (_cauchy_jet), as do lanes where a connection coefficient vanishes.

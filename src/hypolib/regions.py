@@ -245,48 +245,53 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     """Sampled sup of |normalized transform| over each net, per density (rows)
     and region (columns).
 
-    Each rung takes one kernel-row spectrum and applies it to every
-    density, then reads every region's fan off the field; rungs inside the
-    zero-free radius are skipped.  Trigonometric polynomials are summed at
-    the fan cells; other densities pay one inverse FFT per rung, and their
-    closed-form coefficients, which do not depend on the grid, are built
-    once at the finest grid of all the nets' rungs and sliced.
+    Each rung radius takes one kernel-row spectrum and applies it to every
+    density, then reads every net's and region's fan off the field; a
+    radius that several nets share (the ends of the ladder, for a net and
+    its doubling) is computed once, and rungs inside the zero-free radius
+    are skipped.  Trigonometric polynomials are summed at the fan cells;
+    other densities pay one inverse FFT per rung, and their closed-form
+    coefficients, which do not depend on the grid, are built once at the
+    finest grid of all the rungs and sliced.  Rungs run largest grid first.
     """
     r_floor = _zero_free_cached(n, sp.lam)
-    rungs = [(k, r) for k, net in enumerate(nets) for r in net.radii() if r >= r_floor]
-    top = max((_grid_size(r, nets[k].grid_cap) for k, r in rungs), default=0)
+    shared: dict[tuple[float, int], list[int]] = {}
+    for k, net in enumerate(nets):
+        for r in net.radii():
+            if r >= r_floor:
+                shared.setdefault((r, _grid_size(r, net.grid_cap)), []).append(k)
+    rungs = sorted(shared.items(), key=lambda rung: -rung[0][1])
+    top = max((size for _, size in shared), default=0)
     closed = [_datum_coeffs(g, top) if callable(g.modes) else None for g in densities]
 
     def rung(job) -> np.ndarray:
-        k, r = job
-        net = nets[k]
-        size = _grid_size(r, net.grid_cap)
+        (r, size), ks = job
         row = _row_fft(n, sp.lam, r, size)
         cells = []
-        for reg in regions:
-            offs = _angular_offsets(reg, r, net.angular_count)
-            idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
-            cells.append(idx % size)
+        for k in ks:
+            for reg in regions:
+                offs = _angular_offsets(reg, r, nets[k].angular_count)
+                idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
+                cells.append(idx % size)
         flat = np.concatenate(cells)
         splits = np.cumsum([idx.size for idx in cells])[:-1]
-        sups = np.zeros((len(densities), len(regions)))
+        sups = np.zeros((len(ks), len(densities), len(regions)))
         for i, g in enumerate(densities):
             if isinstance(g.modes, dict):
                 vals = _field_at_cells(n, sp, g.modes, r, row, size, flat)
             else:
                 coeffs = _datum_coeffs(g, size) if closed[i] is None else closed[i][: size // 2 + 1]
                 vals = _field_at_radius(n, sp, coeffs, r, row, size)[flat]
-            for j, part in enumerate(np.split(np.abs(vals), splits)):
+            for c, part in enumerate(np.split(np.abs(vals), splits)):
                 if part.size:
-                    sups[i, j] = np.max(part)
+                    sups[c // len(regions), i, c % len(regions)] = np.max(part)
         return sups
 
-    done = parallel_map(rung, rungs)
-    zero = np.zeros((len(densities), len(regions)))
-    return [
-        np.max([zero, *(s for (k, _), s in zip(rungs, done) if k == j)], axis=0)
-        for j in range(len(nets))
-    ]
+    out = [np.zeros((len(densities), len(regions))) for _ in nets]
+    for (_, ks), sups in zip(rungs, parallel_map(rung, rungs)):
+        for k, sup in zip(ks, sups):
+            out[k] = np.maximum(out[k], sup)
+    return out
 
 
 def tubular_maximal(

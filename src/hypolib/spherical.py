@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -64,7 +63,13 @@ from .errors import (
 )
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
-from .numerics import gauss_2f1_many, integrate_circle, integrate_halfline_peak, _refine_panels
+from .numerics import (
+    _loggamma,
+    _refine_panels,
+    gauss_2f1_many,
+    integrate_circle,
+    integrate_halfline_peak,
+)
 from .polynomials import ComplexPoly
 
 __all__ = [
@@ -178,13 +183,13 @@ def abs_spherical_function(n: int, r: float, sp: SpectralParam) -> float:
 def boundary_constant(sp: SpectralParam) -> complex:
     """c(lam) = (2/pi) int_0^inf (1+x^2)^{-(mu+1/2)} dx, generic regime only.
 
-    The beta integral gives c(lam) = Gamma(mu) / (sqrt(pi) Gamma(mu+1/2));
-    c(0) = 1 and c(2) = 1/2 exactly.
+    The beta integral gives c(lam) = Gamma(mu) / (sqrt(pi) Gamma(mu+1/2)),
+    taken from double-precision log Gammas (numerics._loggamma); c(0) = 1
+    and c(2) = 1/2.
     """
     if sp.kind != GENERIC:
         raise ValueError("boundary constant requires the generic regime (Re mu > 0)")
-    with mpmath.workdps(30):
-        return complex(mpmath.gammaprod([sp.mu], [sp.mu + 0.5]) / mpmath.sqrt(mpmath.pi))
+    return cmath.exp(_loggamma(sp.mu) - _loggamma(sp.mu + 0.5)) / math.sqrt(math.pi)
 
 
 def closed_form(r: float, sp: SpectralParam) -> complex:

@@ -351,6 +351,21 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     assert {f"hypolib.{m}" for m in absent}.isdisjoint(loaded)
 
 
+def test_runtime_never_imports_mpmath():
+    # a degenerate-band lambda, whose jets take the Cauchy mean over the
+    # connection formula; the boundary constant; and criterion 10, whose
+    # order-1 scan reaches the connection logs and their polygamma jets
+    loaded = _loaded_after(
+        "import contextlib, io, hypolib.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hypolib.cli.main(['spherical', '--lambda', '2', '0', '--n', '1']) == 0\n"
+        "    assert hypolib.cli.main(['asymptotics', '--lambda', '2', '0']) == 0\n"
+        "    assert hypolib.cli.main(['selftest', '--criteria', '10']) == 0"
+    )
+    assert "hypolib.spherical" in loaded
+    assert "mpmath" not in loaded
+
+
 # Installs the benchmark tracer (perfbench/spans.py) on a fresh interpreter
 # that has loaded only what `import hypolib.cli` loads, as a traced CLI run
 # does, so the tracer's own imports pull in the other modules while it is

@@ -178,3 +178,59 @@ def test_circle_fft_recovers_coefficients():
     assert fourier_mode(coeffs, -2) == pytest.approx(-1.0, abs=1e-12)
     assert fourier_mode(coeffs, 5) == pytest.approx(0.0, abs=1e-12)
 
+
+
+def _disk_grid(seed: int, radius: float, count: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.random(count)) * np.exp(2j * math.pi * rng.random(count))
+
+
+def _log_error(got: complex, z: complex) -> float:
+    """|got - log Gamma(z)| modulo 2 pi i, against mpmath at 40 digits."""
+    with mp.workdps(40):
+        d = mp.mpc(got) - mp.loggamma(mp.mpc(z))
+        return float(abs(d - 2j * mp.pi * mp.nint(d.imag / (2 * mp.pi))))
+
+
+@pytest.mark.parametrize(
+    "radius,bound", [(1.0, 3e-15), (3.0, 4e-15), (10.0, 1.5e-14), (100.0, 2e-13), (1000.0, 3e-12)]
+)
+def test_loggamma_matches_mpmath(radius, bound):
+    zs = _disk_grid(int(radius), radius, 250)
+    assert max(_log_error(numerics._loggamma(z), z) for z in zs) <= bound
+
+
+def test_loggamma_left_half_plane_does_not_overflow():
+    # reflection at Re z < 0, |Im z| up to 1e3, where sin(pi z) leaves double range
+    rng = np.random.default_rng(11)
+    zs = -rng.uniform(0.0, 1e3, 200) + 1j * rng.choice([-1, 1], 200) * rng.uniform(10.0, 1e3, 200)
+    for z in zs:
+        got = numerics._loggamma(z)
+        assert cmath.isfinite(got)
+        assert _log_error(got, z) <= 3e-12, z
+
+
+def test_a_denominator_pole_gives_a_vanishing_coefficient():
+    assert numerics._loggamma(-2.0) == complex(math.inf)
+    # c - a = -1: Gamma(c - a) has a pole, so the first coefficient vanishes
+    a, b, c = 2.0 + 0j, 0.3 + 0j, 1.0 + 0j
+    first, second = numerics._connection_logs(a, b, c)
+    assert first == complex(-math.inf)
+    with mp.workdps(40):
+        want = mp.log(mp.gammaprod([c, a + b - c], [a, b]))
+    assert abs(cmath.exp(second) - complex(mp.exp(want))) <= 1e-14 * abs(complex(mp.exp(want)))
+    w = np.array([0.3])
+    assert numerics._connection_jet(a, b, c, w, -np.log(w), 2) is None
+
+
+@pytest.mark.parametrize("j", range(6))
+def test_polygamma_matches_mpmath(j):
+    # |z| <= 30 at least 0.1 from the poles, and far out on both sides
+    zs = [z for z in _disk_grid(40 + j, 30.0, 120) if abs(z - round(z.real)) >= 0.1 or z.real > 0]
+    zs += [-400.3 + 2j, 3.0 - 900j, -250.0 + 250j, 0.2 + 1e-3j]
+    worst = 0.0
+    for z in zs:
+        with mp.workdps(40):
+            want = complex(mp.polygamma(j, mp.mpc(z)))
+        worst = max(worst, abs(numerics._polygamma(j, z) - want) / max(1.0, abs(want)))
+    assert worst <= 1e-14

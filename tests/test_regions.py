@@ -205,6 +205,13 @@ def test_probe_leaves_few_kernel_rows_cached():
     assert _row_fft.cache_info().currsize <= 4
 
 
+def test_probe_takes_each_rung_row_once():
+    # 8 base rungs and 16 doubled ones share the ladder's two ends
+    _row_fft.cache_clear()
+    maximal_inequality_probe(0, make_spectral(0.0), 1.0)
+    assert _row_fft.cache_info().misses == 22
+
+
 def test_maximal_probe_is_stable_under_refinement():
     sp = make_spectral(0.0)
     rep = maximal_inequality_probe(
