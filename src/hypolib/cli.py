@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -419,8 +420,24 @@ def _cmd_selftest(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
+# A negative number, or a comma list that starts with one, is a flag value
+# and not an option; argparse on its own reads only -1 and -1.5 that way,
+# so -2.5e-1 would be taken for an unknown option.
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(?:,-?{_NUMBER})*$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser (and, through add_subparsers, its subparsers) that
+    reads every _NEGATIVE_NUMBER as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypolib",
         description="Numerical experiments for graded kernels on the hyperbolic disk.",
     )

@@ -4,7 +4,10 @@ Circle integrals are normalized means (1/2pi) int f(phi) dphi.  Two engines:
 the periodic trapezoid rule (spectrally accurate for smooth periodic
 integrands) and panelized Gauss-Legendre with dyadically refined panels
 accumulating at phi = 0, for integrands with a peak of angular width
-~ peak_scale there.  Half-line integrals int_0^tau g(x) dx use log-spaced
+~ peak_scale there; both double their nodes until a stability check
+passes, one loop (_doubling) that also serves many lanes at once, as when
+_circle_means takes the circle mean of many translates of one integrand.
+Half-line integrals int_0^tau g(x) dx use log-spaced
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
 
 The Gauss hypergeometric evaluator targets nonpositive real arguments only:
@@ -53,6 +56,9 @@ _PANEL_ORDER = 16
 # max(_ABS_TOL, _REL_TOL |estimate|)
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-11
+# Integrand values one chunk of a many-angle circle mean (_circle_means)
+# evaluates at once; the angles are taken in chunks that stay under it.
+_SWEEP_ELEMENTS = 1 << 18
 
 
 @lru_cache(maxsize=64)
@@ -72,32 +78,85 @@ def _stable(new: complex, old: complex) -> bool:
     raise ResultOverflow(f"quadrature estimate {new!r} does not fit in a double")
 
 
+def _panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    edges (last axis), shape edges.shape[:-1] + (panels, order)."""
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * x, half * w
+
+
 def integrate_panels(f: Callable, edges: Sequence[float], order: int) -> complex:
     """Composite Gauss-Legendre integral of f over consecutive [edges] panels."""
-    x, w = _gl_nodes(order)
-    e = np.asarray(edges, dtype=float)
-    a, b = e[:-1], e[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=complex).reshape(len(a), len(x))
-    return complex(np.sum(vals * (half[:, None] * w[None, :])))
+    nodes, weights = _panel_nodes(np.asarray(edges, dtype=float), *_gl_nodes(order))
+    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+    return complex(np.sum(vals * weights))
+
+
+def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Callable):
+    """Node doubling with a stability check per lane.
+
+    estimate(order, lanes) gives the estimates of the lanes (a list of
+    indices) at that order.  A lane is done once a doubling leaves its
+    estimate stable (_stable).  A lane whose estimate does not fit in a
+    double gets that ResultOverflow, and one still unstable at order `cap`
+    gets failure(order, previous estimate, last estimate).  Returns the
+    estimates and {lane: error}.
+    """
+    values = [0j] * count
+    errors: dict = {}
+    lanes = list(range(count))
+    prev = estimate(order, lanes) if lanes else []
+    while order < cap and lanes:
+        order *= 2
+        cur = estimate(order, lanes)
+        kept, last = [], []
+        for lane, old, new in zip(lanes, prev, cur):
+            new = complex(new)
+            try:
+                if _stable(new, complex(old)):
+                    values[lane] = new
+                    continue
+            except ResultOverflow as exc:
+                errors[lane] = exc
+                continue
+            if order < cap:
+                kept.append(lane)
+                last.append(new)
+            else:
+                errors[lane] = failure(order, complex(old), new)
+        lanes, prev = kept, last
+    return values, errors
+
+
+def _settled(outcome) -> complex:
+    """The value of a one-lane _doubling, or its error raised."""
+    values, errors = outcome
+    if errors:
+        raise errors[0]
+    return values[0]
+
+
+def _panel_failure(order: int, prev: complex, last: complex) -> NonConvergence:
+    return NonConvergence(
+        f"panel quadrature did not stabilize at order {order}", last_estimates=(prev, last)
+    )
+
+
+def _trapezoid_failure(n: int, prev: complex, last: complex) -> NonConvergence:
+    return NonConvergence(f"trapezoid rule did not stabilize by n = {n}", last_estimates=(last,))
 
 
 def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
     """Panel integral with node doubling until stable; two failed doublings abort."""
-    order = _PANEL_ORDER
-    prev = integrate_panels(f, edges, order)
-    for _ in range(2):
-        order *= 2
-        cur = integrate_panels(f, edges, order)
-        if _stable(cur, prev):
-            return cur
-        prev = cur
-    raise NonConvergence(
-        f"panel quadrature did not stabilize at order {order}",
-        last_estimates=(prev, cur),
-    )
+    return _settled(_doubling(
+        lambda order, lanes: [integrate_panels(f, edges, order)],
+        _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure,
+    ))
+
+
+def _trapezoid_grid(n: int) -> np.ndarray:
+    return -math.pi + 2.0 * math.pi * np.arange(n) / n
 
 
 def _dyadic_edges(width: float, stop: float) -> list[float]:
@@ -108,6 +167,24 @@ def _dyadic_edges(width: float, stop: float) -> list[float]:
         edges.append(min(w, stop))
         w *= 2.0
     return edges
+
+
+def _circle_panels(peak_scale: float, breakpoints) -> list[float] | None:
+    """Panel edges on [-pi, pi] dyadically refined toward the peak at 0, or
+    None where the trapezoid rule applies: no kinks, and a peak of width
+    peak_scale >= _PEAK_THRESHOLD."""
+    if not peak_scale > 0:
+        raise ValueError(f"peak_scale must be positive, got {peak_scale}")
+    if not breakpoints and peak_scale >= _PEAK_THRESHOLD:
+        return None
+    pos = _dyadic_edges(min(peak_scale, math.pi / 4.0), math.pi)
+    return sorted(set([-e for e in reversed(pos[1:])] + pos))
+
+
+def _with_kinks(base: list[float], breakpoints) -> list[float]:
+    """base edges plus the kink angles, each taken mod 2 pi into (-pi, pi)."""
+    breaks = {math.remainder(b, 2.0 * math.pi) for b in breakpoints}
+    return sorted(set(base) | {b for b in breaks if -math.pi < b < math.pi})
 
 
 def integrate_circle(
@@ -121,35 +198,139 @@ def integrate_circle(
     phi = 0 has angular width peak_scale < 0.05 are integrated on dyadic
     panels; otherwise the periodic trapezoid rule with doubling is used.
     Kink angles passed in `breakpoints` force the panel path with edges
-    aligned to them.
+    aligned to them.  _circle_means takes the same rule to many translates
+    of one integrand.
     """
-    if not peak_scale > 0:
-        raise ValueError(f"peak_scale must be positive, got {peak_scale}")
-    breaks = sorted(
-        {math.remainder(b, 2.0 * math.pi) for b in breakpoints}
-    )
-    if not breaks and peak_scale >= _PEAK_THRESHOLD:
-        n = _TRAPEZOID_START
-        phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
-        prev = complex(np.mean(np.asarray(f(phi), dtype=complex)))
-        while n < _TRAPEZOID_CAP:
-            n *= 2
-            phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
-            cur = complex(np.mean(np.asarray(f(phi), dtype=complex)))
-            if _stable(cur, prev):
-                return cur
-            prev = cur
-        raise NonConvergence(
-            f"trapezoid rule did not stabilize by n = {n}", last_estimates=(prev,)
-        )
+    breakpoints = tuple(breakpoints)
+    base = _circle_panels(peak_scale, breakpoints)
+    if base is None:
+        return _settled(_doubling(
+            lambda n, lanes: [np.mean(np.asarray(f(_trapezoid_grid(n)), dtype=complex))],
+            _TRAPEZOID_START, _TRAPEZOID_CAP, 1, _trapezoid_failure,
+        ))
+    return _refine_panels(f, _with_kinks(base, breakpoints)) / (2.0 * math.pi)
 
-    w = min(peak_scale, math.pi / 4.0)
-    pos = _dyadic_edges(w, math.pi)
-    edges = sorted(
-        set([-e for e in reversed(pos[1:])] + pos)
-        | {b for b in breaks if -math.pi < b < math.pi}
-    )
-    return _refine_panels(f, edges) / (2.0 * math.pi)
+
+def _chunks(lanes: np.ndarray, per_lane: int) -> list[np.ndarray]:
+    """lanes in runs whose per-lane arrays stay under _SWEEP_ELEMENTS."""
+    step = max(1, _SWEEP_ELEMENTS // max(1, per_lane))
+    return [lanes[i : i + step] for i in range(0, lanes.size, step)]
+
+
+def _integrand(fv, g, nodes, thetas, weights=None) -> np.ndarray:
+    """Rows f(nodes) g(nodes + theta), one per theta, times the weights if
+    given, as the complex values f times the complex value of g would give.
+
+    fv (the values of f), nodes and weights lead with a lane axis of length
+    1 (shared by every theta) or len(thetas).  Real f and g values are
+    multiplied in real arithmetic: the zero imaginary parts complex
+    arithmetic would carry cannot change a real part, and every imaginary
+    part it would give is +0.
+    """
+    shifted = nodes + thetas.reshape((-1,) + (1,) * (nodes.ndim - 1))
+    gv = np.asarray(g(shifted.ravel())).reshape(shifted.shape)
+    vals = fv * gv if np.isrealobj(fv) and np.isrealobj(gv) else fv * gv.astype(complex)
+    if weights is not None:
+        vals = vals * weights
+    return vals.astype(complex, copy=False)
+
+
+def _kink_groups(base: list[float], thetas: list[float], breakpoints) -> list[tuple]:
+    """Each lane's panels: the base edges plus its kinks b - theta.
+
+    Lanes with the same number of edges form a group (lanes, edges, own,
+    idx): edges has a row per lane; own marks the panels a kink splits,
+    which take their own nodes; idx gives every other panel's index among
+    the base panels.
+    """
+    shared = np.asarray(base)
+    rows: dict[int, list] = {}
+    for lane, t in enumerate(thetas):
+        edges = _with_kinks(base, [b - t for b in breakpoints])
+        rows.setdefault(len(edges), []).append((lane, edges))
+    groups = []
+    for members in rows.values():
+        edges = np.array([e for _, e in members])
+        pos = np.searchsorted(shared, edges)
+        on_base = shared[np.minimum(pos, shared.size - 1)] == edges
+        own = ~(on_base[:, :-1] & on_base[:, 1:])
+        idx = np.minimum(pos[:, :-1], shared.size - 2)
+        groups.append((np.array([lane for lane, _ in members]), edges, own, idx))
+    return groups
+
+
+def _circle_means(f: Callable, g: Callable, angles, peak_scale: float, breakpoints):
+    """Means (1/2pi) int f(phi) g(phi + theta) dphi at each theta of angles:
+    integrate_circle's quadrature for many translates of g at once, g's
+    kinks given by breakpoints.
+
+    Per doubling order, f is evaluated once on the nodes every angle shares
+    (the trapezoid grid, or the dyadic panels) and once on all the
+    sub-panels that the kinks b - theta split; g on one (angles x nodes)
+    array per chunk of angles.  Each angle keeps its own doubling check, so
+    its mean is the one integrate_circle gives for f(phi) g(phi + theta).
+    Returns the means and {index: error} for the angles whose estimate
+    overflowed or did not stabilize.
+    """
+    thetas = np.array([float(t) for t in angles])
+    base = _circle_panels(peak_scale, breakpoints)
+    if base is None:
+
+        def trapezoid(n, lanes):
+            phi = _trapezoid_grid(n)[None]
+            fv = np.asarray(f(phi[0]))[None]
+            chunks = _chunks(np.asarray(lanes), n)
+            return np.concatenate([np.mean(_integrand(fv, g, phi, thetas[c]), axis=-1) for c in chunks])
+
+        values, errors = _doubling(
+            trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, thetas.size, _trapezoid_failure
+        )
+        return np.array(values, dtype=complex), errors
+
+    groups = _kink_groups(base, thetas.tolist(), breakpoints)
+    group_of = np.empty(thetas.size, dtype=int)
+    row_of = np.empty(thetas.size, dtype=int)
+    for k, (members, *_) in enumerate(groups):
+        group_of[members] = k
+        row_of[members] = np.arange(members.size)
+
+    def panels(order, lanes):
+        lanes = np.asarray(lanes)
+        x, wts = _gl_nodes(order)
+        nodes, weights = _panel_nodes(np.asarray(base), x, wts)
+        shared = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        active = []
+        for k, (_, edges, own, idx) in enumerate(groups):
+            at = np.flatnonzero(group_of[lanes] == k)
+            rows = row_of[lanes[at]]
+            active.append((at, edges[rows], own[rows], idx[rows]))
+        # the split sub-panels of every lane in one evaluation of f
+        split = [
+            _panel_nodes(np.stack([edges[:, :-1][own], edges[:, 1:][own]], axis=-1), x, wts)[0]
+            for _, edges, own, _ in active
+        ]
+        flat = np.concatenate(split).ravel()
+        own_vals = np.split(
+            (np.asarray(f(flat)) if flat.size else flat).reshape(-1, x.size),
+            np.cumsum([len(s) for s in split])[:-1],
+        )
+        sums = np.zeros(lanes.size, dtype=complex)
+        for (at, edges, own, idx), vals in zip(active, own_vals):
+            if not own.any():
+                for c in _chunks(at, shared.size):
+                    rows = _integrand(shared[None], g, nodes[None], thetas[lanes[c]], weights[None])
+                    sums[c] = rows.reshape(c.size, -1).sum(axis=1)
+                continue
+            fv = shared[idx].astype(np.result_type(shared, vals))
+            fv[own] = vals
+            for c in _chunks(np.arange(at.size), fv[0].size):
+                lane_nodes, lane_weights = _panel_nodes(edges[c], x, wts)
+                rows = _integrand(fv[c], g, lane_nodes, thetas[lanes[at[c]]], lane_weights)
+                sums[at[c]] = rows.reshape(c.size, -1).sum(axis=1)
+        return sums
+
+    sums, errors = _doubling(panels, _PANEL_ORDER, 4 * _PANEL_ORDER, thetas.size, _panel_failure)
+    return np.array([s / (2.0 * math.pi) for s in sums], dtype=complex), errors
 
 
 def integrate_halfline_peak(

@@ -44,9 +44,9 @@ from .transforms import (
     _mode_product,
     _normalizer,
     _row_fft,
+    _sweep,
     _zero_free_cached,
     density_preset,
-    poisson_transform,
 )
 
 __all__ = [
@@ -403,7 +403,7 @@ def fatou_probe(
     """
     density = datum.density if isinstance(datum, Mixture) else datum
     atoms = datum.atoms if isinstance(datum, Mixture) else None
-    rows: list[FatouRow] = []
+    points = []
     for ang in zeta_angles:
         region = AdmissibleRegion(float(ang), width, kind)
         target = density.at(float(ang)) if density else 0.0j
@@ -416,24 +416,25 @@ def fatou_probe(
             window = math.asin(min(1.0, _front_window(r, b)))
             for frac in (0.0, 0.9):
                 alpha = frac * window
-                z = r * cmath.exp(1j * (float(ang) + alpha))
-                res = poisson_transform(n, sp, datum, z)
-                atom_part = 0.0
-                if atoms is not None and atoms.points:
-                    atom_res = poisson_transform(n, sp, atoms, z)
-                    atom_part = abs(atom_res.normalized)
-                rows.append(
-                    FatouRow(
-                        zeta_angle=float(ang),
-                        r=r,
-                        alpha_offset=alpha,
-                        value=res.value,
-                        normalized=res.normalized,
-                        target=target,
-                        atom_part=atom_part,
-                    )
-                )
-    return rows
+                points.append((float(ang), r, alpha, r * cmath.exp(1j * (float(ang) + alpha)), target))
+    zs = [z for *_, z, _ in points]
+    results = _sweep(n, sp, datum, zs)
+    atom_parts = [0.0] * len(zs)
+    if atoms is not None and atoms.points:
+        atom_parts = [abs(v) for _, v in _sweep(n, sp, atoms, zs)]
+    return [
+        FatouRow(
+            zeta_angle=ang,
+            r=r,
+            alpha_offset=alpha,
+            value=value,
+            normalized=normalized,
+            target=target,
+            atom_part=atom_part,
+        )
+        for (ang, r, alpha, _, target), (value, normalized), atom_part
+        in zip(points, results, atom_parts)
+    ]
 
 
 def radial_rigidity_check(

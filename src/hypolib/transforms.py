@@ -14,6 +14,11 @@ The order-n transform integrates the graded kernel against the datum;
 `normalized` divides by the circle mean of the kernel at |z|, the quantity
 that makes boundary limits meaningful.  Normalization refuses radii below
 the kernel's zero-free radius.
+
+Transforms are computed one circle at a time: a sweep (_sweep) groups its
+points by |z|, and a density's points on one circle share one quadrature
+pass, so the kernel row is evaluated once per doubling order, not once per
+point.  poisson_transform is the one-point sweep.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .kernels import (
     make_spectral,
     polyharmonic_kernel,
 )
-from .numerics import _stable, circle_fft, integrate_circle, next_pow2
+from .numerics import _circle_means, _stable, circle_fft, next_pow2
 from .spherical import spherical_function, zero_free_radius
 
 __all__ = [
@@ -138,17 +143,57 @@ def _sawtooth(phi):
 
 
 def _sawtooth_modes(k):
-    # c_k = i (-1)^k / (pi k), c_0 = 0
+    # c_k = i (-1)^k / (pi k), c_0 = 0, in real arithmetic; the parts are
+    # those of the complex quotient i (-1)^k / (pi k): the imaginary part
+    # (-1)^k / (pi k), the real part a zero signed like (-1)^k
     kk = np.where(k == 0, 1, k)
-    return np.where(k == 0, 0.0, 1j * (1 - 2 * (kk % 2)) / (math.pi * kk))
+    sign = np.where(kk & 1, -1.0, 1.0)
+    parts = np.empty((k.size, 2))
+    np.multiply(sign.ravel(), 0.0, out=parts[:, 0])
+    np.divide(sign.ravel(), math.pi * kk.ravel(), out=parts[:, 1])
+    out = parts.view(complex).reshape(k.shape)
+    out[k == 0] = 0.0
+    return out
+
+
+# block length of the phase tables in _phase_tables
+_PHASE_BLOCK = 1024
+
+
+def _phase_tables(c: float, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) with e^{-ikc} = high[k // _PHASE_BLOCK] low[k % _PHASE_BLOCK]
+    for 0 <= k < blocks _PHASE_BLOCK <= 2^29.  The block phases split c as
+    c_hi + c_lo with c_hi on 24 bits, so (k - k mod _PHASE_BLOCK) c_hi is
+    exact and only the small rest is rounded: a few ulps where e^{-ikc}
+    directly loses |kc| ulps to its rounded argument."""
+    c_hi = float(np.float32(c)) if abs(c) < 1e38 else c
+    starts = _PHASE_BLOCK * np.arange(blocks, dtype=float)
+    high = np.exp(-1j * (starts * c_hi)) * np.exp(-1j * (starts * (c - c_hi)))
+    return high, np.exp(-1j * c * np.arange(_PHASE_BLOCK))
+
+
+def _indicator_table(c: float, w: float, blocks: int) -> np.ndarray:
+    """c_k = e^{-ikc} sin(kw) / (pi k), c_0 = w / pi, for k below
+    blocks _PHASE_BLOCK, from phase tables (sin(kw) = -Im e^{-ikw})."""
+    high, low = _phase_tables(c, blocks)
+    table = np.multiply.outer(high, low).reshape(-1)
+    high, low = _phase_tables(w, blocks)
+    sines = np.multiply.outer(high.real, low.imag)
+    sines += np.multiply.outer(high.imag, low.real)
+    scale = np.arange(table.size, dtype=float)
+    scale[0] = 1.0
+    scale *= -math.pi
+    sines = sines.reshape(-1)
+    sines /= scale
+    table *= sines
+    table[0] = w / math.pi
+    return table
 
 
 def _indicator_modes(c: float, w: float) -> Callable:
-    # c_k = e^{-ikc} sin(kw) / (pi k), c_0 = w / pi
     def modes(k):
-        kk = np.where(k == 0, 1, k)
-        out = np.exp(-1j * c * kk) * (np.sin(w * kk) / (math.pi * kk))
-        return np.where(k == 0, w / math.pi, out)
+        blocks = (int(k.max()) if k.size else 0) // _PHASE_BLOCK + 1
+        return _indicator_table(c, w, blocks)[k]
 
     return modes
 
@@ -321,17 +366,34 @@ def _kernel_row(n, sp, r, phi):
     return poly.evaluate(logp) * np.exp(sp.exponent * logp)
 
 
-@lru_cache(maxsize=4)
-def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    """Fourier coefficients of the kernel row from `size` equispaced offsets.
-
-    A real row (every real lam off the forbidden ray) gives the half
-    spectrum, k = 0..size/2; a complex row gives all of them, k mod size.
-    """
-    phi = 2.0 * math.pi * np.arange(size) / size
-    row = _kernel_row(n, make_spectral(lam), r, phi)
+def _spectrum(row: np.ndarray, size: int) -> np.ndarray:
+    """Fourier coefficients of `size` equispaced row samples: the half
+    spectrum, k = 0..size/2, of a real row (every real lam off the
+    forbidden ray), all of them, k mod size, of a complex one."""
     out = np.fft.rfft(row) if np.isrealobj(row) else np.fft.fft(row)
     out /= size
+    return out
+
+
+@lru_cache(maxsize=4)
+def _circle_row(n: int, lam: complex, r: float, size: int) -> np.ndarray:
+    """_spectrum of the kernel row from every offset of the grid, for
+    Fourier data and weak-star pairings; _row_fft's mirrored row would move
+    their last bits."""
+    phi = 2.0 * math.pi * np.arange(size) / size
+    out = _spectrum(_kernel_row(n, make_spectral(lam), r, phi), size)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
+    """_spectrum of the kernel row for the maximal sweep.  The row depends
+    on the offset only through P(r, phi), so it is even: offsets
+    0..size/2 are evaluated and mirrored."""
+    half = size // 2
+    row = _kernel_row(n, make_spectral(lam), r, 2.0 * math.pi * np.arange(half + 1) / size)
+    out = _spectrum(np.concatenate([row, row[half - 1 : 0 : -1]]), size)
     out.setflags(write=False)
     return out
 
@@ -410,47 +472,97 @@ def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
-    row = _row_fft(n, sp.lam, float(r), size)
+    row = _circle_row(n, sp.lam, float(r), size)
     return _full(_mode_product(row, _datum_coeffs(datum, size), size), size)
 
 
-def _density_value(n, sp, datum: Density, z) -> complex:
-    r, theta = abs(z), math.atan2(z.imag, z.real)
-    tau = RadialFrame.from_r(r).tau
+def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
+    """Order-n transform of the datum at the points zs, all on |z| = r,
+    with {index: error} for the points whose value does not fit in a double
+    or whose quadrature does not stabilize.
 
-    def f(phi):
-        return _kernel_row(n, sp, r, phi) * np.asarray(datum(phi + theta), dtype=complex)
-
-    peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
-    breaks = tuple(b - theta for b in datum.breakpoints)
-    return integrate_circle(f, peak, breakpoints=breaks)
-
-
-def _atoms_value(n, sp, datum: Atoms, z) -> complex:
-    total = 0j
-    for ang, w in datum.points:
-        total += complex(w) * polyharmonic_kernel(n, z, float(ang), sp)
-    return total
-
-
-def _fourier_value(n, sp, datum: FourierSeq, z) -> complex:
-    coeffs = circle_coeffs(n, sp, datum, abs(z))
-    theta = math.atan2(z.imag, z.real)
-    terms = (coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in datum.coeffs)
-    return complex(sum(terms, 0j))
-
-
-def _value(n, sp, datum, z) -> complex:
+    A density takes one quadrature pass for the whole circle
+    (numerics._circle_means): the kernel row is shared, only the panels
+    that the density's kinks split differ from point to point.  Fourier
+    data take the circle's coefficients once.
+    """
     if isinstance(datum, Density):
-        return _density_value(n, sp, datum, z)
+        tau = RadialFrame.from_r(r).tau
+        peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
+        thetas = [math.atan2(z.imag, z.real) for z in zs]
+        return _circle_means(
+            lambda phi: _kernel_row(n, sp, r, phi), datum, thetas, peak, datum.breakpoints
+        )
+    values = np.zeros(len(zs), dtype=complex)
+    errors: dict = {}
     if isinstance(datum, Atoms):
-        return _atoms_value(n, sp, datum, z)
-    if isinstance(datum, FourierSeq):
-        return _fourier_value(n, sp, datum, z)
-    if isinstance(datum, Mixture):
-        parts = (p for p in (datum.density, datum.atoms) if p is not None)
-        return sum((_value(n, sp, p, z) for p in parts), 0j)
-    raise TypeError(f"not a boundary datum: {type(datum).__name__}")
+        for i, z in enumerate(zs):
+            try:
+                values[i] = sum(
+                    (complex(w) * polyharmonic_kernel(n, z, float(ang), sp) for ang, w in datum.points),
+                    0j,
+                )
+            except ResultOverflow as exc:
+                errors[i] = exc
+    elif isinstance(datum, FourierSeq):
+        coeffs = circle_coeffs(n, sp, datum, r)
+        for i, z in enumerate(zs):
+            theta = math.atan2(z.imag, z.real)
+            terms = (coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in datum.coeffs)
+            values[i] = complex(sum(terms, 0j))
+    elif isinstance(datum, Mixture):
+        for part in (datum.density, datum.atoms):
+            if part is not None:
+                vals, errs = _circle_values(n, sp, part, r, zs)
+                values = values + vals
+                for i, exc in errs.items():
+                    errors.setdefault(i, exc)
+    else:
+        raise TypeError(f"not a boundary datum: {type(datum).__name__}")
+    return values, errors
+
+
+def _sweep(n: int, sp: SpectralParam, datum, zs, normalize: bool = True) -> list:
+    """(value, normalized value or None) of the order-n transform at each
+    point of zs, in order, one pass per circle |z| = r (_circle_values).
+
+    Raises as a poisson_transform call per point, in order, would: at the
+    first point whose value fails, naming lam, n and that z, or whose
+    normalization is refused.
+    """
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if abs(z) >= 1.0:
+            raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
+    circles: dict[float, list] = {}
+    for i, z in enumerate(zs):
+        circles.setdefault(abs(z), []).append(i)
+    values = np.zeros(len(zs), dtype=complex)
+    errors: dict = {}
+    for r, idx in circles.items():
+        try:
+            vals, errs = _circle_values(n, sp, datum, r, [zs[i] for i in idx])
+        except (ResultOverflow, NonConvergence) as exc:
+            vals, errs = 0j, {0: exc}
+        values[idx] = vals
+        errors.update((idx[j], exc) for j, exc in errs.items())
+    out, denoms = [], {}
+    for i, z in enumerate(zs):
+        if i in errors:
+            exc = errors[i]
+            where = f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}"
+            if isinstance(exc, ResultOverflow):
+                raise ResultOverflow(where) from exc
+            raise NonConvergence(where, last_estimates=exc.last_estimates) from exc
+        value = complex(values[i])
+        if not normalize:
+            out.append((value, None))
+            continue
+        r = abs(z)
+        if r not in denoms:
+            denoms[r] = _normalizer(n, sp, r)
+        out.append((value, value / denoms[r]))
+    return out
 
 
 def poisson_transform(
@@ -462,25 +574,13 @@ def poisson_transform(
 ) -> TransformResult:
     """Order-n transform of the boundary datum, with its normalized value.
 
-    Raises ResultOverflow where the value does not fit in a double, and
-    NonConvergence where its quadrature does not stabilize, each naming
-    lam, n and z.
+    The one-point sweep.  Raises ResultOverflow where the value does not
+    fit in a double, and NonConvergence where its quadrature does not
+    stabilize, each naming lam, n and z.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
-    try:
-        value = _value(n, sp, datum, z)
-    except ResultOverflow as exc:
-        raise ResultOverflow(f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}") from exc
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}",
-            last_estimates=exc.last_estimates,
-        ) from exc
-    r = abs(z)
-    normalized = value / _normalizer(n, sp, r) if normalize else None
-    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))
+    ((value, normalized),) = _sweep(n, sp, datum, [z], normalize)
+    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(abs(z)))
 
 
 def normalized_kernel(n: int, sp: SpectralParam, z: complex, xi: float) -> complex:
@@ -554,13 +654,12 @@ class DirichletSolution:
 
     def verify(self, xi_angles, radii) -> list:
         """Boundary sweep rows: normalized field vs g at each (xi, r)."""
+        points = [(ang, r) for ang in xi_angles for r in radii]
+        zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
         rows = []
-        for ang in xi_angles:
-            for r in radii:
-                z = r * complex(math.cos(ang), math.sin(ang))
-                res = poisson_transform(0, self.sp, self.g, z)
-                tgt = self.g.at(ang)
-                rows.append(SweepRow(ang, r, res.normalized, tgt, abs(res.normalized - tgt)))
+        for (ang, r), (_, value) in zip(points, _sweep(0, self.sp, self.g, zs)):
+            tgt = self.g.at(ang)
+            rows.append(SweepRow(ang, r, value, tgt, abs(value - tgt)))
         return rows
 
 
@@ -605,18 +704,19 @@ class RiquierSolution:
     def verify(self, xi_angles, radii) -> dict:
         """Boundary traces: each layer over its own normalizer tends to its
         datum; lower layers over a higher normalizer tend to 0."""
-        own, cross = [], []
+        points = [(ang, r) for ang in xi_angles for r in radii]
+        zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
+        own, cross, layers = [], [], []
         for k, g in enumerate(self.gs):
-            for ang in xi_angles:
-                for r in radii:
-                    z = r * complex(math.cos(ang), math.sin(ang))
-                    phi_k = spherical_function(k, r, self.sp)
-                    vk = self.layer(k, z) / phi_k
-                    tgt = g.at(ang)
-                    own.append(SweepRow(ang, r, vk, tgt, abs(vk - tgt)))
-                    for j in range(k):
-                        vj = self.layer(j, z) / phi_k
-                        cross.append(SweepRow(ang, r, vj, 0j, abs(vj)))
+            layers.append([v for v, _ in _sweep(k, self.sp, g, zs, normalize=False)])
+            for p, (ang, r) in enumerate(points):
+                phi_k = spherical_function(k, r, self.sp)
+                vk = layers[k][p] / phi_k
+                tgt = g.at(ang)
+                own.append(SweepRow(ang, r, vk, tgt, abs(vk - tgt)))
+                for j in range(k):
+                    vj = layers[j][p] / phi_k
+                    cross.append(SweepRow(ang, r, vj, 0j, abs(vj)))
         return {"own": own, "cross": cross}
 
 
@@ -665,11 +765,11 @@ def convergence_probe(
             a for a in xi_angles
             if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b in datum.breakpoints)
         ]
-    for r in radii:
-        errs = []
-        for a in xi_angles:
-            res = poisson_transform(n, sp, datum, r * complex(math.cos(a), math.sin(a)))
-            errs.append(abs(res.normalized - datum.at(a)))
+    zs = [r * complex(math.cos(a), math.sin(a)) for r in radii for a in xi_angles]
+    swept = [v for _, v in _sweep(n, sp, datum, zs)]
+    targets = [datum.at(a) for a in xi_angles]
+    for i, r in enumerate(radii):
+        errs = [abs(v - t) for v, t in zip(swept[i * len(targets) :], targets)]
         if mode == "Lp":
             lp = float(np.mean([e**p for e in errs])) ** (1.0 / p)
             report["rows"].append({"r": r, "lp_error": lp})

@@ -198,6 +198,34 @@ def test_bad_usage_exits_two():
         assert exc.value.code == 2
 
 
+def test_negative_numbers_in_exponent_notation_are_values(capsys):
+    assert main(["kernel", "--lambda", "-2.5e-1", "0"]) == 0
+    exponent = capsys.readouterr().out
+    assert main(["kernel", "--lambda", "-0.25", "0"]) == 0
+    assert capsys.readouterr().out == exponent
+    parser = _build_parser()
+    for command in ("kernel", "spherical", "asymptotics", "zeros", "dirichlet", "riquier",
+                    "convergence", "maximal", "fatou"):
+        assert parser.parse_args([command, "--lambda", "-2.5e-1", "-1E-3"]).lam == [-0.25, -0.001]
+    assert parser.parse_args(["kernel", "--lambda", "2", "-1e-3"]).lam == [2.0, -0.001]
+    assert parser.parse_args(["fatou", "--lambda", "0", "0", "--zeta", "-1e-1"]).zeta == [-0.1]
+    assert parser.parse_args(["kernel", "--lambda", "2", "0", "--xi", "-1e-3,2,-.5E+1"]).xi == [
+        -0.001, 2.0, -5.0]
+    assert parser.parse_args(["kernel", "--lambda", "2", "0", "--z-angle", "-3.e0"]).z_angle == -3.0
+    assert parser.parse_args(["examples", "--radii", "-9e-1"]).radii == [-0.9]
+    assert main(["fatou", "--lambda", "0", "0", "--zeta", "-1e-1"]) == 0
+    # what is not a number is still an option, and an unknown one exits 2
+    for argv in (
+        ["kernel", "--lambda", "2", "0", "--bogus", "1"],
+        ["kernel", "--lambda", "-e5", "0"],
+        ["kernel", "--lambda", "2", "-1e"],
+        ["kernel", "--lambda", "2", "0", "-1e-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv,dest,low,cap",
     [

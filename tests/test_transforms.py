@@ -3,12 +3,15 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hypolib.errors import NonConvergence
+from hypolib import transforms
+from hypolib.errors import HypolibError, NonConvergence
 from hypolib.geometry import poisson_kernel, poisson_radial_profile
-from hypolib.kernels import kernel_poly, make_spectral, polyharmonic_kernel
+from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral, polyharmonic_kernel
 from hypolib.numerics import circle_fft
 from hypolib.spherical import spherical_function
 from hypolib.transforms import (
@@ -16,8 +19,13 @@ from hypolib.transforms import (
     Density,
     FourierSeq,
     Mixture,
+    _circle_row,
     _datum_coeffs,
+    _indicator_modes,
     _kernel_row,
+    _row_fft,
+    _sawtooth_modes,
+    _sweep,
     convergence_probe,
     datum_from_json,
     datum_to_json,
@@ -288,3 +296,157 @@ def test_pair_functional_conjugates_the_functional():
     with _w.catch_warnings():
         _w.simplefilter("error")
         pair_functional(nu_wide, {0: 3.0, 1: 1.0 + 1.0j})
+
+
+_SWEEP_DATA = {
+    "sawtooth": density_preset("sawtooth"),
+    "indicator": density_preset("indicator:0.4:0.9"),
+    "cos": density_preset("cos"),
+    "one": density_preset("one"),
+    "atoms": Atoms(((0.3, 1.0), (-2.0, 0.5 - 0.2j))),
+    "mixture": Mixture(density_preset("indicator:-2.0:0.3"), Atoms(((1.0, 0.25j),))),
+    "smooth mixture": Mixture(density_preset("cos"), Atoms(((0.0, 1.0),))),
+}
+
+
+def _one_point_calls(n, sp, datum, zs):
+    """(value, normalized) per point from poisson_transform, or the first
+    error as (type, message)."""
+    out = []
+    for z in zs:
+        try:
+            res = poisson_transform(n, sp, datum, z, normalize=False)
+        except HypolibError as exc:
+            return out, (type(exc), str(exc))
+        out.append((res.value, res.normalized))
+    return out, None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    lam=st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    n=st.integers(0, 2),
+    radii=st.lists(st.floats(0.05, 0.9999), min_size=1, max_size=2),
+    name=st.sampled_from(sorted(_SWEEP_DATA)),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5),
+)
+# cos on the trapezoid rule (r = 0.5) and on the panels (r = 0.99)
+@example(lam=1.5, n=1, radii=[0.5, 0.99], name="cos", angles=[-2.0, 0.0, 0.7, 3.0])
+def test_a_sweep_is_its_one_point_calls(lam, n, radii, name, angles):
+    # the points of every circle share one quadrature pass; each keeps the
+    # value (and the error) a call for that point alone gives, bit for bit
+    sp = make_spectral(lam)
+    assume(sp.kind != FORBIDDEN)
+    datum = _SWEEP_DATA[name]
+    zs = [r * cmath.exp(1j * a) for r in radii for a in angles]
+    want, error = _one_point_calls(n, sp, datum, zs)
+    if error is None:
+        assert _sweep(n, sp, datum, zs, normalize=False) == want
+    else:
+        with pytest.raises(error[0]) as exc:
+            _sweep(n, sp, datum, zs, normalize=False)
+        assert str(exc.value) == error[1]
+
+
+def _on_one_circle(r, count):
+    """count points spread over the circle whose |z| is one double (a
+    point's circle is its computed |z|, which can differ from r in the
+    last bit)."""
+    zs = [r * cmath.exp(1j * (0.1 + 2.0 * math.pi * j / (16 * count))) for j in range(16 * count)]
+    same = [z for z in zs if abs(z) == abs(zs[0])]
+    return same[:: max(1, len(same) // count)][:count]
+
+
+@pytest.mark.parametrize("preset", ["sawtooth", "indicator:0.3:0.7", "cos"])
+def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset, monkeypatch):
+    calls = []
+    row = transforms._kernel_row
+    monkeypatch.setattr(transforms, "_kernel_row", lambda *a: calls.append(1) or row(*a))
+    sp = make_spectral(0.0)
+    counts = {}
+    for count in (1, 8, 64):
+        calls.clear()
+        zs = _on_one_circle(0.99, count)
+        assert len(zs) == count
+        _sweep(1, sp, density_preset(preset), zs, normalize=False)
+        counts[count] = len(calls)
+    # one evaluation on the shared panels and one on the split sub-panels,
+    # per doubling order (16, 32, 64)
+    assert counts[64] <= 2 * 3
+    assert counts[1] <= counts[8] == counts[64]
+
+
+def test_a_point_that_does_not_stabilize_names_its_own_z():
+    # a narrow undeclared spike at angle 1: the panels at the kernel's peak
+    # see it only for the point at that angle
+    c = 1.0
+
+    def spike(phi):
+        return 1.0 + 1e-8 * (np.abs(np.remainder(phi - c + math.pi, 2 * math.pi) - math.pi) < 1e-3)
+
+    g = Density(spike, "spike")
+    sp = make_spectral(0.0)
+    zs = [0.99 * cmath.exp(1j * (c + 2.0 * math.pi * (j - 5) / 16)) for j in range(16)]
+    with pytest.raises(NonConvergence) as exc:
+        _sweep(0, sp, g, zs)
+    assert f"z = {zs[5]}:" in str(exc.value)
+    assert str(exc.value).startswith("order-0 transform at lam = 0j")
+    assert len(exc.value.last_estimates) == 2
+    for j, z in enumerate(zs):
+        if j != 5:
+            poisson_transform(0, sp, g, z)
+
+
+def _legacy_sawtooth_modes(k):
+    # the complex formula the real-arithmetic build reproduces
+    kk = np.where(k == 0, 1, k)
+    return np.where(k == 0, 0.0, 1j * (1 - 2 * (kk % 2)) / (math.pi * kk))
+
+
+def test_sawtooth_modes_are_bit_identical_to_the_complex_formula():
+    for k in (np.arange((1 << 19) + 1), np.array([0, 3, 2, 7, 0, 1]), np.array([[1, 2], [0, 5]])):
+        assert _sawtooth_modes(k).tobytes() == _legacy_sawtooth_modes(k).tobytes()
+
+
+@pytest.mark.parametrize("c,w", [(0.3, 0.7), (-2.0, 0.3), (2.9, 1.1), (0.0, math.pi / 6)])
+def test_indicator_modes_are_no_less_accurate_than_the_direct_formula(c, w):
+    # against 40-digit values at sampled k <= 2^19: the phase tables keep
+    # the error of e^{-ikc} sin(kw) at a few ulps where the direct formula
+    # loses |kc| ulps to the rounded argument
+    k = np.arange((1 << 19) + 1)
+    kk = np.where(k == 0, 1, k)
+    direct = np.exp(-1j * c * kk) * (np.sin(w * kk) / (math.pi * kk))
+    built = _indicator_modes(c, w)(k)
+    assert built[0] == w / math.pi
+    rng = np.random.default_rng(5)
+    sample = sorted({1, 2, 1023, 1024, 1025, 65537, (1 << 19) - 1, 1 << 19}
+                    | set(rng.integers(1, (1 << 19) + 1, 60).tolist()))
+    worst_direct = worst_built = 0.0
+    with mpmath.workdps(40):
+        for j in sample:
+            exact = mpmath.exp(-1j * j * mpmath.mpf(c)) * mpmath.sin(j * mpmath.mpf(w)) / (mpmath.pi * j)
+            worst_direct = max(worst_direct, float(abs(direct[j] - exact)))
+            worst_built = max(worst_built, float(abs(built[j] - exact)))
+    assert worst_built <= worst_direct
+
+
+def test_the_mirrored_kernel_row_is_at_least_as_accurate():
+    # at r = 0.999 the offsets in (pi, 2 pi) lose digits to the rounded
+    # argument of sin near pi; the maximal sweep's row mirrors 0..pi
+    n, lam, r, size = 1, -0.25, 0.999, 1 << 16
+    sp = make_spectral(lam)
+    full, half = _circle_row(n, lam, r, size), _row_fft(n, lam, r, size)
+    coeffs = [mpmath.mpf(complex(c).real) for c in kernel_poly(n, sp).coeffs]
+    with mpmath.workdps(30):
+        rr = mpmath.mpf(r)
+
+        def kernel(t, m):
+            p = (1 - rr**2) / ((1 - rr) ** 2 + 4 * rr * mpmath.sin(t / 2) ** 2)
+            logp = mpmath.log(p)
+            value = sum(c * logp**j for j, c in enumerate(coeffs)) * p ** mpmath.mpf(sp.exponent.real)
+            return value * mpmath.cos(m * t)
+
+        edges = [0] + [(1 - rr) * 2**j for j in range(12)] + [mpmath.pi]
+        for m in (0, 1):
+            exact = mpmath.quad(lambda t: kernel(t, m), edges) / mpmath.pi
+            assert abs(half[m] - exact) <= abs(full[m] - exact)
