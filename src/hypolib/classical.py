@@ -490,6 +490,14 @@ def lacunary_witness(N: int, gap: LacunarySpec, phase_scan: int = 64) -> Witness
                    spiral_point=w_star, poly_value=complex(pv[i_star]))
 
 
+def _check_open_radii(radii) -> None:
+    """ValueError naming the first radius outside (0, 1), where the probes'
+    log(1 - r) and hyperbolic distance are finite and nonzero."""
+    for r in radii:
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"radius must lie in (0, 1), got {r}")
+
+
 def lacunary_growth_probe(
     gap: LacunarySpec,
     radii,
@@ -501,6 +509,7 @@ def lacunary_growth_probe(
     triangle-inequality bound; its own ratio to |log(1-r)| is reported
     as the fitted growth constant.
     """
+    _check_open_radii(radii)
     budget = gap.coeff_budget
     rows = []
     c_fit = 0.0
@@ -527,6 +536,7 @@ def lacunary_associate_probe(gap: LacunarySpec, radii, angles=(0.0, 2.0)) -> dic
     the mode-weighted bound, reporting the fitted constant against
     log(1/(1-r)).
     """
+    _check_open_radii(radii)
     series = lacunary_series(gap)
     rows = []
     sup_scaled = 0.0

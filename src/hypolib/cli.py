@@ -145,7 +145,7 @@ def _datum(args):
         return atoms
     if density is not None:
         return density
-    raise HypolibError("no boundary datum given: pass --preset and/or --atoms")
+    raise ValueError("no boundary datum given: pass --preset and/or --atoms")
 
 
 def _cmd_kernel(args) -> int:

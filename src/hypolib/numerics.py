@@ -7,6 +7,10 @@ accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
 _circle_means takes the circle mean of many translates of one integrand.
+The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
+per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
+integrand, and each later trapezoid doubling evaluates only the odd nodes
+it adds; every estimate rounds as if its order were evaluated alone.
 Half-line integrals int_0^tau g(x) dx use log-spaced
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
 
@@ -62,8 +66,14 @@ _SWEEP_ELEMENTS = 1 << 18
 
 
 @lru_cache(maxsize=64)
-def _gl_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _gl_nodes(orders: tuple[int, ...]):
+    """The Gauss-Legendre rules of the orders side by side: nodes, weights
+    (one block of each order's length after the other) and the slice of
+    each order's block."""
+    rules = [np.polynomial.legendre.leggauss(order) for order in orders]
+    x, w = (np.concatenate(part) for part in zip(*rules))
+    cuts = np.cumsum([0, *orders]).tolist()
+    return x, w, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _stable(new: complex, old: complex) -> bool:
@@ -86,30 +96,76 @@ def _panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
     return 0.5 * (a + b) + half * x, half * w
 
 
+def _flat(blocks) -> np.ndarray:
+    """The blocks' entries in one flat array, block after block."""
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def _unflat(values: np.ndarray, blocks) -> list[np.ndarray]:
+    """values (as _flat lays them out) cut back into arrays shaped like the blocks."""
+    out, at = [], 0
+    for b in blocks:
+        out.append(values[at : at + b.size].reshape(b.shape))
+        at += b.size
+    return out
+
+
+def _jointly(f: Callable) -> Callable:
+    """f as a _panel_estimator evaluation: one call of f on every block."""
+    return lambda lanes, blocks: _unflat(np.asarray(f(_flat(blocks)), dtype=complex), blocks)
+
+
+def _panel_estimator(evaluate: Callable, panels: Sequence) -> Callable:
+    """estimate(orders, lanes) for _doubling: the composite Gauss-Legendre
+    sums of each lane's panels (panels[lane], an edge list) at each order.
+
+    evaluate(lanes, blocks) gives the integrand on each lane's block of
+    nodes, (panels x every order's nodes), all in one call.  Each order's
+    values are then summed times its weights as their own
+    (panels x order) array, so a sum rounds as it would for that order
+    alone.
+    """
+    edges = [np.asarray(e, dtype=float) for e in panels]
+
+    def estimate(orders, lanes):
+        x, w, blocks = _gl_nodes(tuple(orders))
+        rules = [_panel_nodes(edges[lane], x, w) for lane in lanes]
+        vals = evaluate(lanes, [nodes for nodes, _ in rules])
+        # np.add.reduce is np.sum without its dispatch
+        return [
+            [complex(np.add.reduce(v[:, k] * wt[:, k], axis=None)) for v, (_, wt) in zip(vals, rules)]
+            for k in blocks
+        ]
+
+    return estimate
+
+
 def integrate_panels(f: Callable, edges: Sequence[float], order: int) -> complex:
     """Composite Gauss-Legendre integral of f over consecutive [edges] panels."""
-    nodes, weights = _panel_nodes(np.asarray(edges, dtype=float), *_gl_nodes(order))
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    return complex(np.sum(vals * weights))
+    return _panel_estimator(_jointly(f), [edges])((order,), [0])[0][0]
 
 
 def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Callable):
     """Node doubling with a stability check per lane.
 
-    estimate(order, lanes) gives the estimates of the lanes (a list of
-    indices) at that order.  A lane is done once a doubling leaves its
-    estimate stable (_stable).  A lane whose estimate does not fit in a
-    double gets that ResultOverflow, and one still unstable at order `cap`
-    gets failure(order, previous estimate, last estimate).  Returns the
+    estimate(orders, lanes) gives, for each order in orders, the estimates
+    of the lanes (a list of indices) at that order.  The first call asks
+    for the start order and its double together, so an estimator can take
+    both from one evaluation of the integrand; every later call asks for
+    one order.  A lane is done once a doubling leaves its estimate stable
+    (_stable).  A lane whose estimate does not fit in a double gets that
+    ResultOverflow, and one still unstable at order `cap` gets
+    failure(order, previous estimate, last estimate).  Returns the
     estimates and {lane: error}.
     """
     values = [0j] * count
     errors: dict = {}
     lanes = list(range(count))
-    prev = estimate(order, lanes) if lanes else []
-    while order < cap and lanes:
-        order *= 2
-        cur = estimate(order, lanes)
+    if not lanes:
+        return values, errors
+    prev, cur = estimate((order, 2 * order), lanes)
+    order *= 2
+    while True:
         kept, last = [], []
         for lane, old, new in zip(lanes, prev, cur):
             new = complex(new)
@@ -126,15 +182,18 @@ def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Cal
             else:
                 errors[lane] = failure(order, complex(old), new)
         lanes, prev = kept, last
-    return values, errors
+        if not lanes:
+            return values, errors
+        order *= 2
+        (cur,) = estimate((order,), lanes)
 
 
-def _settled(outcome) -> complex:
-    """The value of a one-lane _doubling, or its error raised."""
+def _settled(outcome) -> list:
+    """The values of a _doubling, or the error of its first failed lane raised."""
     values, errors = outcome
     if errors:
-        raise errors[0]
-    return values[0]
+        raise errors[min(errors)]
+    return values
 
 
 def _panel_failure(order: int, prev: complex, last: complex) -> NonConvergence:
@@ -147,25 +206,50 @@ def _trapezoid_failure(n: int, prev: complex, last: complex) -> NonConvergence:
     return NonConvergence(f"trapezoid rule did not stabilize by n = {n}", last_estimates=(last,))
 
 
-def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
-    """Panel integral with node doubling until stable; two failed doublings abort."""
-    return _settled(_doubling(
-        lambda order, lanes: [integrate_panels(f, edges, order)],
-        _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure,
-    ))
+def _refine_panels(evaluate: Callable, panels: Sequence) -> list:
+    """Panel integrals of the lanes' panels (see _panel_estimator) with node
+    doubling until each is stable; two failed doublings abort, raising the
+    error of the first lane that failed."""
+    estimate = _panel_estimator(evaluate, panels)
+    outcome = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, len(panels), _panel_failure)
+    return _settled(outcome)
 
 
-def _trapezoid_grid(n: int) -> np.ndarray:
-    return -math.pi + 2.0 * math.pi * np.arange(n) / n
+def _trapezoid_grid(n: int, refine: bool) -> np.ndarray:
+    """The n-node trapezoid grid or, to refine the n/2-node grid, its odd
+    nodes only: the even ones are the n/2-node grid to the bit, since
+    2 pi (2j) / n rounds as 2 pi j / (n/2) does."""
+    grid = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    return np.ascontiguousarray(grid[1::2]) if refine else grid
+
+
+def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Values on a grid (last axis) from those on its even and its odd nodes."""
+    out = np.empty(odd.shape[:-1] + (2 * odd.shape[-1],), dtype=complex)
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
+    return out
+
+
+def _trapezoid_means(values: np.ndarray, orders) -> list[np.ndarray]:
+    """The trapezoid means (last axis) of values on the grid of the largest
+    order, at each order; a coarser grid's values are its nested nodes,
+    copied to their own array so each mean rounds as on that grid alone."""
+    n = values.shape[-1]
+    # np.mean's arithmetic (a sum, then a division by the count) without its overhead
+    return [
+        np.add.reduce(np.ascontiguousarray(values[..., :: n // m]), axis=-1) / m for m in orders
+    ]
 
 
 def _dyadic_edges(width: float, stop: float) -> list[float]:
-    """0, width, 2 width, 4 width, ... clamped to stop."""
+    """0, width, 2 width, 4 width, ... below stop, then stop."""
     edges = [0.0]
     w = width
-    while edges[-1] < stop:
-        edges.append(min(w, stop))
+    while w < stop:
+        edges.append(w)
         w *= 2.0
+    edges.append(stop)
     return edges
 
 
@@ -194,21 +278,29 @@ def integrate_circle(
 ) -> complex:
     """Mean of f over the circle: (1/2pi) int_{-pi}^{pi} f(phi) dphi.
 
-    f must accept a numpy array of angles.  Integrands whose peak at
-    phi = 0 has angular width peak_scale < 0.05 are integrated on dyadic
-    panels; otherwise the periodic trapezoid rule with doubling is used.
+    f maps a numpy array of angles to an array of values of its shape.
+    Integrands whose peak at phi = 0 has angular width peak_scale < 0.05
+    are integrated on dyadic panels; otherwise the periodic trapezoid rule
+    with doubling is used.
     Kink angles passed in `breakpoints` force the panel path with edges
-    aligned to them.  _circle_means takes the same rule to many translates
-    of one integrand.
+    aligned to them.  Each doubling evaluates f only at the nodes it adds.
+    _circle_means takes the same rule to many translates of one integrand.
     """
     breakpoints = tuple(breakpoints)
     base = _circle_panels(peak_scale, breakpoints)
     if base is None:
+        kept = None  # the values on the grid evaluated last
+
+        def trapezoid(orders, lanes):
+            nonlocal kept
+            vals = np.asarray(f(_trapezoid_grid(orders[-1], kept is not None)), dtype=complex)
+            kept = vals if kept is None else _interleaved(kept, vals)
+            return [[m] for m in _trapezoid_means(kept, orders)]
+
         return _settled(_doubling(
-            lambda n, lanes: [np.mean(np.asarray(f(_trapezoid_grid(n)), dtype=complex))],
-            _TRAPEZOID_START, _TRAPEZOID_CAP, 1, _trapezoid_failure,
-        ))
-    return _refine_panels(f, _with_kinks(base, breakpoints)) / (2.0 * math.pi)
+            trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, 1, _trapezoid_failure
+        ))[0]
+    return _refine_panels(_jointly(f), [_with_kinks(base, breakpoints)])[0] / (2.0 * math.pi)
 
 
 def _chunks(lanes: np.ndarray, per_lane: int) -> list[np.ndarray]:
@@ -259,28 +351,53 @@ def _kink_groups(base: list[float], thetas: list[float], breakpoints) -> list[tu
     return groups
 
 
+def _order_sums(rows: np.ndarray, blocks) -> list[np.ndarray]:
+    """Per lane (first axis), the sum of each order's block (a _gl_nodes
+    slice) of the last axis, copied to its own array so it sums as it
+    would for that order alone."""
+    return [
+        np.ascontiguousarray(rows[..., k]).reshape(len(rows), -1).sum(axis=1) for k in blocks
+    ]
+
+
 def _circle_means(f: Callable, g: Callable, angles, peak_scale: float, breakpoints):
     """Means (1/2pi) int f(phi) g(phi + theta) dphi at each theta of angles:
     integrate_circle's quadrature for many translates of g at once, g's
     kinks given by breakpoints.
 
-    Per doubling order, f is evaluated once on the nodes every angle shares
-    (the trapezoid grid, or the dyadic panels) and once on all the
-    sub-panels that the kinks b - theta split; g on one (angles x nodes)
-    array per chunk of angles.  Each angle keeps its own doubling check, so
-    its mean is the one integrate_circle gives for f(phi) g(phi + theta).
-    Returns the means and {index: error} for the angles whose estimate
-    overflowed or did not stabilize.
+    Per doubling step, f is evaluated once on the nodes every angle shares
+    (the trapezoid grid's new nodes, or the dyadic panels) together with
+    all the sub-panels that the kinks b - theta split; g on one
+    (angles x nodes) array per chunk of angles.  Each angle keeps its own
+    doubling check, so its mean is the one integrate_circle gives for
+    f(phi) g(phi + theta).  Returns the means and {index: error} for the
+    angles whose estimate overflowed or did not stabilize.
     """
     thetas = np.array([float(t) for t in angles])
     base = _circle_panels(peak_scale, breakpoints)
     if base is None:
+        # the integrand rows of the lanes last evaluated, while they stay
+        # within one lane's grid at the cap
+        kept, kept_lanes = None, None
 
-        def trapezoid(n, lanes):
-            phi = _trapezoid_grid(n)[None]
-            fv = np.asarray(f(phi[0]))[None]
-            chunks = _chunks(np.asarray(lanes), n)
-            return np.concatenate([np.mean(_integrand(fv, g, phi, thetas[c]), axis=-1) for c in chunks])
+        def trapezoid(orders, lanes):
+            nonlocal kept, kept_lanes
+            n, lanes = orders[-1], np.asarray(lanes)
+            old = None if kept is None else kept[np.searchsorted(kept_lanes, lanes)]
+            phi = _trapezoid_grid(n, old is not None)
+            fv = np.asarray(f(phi))[None]
+            keep = lanes.size * n <= _TRAPEZOID_CAP
+            rows = np.empty((lanes.size, n), dtype=complex) if keep else None
+            means = np.empty((len(orders), lanes.size), dtype=complex)
+            for c in _chunks(np.arange(lanes.size), phi.size):
+                vals = _integrand(fv, g, phi[None], thetas[lanes[c]])
+                if old is not None:
+                    vals = _interleaved(old[c], vals)
+                means[:, c] = _trapezoid_means(vals, orders)
+                if keep:
+                    rows[c] = vals
+            kept, kept_lanes = rows, lanes
+            return means
 
         values, errors = _doubling(
             trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, thetas.size, _trapezoid_failure
@@ -294,43 +411,47 @@ def _circle_means(f: Callable, g: Callable, angles, peak_scale: float, breakpoin
         group_of[members] = k
         row_of[members] = np.arange(members.size)
 
-    def panels(order, lanes):
+    def panels(orders, lanes):
         lanes = np.asarray(lanes)
-        x, wts = _gl_nodes(order)
+        x, wts, blocks = _gl_nodes(tuple(orders))
         nodes, weights = _panel_nodes(np.asarray(base), x, wts)
-        shared = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         active = []
         for k, (_, edges, own, idx) in enumerate(groups):
             at = np.flatnonzero(group_of[lanes] == k)
             rows = row_of[lanes[at]]
             active.append((at, edges[rows], own[rows], idx[rows]))
-        # the split sub-panels of every lane in one evaluation of f
+        # one evaluation of f on the shared panels and the split sub-panels of every lane
         split = [
             _panel_nodes(np.stack([edges[:, :-1][own], edges[:, 1:][own]], axis=-1), x, wts)[0]
             for _, edges, own, _ in active
         ]
-        flat = np.concatenate(split).ravel()
-        own_vals = np.split(
-            (np.asarray(f(flat)) if flat.size else flat).reshape(-1, x.size),
-            np.cumsum([len(s) for s in split])[:-1],
-        )
-        sums = np.zeros(lanes.size, dtype=complex)
+        shared, *own_vals = _unflat(np.asarray(f(_flat([nodes, *split]))), [nodes, *split])
+        sums = np.zeros((len(orders), lanes.size), dtype=complex)
         for (at, edges, own, idx), vals in zip(active, own_vals):
             if not own.any():
                 for c in _chunks(at, shared.size):
                     rows = _integrand(shared[None], g, nodes[None], thetas[lanes[c]], weights[None])
-                    sums[c] = rows.reshape(c.size, -1).sum(axis=1)
+                    sums[:, c] = _order_sums(rows, blocks)
                 continue
-            fv = shared[idx].astype(np.result_type(shared, vals))
-            fv[own] = vals
+            fv = shared[idx]
+            fv[own] = vals.reshape(-1, x.size)
             for c in _chunks(np.arange(at.size), fv[0].size):
                 lane_nodes, lane_weights = _panel_nodes(edges[c], x, wts)
                 rows = _integrand(fv[c], g, lane_nodes, thetas[lanes[at[c]]], lane_weights)
-                sums[at[c]] = rows.reshape(c.size, -1).sum(axis=1)
+                sums[:, at[c]] = _order_sums(rows, blocks)
         return sums
 
     sums, errors = _doubling(panels, _PANEL_ORDER, 4 * _PANEL_ORDER, thetas.size, _panel_failure)
     return np.array([s / (2.0 * math.pi) for s in sums], dtype=complex), errors
+
+
+def _halfline_edges(tau: float, breakpoints) -> list[float]:
+    """Log-spaced panel edges on [0, tau] (see integrate_halfline_peak)."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    edges = _dyadic_edges(min(0.5, tau), tau)
+    inner = [b for b in breakpoints if 0.0 < b < tau]
+    return sorted(set(edges).union(inner)) if inner else edges
 
 
 def integrate_halfline_peak(
@@ -343,12 +464,7 @@ def integrate_halfline_peak(
     Suited to integrands like (1+x^2)^{-s} that vary on unit scale near 0 and
     decay algebraically; any kink locations go in `breakpoints`.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    edges = set(_dyadic_edges(min(0.5, tau), tau))
-    edges.update(b for b in breakpoints if 0.0 < b < tau)
-    edges.add(tau)
-    return _refine_panels(g, sorted(edges))
+    return _refine_panels(_jointly(g), [_halfline_edges(tau, breakpoints)])[0]
 
 
 # Degenerate band of the connection formula: s = c - a - b within _BAND of

@@ -18,8 +18,10 @@ Written in the substituted variable,
                  (1+u^2)^{-(mu+1/2)} (2/tau) (1-(u/tau)^2)^{-1/2} du
                  + int_{pi/2}^{pi} g_n(R - L) e^{-(mu+1/2) L} dphi ],
 
-L = log(1 + tau^2 sin^2(phi/2)).  Accuracy is uniform up to R ~ 30; past
-that 1-r itself is at the edge of double precision.
+L = log(1 + tau^2 sin^2(phi/2)).  Both pieces are lanes of one panel
+doubling and share one evaluation of the integrand per doubling step.
+Accuracy is uniform up to R ~ 30; past that 1-r itself is at the edge of
+double precision.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
@@ -64,11 +66,14 @@ from .errors import (
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
+    _flat,
+    _halfline_edges,
+    _jointly,
     _loggamma,
     _refine_panels,
+    _unflat,
     gauss_2f1_many,
     integrate_circle,
-    integrate_halfline_peak,
 )
 from .polynomials import ComplexPoly
 
@@ -116,22 +121,22 @@ def _kernel_mean(
     tau, R = frame.tau, frame.R
 
     if tau >= _TAU_SWITCH:
-        u_top = tau / math.sqrt(2.0)
-
-        def f_u(u):
-            base = 1.0 + u * u
-            q = _poly_values(poly, R - np.log(base), use_abs)
-            jac = (2.0 / tau) / np.sqrt(1.0 - (u / tau) ** 2)
-            return q * np.exp(-c * np.log(base)) * jac
-
-        def f_phi(phi):
-            L = np.log(1.0 + (tau * np.sin(0.5 * phi)) ** 2)
-            return _poly_values(poly, R - L, use_abs) * np.exp(-c * L)
-
         breaks = (math.sqrt(math.expm1(R)),) if use_abs else ()
+        halfline = _halfline_edges(tau / math.sqrt(2.0), breaks)
         arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
-        i_u = integrate_halfline_peak(f_u, u_top, breakpoints=breaks)
-        i_phi = _refine_panels(f_phi, arc)
+
+        def pieces(lanes, blocks):
+            # X = u on the half-line (lane 0) and tau sin(phi/2) on the arc:
+            # one L = log(1 + X^2) for both, the Jacobian on the half-line only
+            X = _flat([u if lane == 0 else tau * np.sin(0.5 * u) for lane, u in zip(lanes, blocks)])
+            L = np.log(1.0 + X * X)
+            vals = _unflat(_poly_values(poly, R - L, use_abs) * np.exp(-c * L), blocks)
+            for i, (lane, u) in enumerate(zip(lanes, blocks)):
+                if lane == 0:
+                    vals[i] = vals[i] * ((2.0 / tau) / np.sqrt(1.0 - (u / tau) ** 2))
+            return [np.asarray(v, dtype=complex) for v in vals]
+
+        i_u, i_phi = _refine_panels(pieces, [halfline, arc])
         return complex(np.exp(c * R) * (i_u + i_phi) / math.pi)
 
     # moderate radius: no peak to resolve
@@ -142,7 +147,7 @@ def _kernel_mean(
     if use_abs:
         # kink of |log P| at phi = arccos(r): split panels there
         edges = (0.0, math.acos(r), 0.5 * (math.acos(r) + math.pi), math.pi)
-        return complex(_refine_panels(f_circle, edges) / math.pi)
+        return complex(_refine_panels(_jointly(f_circle), [edges])[0] / math.pi)
     return integrate_circle(f_circle, min(1.0, 1.0 / tau if tau > 0 else 1.0))
 
 

@@ -461,6 +461,14 @@ def _mode_product(row: np.ndarray, coeffs: np.ndarray, size: int) -> np.ndarray:
     return row * coeffs
 
 
+def _check_radii(radii) -> None:
+    """ValueError naming the first radius outside [0, 1): a negative r
+    would put r e^{i theta} on the antipodal circle."""
+    for r in radii:
+        if not 0.0 <= r < 1.0:
+            raise ValueError(f"radius must lie in [0, 1), got {r}")
+
+
 def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
     """Fourier coefficients (index k mod size) of theta -> order-n transform
     of the datum at r e^{i theta}.
@@ -469,8 +477,7 @@ def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
     mode by mode it is the row's coefficient times the datum's; the grid
     size comes from _grid_size.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    _check_radii([r])
     size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
     row = _circle_row(n, sp.lam, float(r), size)
     return _full(_mode_product(row, _datum_coeffs(datum, size), size), size)
@@ -654,6 +661,7 @@ class DirichletSolution:
 
     def verify(self, xi_angles, radii) -> list:
         """Boundary sweep rows: normalized field vs g at each (xi, r)."""
+        _check_radii(radii)
         points = [(ang, r) for ang in xi_angles for r in radii]
         zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
         rows = []
@@ -704,6 +712,7 @@ class RiquierSolution:
     def verify(self, xi_angles, radii) -> dict:
         """Boundary traces: each layer over its own normalizer tends to its
         datum; lower layers over a higher normalizer tend to 0."""
+        _check_radii(radii)
         points = [(ang, r) for ang in xi_angles for r in radii]
         zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
         own, cross, layers = [], [], []
@@ -747,6 +756,7 @@ def convergence_probe(
     """
     if mode not in ("uniform", "pointwise-ae", "Lp", "weak-star"):
         raise ValueError(f"unknown probe mode {mode!r}")
+    _check_radii(radii)
     report = {"mode": mode, "radii": list(radii), "rows": []}
     if mode == "weak-star":
         for r in radii:

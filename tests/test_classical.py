@@ -14,6 +14,7 @@ from hypolib.classical import (
     associated_biharmonic,
     demo_lacunary_spec,
     functional_from_series,
+    lacunary_associate_probe,
     lacunary_circle_sup,
     lacunary_function,
     lacunary_growth_probe,
@@ -106,6 +107,14 @@ def test_growth_stays_under_the_envelope():
     rep = lacunary_growth_probe(spec, radii=[1 - 10.0**-k for k in range(1, 6)])
     assert math.isfinite(rep["max_ratio"])
     assert rep["max_ratio"] <= rep["fitted_constant"] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, -0.5])
+def test_the_gap_series_probes_refuse_radii_outside_the_open_interval(radius):
+    spec = demo_lacunary_spec()
+    for probe in (lacunary_growth_probe, lacunary_associate_probe):
+        with pytest.raises(ValueError, match=rf"radius must lie in \(0, 1\), got {radius}$"):
+            probe(spec, [0.5, radius])
 
 
 def test_circle_sup_frozen_value():

@@ -78,11 +78,14 @@ def test_forbidden_ray_dirichlet_is_a_usage_error(capsys):
     assert "forbidden" in capsys.readouterr().err
 
 
-def test_missing_datum_is_a_library_error(capsys):
+def test_missing_datum_is_a_usage_error(capsys):
+    # no --preset and no --atoms: invalid usage, so exit 2 with one line
     rc = main(["convergence", "--lambda", "0", "0", "--mode", "uniform",
                "--radii", "0.9"])
-    assert rc == 1
-    assert "datum" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "invalid input: no boundary datum given: pass --preset and/or --atoms\n"
+    )
 
 
 @pytest.mark.parametrize("grid", [["--r-grid", "0.5:0.9:2"], []])
@@ -162,6 +165,15 @@ def test_bad_usage_exits_two():
     assert main(["spherical", "--lambda", "nan", "0"]) == 2
     assert main(["lacunary", "--N", "0"]) == 2
     assert main(["lacunary", "--N", "-3"]) == 2
+    # a negative radius would put the points on the antipodal circle
+    assert main(["convergence", "--lambda", "0", "0", "--preset", "cos", "--radii", "-0.5"]) == 2
+    assert main(["convergence", "--lambda", "0", "0", "--preset", "cos", "--mode", "weak-star",
+                 "--radii", "-0.5"]) == 2
+    assert main(["dirichlet", "--lambda", "0", "0", "--radii", "-0.9"]) == 2
+    assert main(["riquier", "--lambda", "0", "0", "--r", "-0.5"]) == 2
+    assert main(["examples", "--what", "growth", "--radii", "1.0"]) == 2
+    assert main(["examples", "--what", "associate", "--radii", "0"]) == 2
+    assert main(["examples", "--what", "growth", "--radii", "0.5,2"]) == 2
     for argv in (
         ["kernel", "--lambda", "2", "0", "--z-angle", "nan"],
         ["kernel", "--lambda", "2", "0", "--xi", "inf"],
@@ -196,6 +208,20 @@ def test_bad_usage_exits_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["convergence", "--lambda", "0", "0", "--preset", "cos", "--radii", "-0.5"], "[0, 1), got -0.5"),
+    (["dirichlet", "--lambda", "0", "0", "--radii", "-0.9"], "[0, 1), got -0.9"),
+    (["riquier", "--lambda", "0", "0", "--r", "1.5"], "[0, 1), got 1.5"),
+    (["examples", "--what", "growth", "--radii", "1.0"], "(0, 1), got 1.0"),
+    (["examples", "--what", "associate", "--radii", "0"], "(0, 1), got 0.0"),
+    (["examples", "--what", "growth", "--radii", "0.5,2"], "(0, 1), got 2.0"),
+])
+def test_a_radius_out_of_range_is_named_with_its_interval(argv, bound, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: radius must lie in {bound}\n"
 
 
 def test_negative_numbers_in_exponent_notation_are_values(capsys):

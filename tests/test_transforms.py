@@ -348,6 +348,21 @@ def test_a_sweep_is_its_one_point_calls(lam, n, radii, name, angles):
         assert str(exc.value) == error[1]
 
 
+@pytest.mark.parametrize("radius", [-0.5, -0.0001, 1.0, 1.5])
+def test_probes_and_solvers_refuse_a_radius_outside_the_disk(radius):
+    # a negative r would put r e^{i theta} on the antipodal circle
+    sp = make_spectral(0.0)
+    g = density_preset("cos")
+    for call in (
+        lambda: convergence_probe(0, sp, g, "uniform", radii=(0.9, radius)),
+        lambda: convergence_probe(0, sp, g, "weak-star", radii=(radius,)),
+        lambda: dirichlet_solve(sp, g).verify([0.0], [0.5, radius]),
+        lambda: riquier_solve(sp, [g, g]).verify([0.0], [radius]),
+    ):
+        with pytest.raises(ValueError, match=rf"radius must lie in \[0, 1\), got {radius}$"):
+            call()
+
+
 def _on_one_circle(r, count):
     """count points spread over the circle whose |z| is one double (a
     point's circle is its computed |z|, which can differ from r in the
