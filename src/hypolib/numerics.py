@@ -13,6 +13,8 @@ integrand, and each later trapezoid doubling evaluates only the odd nodes
 it adds; every estimate rounds as if its order were evaluated alone.
 Half-line integrals int_0^tau g(x) dx use log-spaced
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
+A cumulative panel rule (_cumulative_panels) integrates from the first
+edge to each of many points at once, each point with its own check.
 
 The Gauss hypergeometric evaluator targets nonpositive real arguments only:
 the Pfaff transform x -> x/(x-1) maps (-inf, 0] onto y in [0, 1).  The
@@ -213,6 +215,54 @@ def _refine_panels(evaluate: Callable, panels: Sequence) -> list:
     estimate = _panel_estimator(evaluate, panels)
     outcome = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, len(panels), _panel_failure)
     return _settled(outcome)
+
+
+def _cumulative_panels(f: Callable, edges: Sequence[float], points) -> np.ndarray:
+    """int_{edges[0]}^{x} f(t) dt at each x of points (x >= edges[0]): the
+    composite Gauss-Legendre sums of the panels between the sorted edges up
+    to the last edge e <= x, summed cumulatively, plus the sum of the panel
+    [e, x].  Every panel's nodes are evaluated in one call of f.  Each
+    point doubles its nodes as _refine_panels does (the first two orders
+    from one evaluation of f) until its integral is stable by _stable's
+    tolerance, so its value does not depend on the other points.  Raises
+    ResultOverflow for an integral that does not fit in a double and
+    NonConvergence for one still unstable at the cap.
+    """
+    edges = np.asarray(edges, dtype=float)
+    points = np.asarray(points, dtype=float)
+    at = np.maximum(np.searchsorted(edges, points, side="right") - 1, 0)
+    starts, ends = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], points])
+    panels = np.stack([starts, ends], axis=-1)
+    whole = edges.size - 1
+
+    def integrals(orders):
+        x, w, blocks = _gl_nodes(tuple(orders))
+        nodes, weights = _panel_nodes(panels, x, w)
+        vals = (np.asarray(f(nodes)) * weights).reshape(len(panels), -1)
+        out = []
+        for k in blocks:
+            sums = vals[:, k].sum(axis=1)
+            out.append(np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])
+        return out
+
+    order = 2 * _PANEL_ORDER
+    prev, cur = integrals((_PANEL_ORDER, order))
+    values = np.zeros(points.shape, dtype=cur.dtype)
+    todo = np.ones(points.shape, dtype=bool)
+    while True:
+        if not np.all(np.isfinite(cur[todo])):
+            raise ResultOverflow("cumulative panel integral does not fit in a double")
+        gap = np.abs(cur - prev)
+        done = todo & (gap <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur)))
+        values[done] = cur[done]
+        todo &= ~done
+        if not todo.any():
+            return values
+        if order >= 4 * _PANEL_ORDER:
+            worst = int(np.argmax(np.where(todo, gap, -1.0)))
+            raise _panel_failure(order, complex(prev[worst]), complex(cur[worst]))
+        order *= 2
+        prev, (cur,) = cur, integrals((order,))
 
 
 def _trapezoid_grid(n: int, refine: bool) -> np.ndarray:

@@ -16,12 +16,19 @@ front half, and R <= b on the back half.
 
 Maximal operators are sampled suprema over a deterministic net: a radial
 ladder r = 1 - 10^{-e} with equispaced exponents, and per rung a fan of
-angular offsets filling the K_r window.  At a fixed rung the transform of
-a kinked datum is evaluated at every grid angle at once: the kernel row's
-spectrum times the datum's Fourier coefficients, then one inverse FFT.  A
-trigonometric polynomial is summed mode by mode at the fan cells alone.
-One row spectrum serves every datum of a suite, so refining the angular
-fan or adding anchors costs nothing extra.
+angular offsets filling the K_r window, rounded to a grid of angles.  At a
+fixed rung each density is evaluated at the fan cells alone, from a few
+numbers of the kernel row K_r: a trigonometric polynomial from the row's
+Fourier modes R_k, and a density whose derivative is a constant plus
+jumps J_i at angles b_i from the primitive of the row,
+
+    u(theta) / Phi_n(r) = c_0 + sum_i (J_i / 2pi) (int_0^{x_i} K_r / Phi_n(r) - x_i),
+
+with x_i = theta - b_i wrapped into [-pi, pi]: the row is even and the
+density's modes are c_k = sum_i J_i e^{-ik b_i} / (2 pi i k).  One
+cumulative quadrature per rung gives the primitive at every offset of
+every jump; any other density takes the circle quadrature of the
+transforms at its cells.
 """
 
 from __future__ import annotations
@@ -29,21 +36,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import FitResidualLarge, RatioDiverging
-from .kernels import SpectralParam
+from .kernels import SpectralParam, make_spectral
 from .numerics import parallel_map
 from .spherical import spherical_function
 from .transforms import (
     Density,
     Mixture,
-    _datum_coeffs,
     _grid_size,
-    _mode_product,
+    _kernel_modes,
     _normalizer,
-    _row_fft,
+    _row_primitive,
     _sweep,
     _zero_free_cached,
     density_preset,
@@ -157,19 +164,24 @@ def hl_maximal(samples, zeta_angle: float) -> float:
     so the supremum over arc widths reduces to a max over odd window
     sizes, computed with one prefix-sum pass.
     """
+    return float(_hl_maxima(samples, [zeta_angle])[0])
+
+
+def _hl_maxima(samples, zeta_angles) -> np.ndarray:
+    """hl_maximal at each of the angles, from one prefix-sum pass."""
     vals = np.abs(np.asarray(samples))
     n = vals.size
     if n == 0:
         raise ValueError("empty sample table")
-    center = int(round(zeta_angle / (2.0 * math.pi / n))) % n
+    step = 2.0 * math.pi / n
+    centers = np.array([int(round(float(a) / step)) % n for a in zeta_angles], dtype=int)
     tripled = np.concatenate([vals, vals, vals])
     prefix = np.concatenate([[0.0], np.cumsum(tripled)])
-    c = center + n
-    half = (n - 1) // 2
-    ks = np.arange(half + 1)
+    c = centers[:, None] + n
+    ks = np.arange((n - 1) // 2 + 1)
     sums = prefix[c + ks + 1] - prefix[c - ks]
-    best = float(np.max(sums / (2 * ks + 1)))
-    return max(best, float(vals.mean()))
+    best = np.max(sums / (2 * ks + 1), axis=1)
+    return np.maximum(best, float(vals.mean()))
 
 
 @dataclass(frozen=True)
@@ -178,7 +190,9 @@ class SampleNet:
 
     radial_rungs radii r = 1 - 10^{-e} with e equispaced on
     [min_exponent, max_exponent]; angular_count offsets per rung filling
-    the admissible window; grid_cap bounds the FFT length.
+    the admissible window, each rounded to the nearest angle of a grid
+    that resolves the kernel peak (transforms._grid_size); grid_cap bounds
+    that grid's size.
     """
 
     radial_rungs: int = 8
@@ -201,35 +215,52 @@ class SampleNet:
         )
 
 
+@lru_cache(maxsize=4)
+def _row_fft(n: int, lam: complex, r: float, top: int) -> np.ndarray:
+    """The kernel data of one rung: Phi_n(r), the row's mode 0, then its
+    modes R_1..R_top (transforms._kernel_modes)."""
+    sp = make_spectral(lam)
+    out = np.concatenate([[_normalizer(n, sp, r)], _kernel_modes(n, sp, r, range(1, top + 1))])
+    out.setflags(write=False)
+    return out
+
+
+def _wrapped(thetas: np.ndarray, b: float) -> np.ndarray:
+    """theta - b for each theta, moved by a multiple of 2 pi into [-pi, pi];
+    exact offsets stay untouched, so close to b the offset keeps its digits."""
+    x = thetas - b
+    return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
+
+
 def _field_at_radius(
-    n: int, sp: SpectralParam, g_coeffs: np.ndarray, r: float, row: np.ndarray, size: int
+    n: int, sp: SpectralParam, thetas: np.ndarray, g: Density, r: float, row: np.ndarray, primitive
 ) -> np.ndarray:
-    """Normalized transform at every angle of the `size`-point grid on |z| = r.
+    """Normalized order-n transform of the real density g at the angles
+    thetas on |z| = r.
 
-    row is the kernel-row spectrum there (_row_fft) and g_coeffs the
-    datum's coefficients (_datum_coeffs).  When both are half spectra the
-    field is real and comes from the real-input inverse FFT.
+    row is the rung's kernel data (_row_fft: Phi_n(r), R_1, R_2, ...) and
+    primitive the row's primitive at the offsets of every jump
+    (_row_primitive).  A trigonometric polynomial {k >= 0: c_k} sums
+    c_0 + sum_k (R_k / Phi_n(r)) 2 Re(c_k e^{ik theta}): the row is even and
+    the density real, so mode -k pairs R_k with conj(c_k).  A density with
+    jumps takes the primitive (see the module docstring); any other density
+    the circle quadrature of the transforms.
     """
-    spectrum = _mode_product(row, g_coeffs, size) * (size / _normalizer(n, sp, float(r)))
-    if spectrum.size == size:
-        return np.fft.ifft(spectrum)
-    return np.fft.irfft(spectrum, size)
-
-
-def _field_at_cells(
-    n: int, sp: SpectralParam, table: dict, r: float, row: np.ndarray, size: int, cells
-) -> np.ndarray:
-    """_field_at_radius at the grid cells only, for a real density with
-    finitely many modes {k >= 0: c_k}: sum_k row_k c_k e^{ik theta} / Phi_n(r).
-
-    The kernel row is even in the angle and the density real, so mode -k
-    pairs row_k with conj(c_k): each k > 0 adds row_k 2 Re(c_k e^{ik theta}).
-    """
-    acc = np.zeros(cells.shape, dtype=complex)
-    for k, c in table.items():
-        wave = c * np.exp(2j * math.pi * (k * cells % size) / size)
-        acc += row[k] * (wave if k == 0 else 2.0 * wave.real)
-    return acc / _normalizer(n, sp, float(r))
+    norm = row[0]
+    if isinstance(g.modes, dict) and max(g.modes, default=0) < row.size:
+        acc = np.full(thetas.shape, complex(g.modes.get(0, 0.0)))
+        for k, c in g.modes.items():
+            if k:
+                acc += row[k] / norm * (2.0 * (c * np.exp(1j * k * thetas)).real)
+        return acc
+    if g.jumps:
+        acc = np.full(thetas.shape, complex(g.modes(np.zeros(1, dtype=int))[0]))
+        for b, jump in g.jumps:
+            x = _wrapped(thetas, b)
+            acc += jump / (2.0 * math.pi) * (primitive(x) / norm - x)
+        return acc
+    zs = r * np.exp(1j * thetas)
+    return np.array([v for v, _ in _sweep(n, sp, g, zs, normalize=False)]) / norm
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
@@ -245,14 +276,13 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     """Sampled sup of |normalized transform| over each net, per density (rows)
     and region (columns).
 
-    Each rung radius takes one kernel-row spectrum and applies it to every
-    density, then reads every net's and region's fan off the field; a
+    Each rung radius takes its kernel data once (_row_fft, the modes up to
+    the highest of the trigonometric densities) and one primitive of the
+    row at the offsets of every density's jumps from every fan cell, then
+    evaluates each density at the fan cells of every net and region; a
     radius that several nets share (the ends of the ladder, for a net and
     its doubling) is computed once, and rungs inside the zero-free radius
-    are skipped.  Trigonometric polynomials are summed at the fan cells;
-    other densities pay one inverse FFT per rung, and their closed-form
-    coefficients, which do not depend on the grid, are built once at the
-    finest grid of all the rungs and sliced.  Rungs run largest grid first.
+    are skipped.  Regions of one width and kind share their fan offsets.
     """
     r_floor = _zero_free_cached(n, sp.lam)
     shared: dict[tuple[float, int], list[int]] = {}
@@ -260,33 +290,39 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
         for r in net.radii():
             if r >= r_floor:
                 shared.setdefault((r, _grid_size(r, net.grid_cap)), []).append(k)
-    rungs = sorted(shared.items(), key=lambda rung: -rung[0][1])
-    top = max((size for _, size in shared), default=0)
-    closed = [_datum_coeffs(g, top) if callable(g.modes) else None for g in densities]
+    top = max((max(g.modes, default=0) for g in densities if isinstance(g.modes, dict)), default=0)
+    jumps = [b for g in densities for b, _ in g.jumps]
+    groups: dict[tuple, list[int]] = {}
+    for j, reg in enumerate(regions):
+        groups.setdefault((reg.width, reg.kind), []).append(j)
+    anchors = np.array([reg.anchor_angle for reg in regions])
 
     def rung(job) -> np.ndarray:
         (r, size), ks = job
-        row = _row_fft(n, sp.lam, r, size)
-        cells = []
-        for k in ks:
-            for reg in regions:
-                offs = _angular_offsets(reg, r, nets[k].angular_count)
-                idx = np.round((reg.anchor_angle + offs) / (2.0 * math.pi / size)).astype(int)
-                cells.append(idx % size)
-        flat = np.concatenate(cells)
-        splits = np.cumsum([idx.size for idx in cells])[:-1]
+        # (net position, member regions, their cells: a row per region)
+        fans = []
+        for c, k in enumerate(ks):
+            for members in groups.values():
+                offs = _angular_offsets(regions[members[0]], r, nets[k].angular_count)
+                idx = np.round((anchors[members, None] + offs) / (2.0 * math.pi / size)).astype(int)
+                fans.append((c, members, idx % size))
+        thetas = 2.0 * math.pi * np.concatenate([idx.ravel() for *_, idx in fans]) / size
+        row = _row_fft(n, sp.lam, r, top)
+        primitive = None
+        if jumps:
+            xs = np.concatenate([_wrapped(thetas, b) for b in jumps])
+            primitive = _row_primitive(n, sp, r, xs)
+        vals = np.abs([_field_at_radius(n, sp, thetas, g, r, row, primitive) for g in densities])
         sups = np.zeros((len(ks), len(densities), len(regions)))
-        for i, g in enumerate(densities):
-            if isinstance(g.modes, dict):
-                vals = _field_at_cells(n, sp, g.modes, r, row, size, flat)
-            else:
-                coeffs = _datum_coeffs(g, size) if closed[i] is None else closed[i][: size // 2 + 1]
-                vals = _field_at_radius(n, sp, coeffs, r, row, size)[flat]
-            for c, part in enumerate(np.split(np.abs(vals), splits)):
-                if part.size:
-                    sups[c // len(regions), i, c % len(regions)] = np.max(part)
+        at = 0
+        for c, members, idx in fans:
+            if idx.size:
+                part = vals[:, at : at + idx.size].reshape(len(densities), *idx.shape)
+                sups[c][:, members] = np.max(part, axis=2)
+            at += idx.size
         return sups
 
+    rungs = list(shared.items())
     out = [np.zeros((len(densities), len(regions))) for _ in nets]
     for (_, ks), sups in zip(rungs, parallel_map(rung, rungs)):
         for k, sup in zip(ks, sups):
@@ -355,8 +391,7 @@ def maximal_inequality_probe(
     tests = []
     for test_id, preset in suite:
         g = density_preset(preset) if isinstance(preset, str) else preset
-        hl_samples = np.asarray(g(hl_grid))
-        tests.append((test_id, g, np.array([hl_maximal(hl_samples, float(a)) for a in zetas])))
+        tests.append((test_id, g, _hl_maxima(g(hl_grid), zetas)))
 
     def ratios(sups: np.ndarray) -> tuple[tuple[str, float], ...]:
         rows = []

@@ -18,7 +18,10 @@ the kernel's zero-free radius.
 Transforms are computed one circle at a time: a sweep (_sweep) groups its
 points by |z|, and a density's points on one circle share one quadrature
 pass, so the kernel row is evaluated once per doubling order, not once per
-point.  poisson_transform is the one-point sweep.
+point.  poisson_transform is the one-point sweep.  Fourier data take the
+kernel row's modes they pair with from one panel quadrature
+(_kernel_modes); the maximal sweeps of regions read the row's modes and
+its primitive at many offsets (_row_primitive).
 """
 
 from __future__ import annotations
@@ -49,7 +52,21 @@ from .kernels import (
     make_spectral,
     polyharmonic_kernel,
 )
-from .numerics import _circle_means, _stable, circle_fft, next_pow2
+from .numerics import (
+    _PANEL_ORDER,
+    _chunks,
+    _circle_means,
+    _cumulative_panels,
+    _doubling,
+    _dyadic_edges,
+    _gl_nodes,
+    _panel_failure,
+    _panel_nodes,
+    _settled,
+    _stable,
+    circle_fft,
+    next_pow2,
+)
 from .spherical import spherical_function, zero_free_radius
 
 __all__ = [
@@ -101,12 +118,22 @@ class Density:
     (the negative modes are their conjugates): a table {k: c_k} of the
     nonzero ones for a trigonometric polynomial, else a map from an integer
     array k to c_k.
+
+    jumps, for a density whose derivative is a constant plus point masses,
+    lists the masses as (angle, size) pairs: then c_k is
+    sum_i J_i e^{-ik b_i} / (2 pi i k) for k != 0, and such a density also
+    carries its modes map, for c_0.
     """
 
     fn: Callable
     name: str
     breakpoints: tuple = ()
     modes: Union[dict, Callable, None] = field(default=None, compare=False)
+    jumps: tuple = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.jumps and not callable(self.modes):
+            raise ValueError("a density with jumps needs its modes map, for its mean")
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -200,7 +227,8 @@ def _indicator_modes(c: float, w: float) -> Callable:
 
 def density_preset(name: str) -> Density:
     """Named densities: one, cos, sin, cos2, sawtooth, indicator:<c>:<w>,
-    each with its Fourier coefficients in closed form."""
+    each with its Fourier coefficients in closed form, and the last two
+    with their jumps."""
     if name == "one":
         return Density(lambda p: np.ones_like(p), "one", modes={0: 1.0})
     if name == "cos":
@@ -210,7 +238,10 @@ def density_preset(name: str) -> Density:
     if name == "cos2":
         return Density(lambda p: np.cos(2.0 * p), "cos2", modes={2: 0.5})
     if name == "sawtooth":
-        return Density(_sawtooth, "sawtooth", breakpoints=(math.pi,), modes=_sawtooth_modes)
+        return Density(
+            _sawtooth, "sawtooth", breakpoints=(math.pi,), modes=_sawtooth_modes,
+            jumps=((math.pi, -2.0),),
+        )
     if name.startswith("indicator:"):
         parts = name.split(":")
         if len(parts) != 3:
@@ -223,7 +254,10 @@ def density_preset(name: str) -> Density:
             d = np.abs(np.remainder(phi - c + math.pi, 2.0 * math.pi) - math.pi)
             return (d <= w).astype(float)
 
-        return Density(ind, name, breakpoints=(c - w, c + w), modes=_indicator_modes(c, w))
+        return Density(
+            ind, name, breakpoints=(c - w, c + w), modes=_indicator_modes(c, w),
+            jumps=((c - w, 1.0), (c + w, -1.0)),
+        )
     raise ValueError(f"unknown density preset {name!r}")
 
 
@@ -366,36 +400,67 @@ def _kernel_row(n, sp, r, phi):
     return poly.evaluate(logp) * np.exp(sp.exponent * logp)
 
 
-def _spectrum(row: np.ndarray, size: int) -> np.ndarray:
-    """Fourier coefficients of `size` equispaced row samples: the half
-    spectrum, k = 0..size/2, of a real row (every real lam off the
-    forbidden ray), all of them, k mod size, of a complex one."""
-    out = np.fft.rfft(row) if np.isrealobj(row) else np.fft.fft(row)
-    out /= size
-    return out
-
-
 @lru_cache(maxsize=4)
 def _circle_row(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    """_spectrum of the kernel row from every offset of the grid, for
-    Fourier data and weak-star pairings; _row_fft's mirrored row would move
-    their last bits."""
-    phi = 2.0 * math.pi * np.arange(size) / size
-    out = _spectrum(_kernel_row(n, make_spectral(lam), r, phi), size)
+    """Fourier coefficients of the kernel row from every offset of the
+    `size`-point grid, for weak-star pairings: the half spectrum,
+    k = 0..size/2, of a real row (every real lam off the forbidden ray),
+    all of them, k mod size, of a complex one."""
+    row = _kernel_row(n, make_spectral(lam), r, 2.0 * math.pi * np.arange(size) / size)
+    out = np.fft.rfft(row) if np.isrealobj(row) else np.fft.fft(row)
+    out /= size
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=4)
-def _row_fft(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    """_spectrum of the kernel row for the maximal sweep.  The row depends
-    on the offset only through P(r, phi), so it is even: offsets
-    0..size/2 are evaluated and mirrored."""
-    half = size // 2
-    row = _kernel_row(n, make_spectral(lam), r, 2.0 * math.pi * np.arange(half + 1) / size)
-    out = _spectrum(np.concatenate([row, row[half - 1 : 0 : -1]]), size)
-    out.setflags(write=False)
-    return out
+def _row_panels(r: float, top: int = 0) -> list[float]:
+    """Panel edges on [0, pi] for the kernel row at radius r: dyadic toward
+    its peak at 0 (width ~ 1/tau), and at most pi / top wide, so that
+    cos(kt) turns at most half a period on a panel for k <= top."""
+    tau = RadialFrame.from_r(r).tau
+    peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
+    edges = _dyadic_edges(min(peak, math.pi / 4.0), math.pi)
+    return sorted(set(edges).union(np.linspace(0.0, math.pi, top + 1).tolist()))
+
+
+def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
+    """The kernel row's Fourier modes R_k = (1/2pi) int K_r(t) e^{-ikt} dt
+    at each k >= 0 of ks.  The row is even, so R_k is
+    (1/pi) int_0^pi K_r(t) cos(kt) dt: one panel quadrature with a lane
+    per mode, the row evaluated once per doubling step for every lane, the
+    lanes taken in chunks (numerics._chunks) to bound the memory."""
+    ks = np.array([int(k) for k in ks], dtype=float)
+    edges = np.asarray(_row_panels(r, int(ks.max(initial=0))))
+
+    def estimate(orders, lanes):
+        x, w, blocks = _gl_nodes(tuple(orders))
+        nodes, weights = _panel_nodes(edges, x, w)
+        row = _kernel_row(n, sp, r, nodes) * weights
+        lanes = np.asarray(lanes)
+        sums = np.empty((len(blocks), lanes.size), dtype=complex)
+        for c in _chunks(np.arange(lanes.size), row.size):
+            vals = np.cos(np.multiply.outer(ks[lanes[c]], nodes)) * row
+            sums[:, c] = [vals[..., k].sum(axis=(1, 2)) for k in blocks]
+        return sums
+
+    modes = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, ks.size, _panel_failure)
+    return np.array(_settled(modes), dtype=complex) / math.pi
+
+
+def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
+    """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi), from
+    one cumulative panel quadrature on panels dyadic toward the row's peak,
+    each |x| closing a panel of its own.  The row is even, so the
+    primitive is odd."""
+    xs = np.unique(np.abs(np.asarray(xs, dtype=float)))
+    try:
+        values = _cumulative_panels(lambda t: _kernel_row(n, sp, r, t), _row_panels(r), xs)
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}",
+            last_estimates=exc.last_estimates,
+        ) from exc
+    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
 
 
 def _grid_size(r: float, cap: int = 1 << 20, window: int = 0) -> int:
@@ -491,7 +556,7 @@ def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
     A density takes one quadrature pass for the whole circle
     (numerics._circle_means): the kernel row is shared, only the panels
     that the density's kinks split differ from point to point.  Fourier
-    data take the circle's coefficients once.
+    data take the kernel row's modes they need once (_kernel_modes).
     """
     if isinstance(datum, Density):
         tau = RadialFrame.from_r(r).tau
@@ -512,10 +577,15 @@ def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
             except ResultOverflow as exc:
                 errors[i] = exc
     elif isinstance(datum, FourierSeq):
-        coeffs = circle_coeffs(n, sp, datum, r)
+        # mode -m of the transform is R_|m| conj(nu_m) (see _datum_coeffs)
+        ks = sorted({abs(m) for m in datum.coeffs})
+        row = dict(zip(ks, _kernel_modes(n, sp, r, ks)))
         for i, z in enumerate(zs):
             theta = math.atan2(z.imag, z.real)
-            terms = (coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in datum.coeffs)
+            terms = (
+                row[abs(m)] * complex(v).conjugate() * cmath.exp(-1j * m * theta)
+                for m, v in datum.coeffs.items()
+            )
             values[i] = complex(sum(terms, 0j))
     elif isinstance(datum, Mixture):
         for part in (datum.density, datum.atoms):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hypolib import numerics
-from hypolib.errors import CancellationLoss, StencilOutOfDomain
+from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow, StencilOutOfDomain
 from hypolib.numerics import (
     circle_fft,
     fd_laplacian,
@@ -145,6 +145,25 @@ def test_integrate_halfline_peak_finite_window():
     assert got == pytest.approx(1.0 - math.exp(-3.0), rel=1e-10)
     got = integrate_halfline_peak(lambda t: 1.0 / (1.0 + t * t), tau=40.0)
     assert got == pytest.approx(math.atan(40.0), rel=1e-10)
+
+
+def test_cumulative_panels_integrate_up_to_each_point():
+    # a Lorentzian of width 1e-4 on panels dyadic toward its peak
+    a = 1e-4
+    edges = numerics._dyadic_edges(a / 2, math.pi)
+    points = np.array([0.0, a / 3, a, 0.3, 1.7, math.pi])
+    got = numerics._cumulative_panels(lambda t: a / (a * a + t * t), edges, points)
+    assert np.max(np.abs(got - np.arctan(points / a))) <= 1e-14
+    # a point's value does not depend on the other points
+    more = np.concatenate([points, np.linspace(0.0, 3.0, 17)])
+    assert numerics._cumulative_panels(lambda t: a / (a * a + t * t), edges, more)[:6].tolist() == got.tolist()
+
+
+def test_cumulative_panels_raise_typed_errors():
+    with pytest.raises(NonConvergence):
+        numerics._cumulative_panels(lambda t: np.sin(1e4 * t), [0.0, 1.0], [1.0])
+    with pytest.raises(ResultOverflow), np.errstate(over="ignore"):
+        numerics._cumulative_panels(lambda t: np.exp(800.0 + t), [0.0, 1.0], [0.5])
 
 
 def test_fd_laplacian_eigenrelation_for_kernel_powers():

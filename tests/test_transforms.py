@@ -19,13 +19,12 @@ from hypolib.transforms import (
     Density,
     FourierSeq,
     Mixture,
-    _circle_row,
     _datum_coeffs,
     _indicator_modes,
     _kernel_row,
-    _row_fft,
     _sawtooth_modes,
     _sweep,
+    circle_coeffs,
     convergence_probe,
     datum_from_json,
     datum_to_json,
@@ -68,6 +67,21 @@ def test_preset_modes_match_the_sampled_coefficients():
         g = density_preset(name)
         want = circle_fft(g(phi))[: size // 2 + 1]
         assert np.max(np.abs(_datum_coeffs(g, size) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["sawtooth", "indicator:0.3:0.7", "indicator:-2.9:1.1"])
+def test_preset_jumps_give_the_preset_modes(name):
+    # c_k = sum_i J_i e^{-ik b_i} / (2 pi i k) for k != 0
+    g = density_preset(name)
+    k = np.arange(1, 40)
+    want = sum(jump * np.exp(-1j * k * b) for b, jump in g.jumps) / (2j * math.pi * k)
+    assert np.max(np.abs(g.modes(k) - want)) < 1e-15
+    assert sorted(b for b, _ in g.jumps) == sorted(g.breakpoints)
+
+
+def test_a_density_with_jumps_needs_its_modes():
+    with pytest.raises(ValueError):
+        Density(np.sign, "step", breakpoints=(0.0, math.pi), jumps=((0.0, 2.0), (math.pi, -2.0)))
 
 
 def test_sawtooth_is_odd_and_breaks_at_pi():
@@ -139,6 +153,26 @@ def test_fourier_datum_matches_density_transform():
     a = poisson_transform(0, sp, fs, z).normalized
     b = poisson_transform(0, sp, g, z).normalized
     assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 2)])
+def test_fourier_datum_takes_the_row_modes_it_needs(lam, n):
+    # against the kernel row's full-grid FFT (circle_coeffs), and at lam = 0
+    # against the exact sum_m r^|m| e^{-im theta} conj(nu_m)
+    sp = make_spectral(lam)
+    nu = FourierSeq({0: 0.3, 1: 0.5 - 0.2j, -1: 0.25j, 3: -1.0, -4: 0.7 + 0.1j})
+    for r in (0.3, 0.9, 0.99):
+        coeffs = circle_coeffs(n, sp, nu, r)
+        for theta in (0.0, 1.1, -2.5):
+            got = poisson_transform(n, sp, nu, r * cmath.exp(1j * theta), normalize=False).value
+            terms = [coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in nu.coeffs]
+            assert abs(got - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+            if lam == 0.0:
+                exact = sum(
+                    r ** abs(m) * cmath.exp(-1j * m * theta) * complex(v).conjugate()
+                    for m, v in nu.coeffs.items()
+                )
+                assert abs(got - exact) <= 1e-14 * sum(map(abs, terms))
 
 
 def test_normalized_kernel_has_unit_circle_mean():
@@ -443,25 +477,3 @@ def test_indicator_modes_are_no_less_accurate_than_the_direct_formula(c, w):
             worst_direct = max(worst_direct, float(abs(direct[j] - exact)))
             worst_built = max(worst_built, float(abs(built[j] - exact)))
     assert worst_built <= worst_direct
-
-
-def test_the_mirrored_kernel_row_is_at_least_as_accurate():
-    # at r = 0.999 the offsets in (pi, 2 pi) lose digits to the rounded
-    # argument of sin near pi; the maximal sweep's row mirrors 0..pi
-    n, lam, r, size = 1, -0.25, 0.999, 1 << 16
-    sp = make_spectral(lam)
-    full, half = _circle_row(n, lam, r, size), _row_fft(n, lam, r, size)
-    coeffs = [mpmath.mpf(complex(c).real) for c in kernel_poly(n, sp).coeffs]
-    with mpmath.workdps(30):
-        rr = mpmath.mpf(r)
-
-        def kernel(t, m):
-            p = (1 - rr**2) / ((1 - rr) ** 2 + 4 * rr * mpmath.sin(t / 2) ** 2)
-            logp = mpmath.log(p)
-            value = sum(c * logp**j for j, c in enumerate(coeffs)) * p ** mpmath.mpf(sp.exponent.real)
-            return value * mpmath.cos(m * t)
-
-        edges = [0] + [(1 - rr) * 2**j for j in range(12)] + [mpmath.pi]
-        for m in (0, 1):
-            exact = mpmath.quad(lambda t: kernel(t, m), edges) / mpmath.pi
-            assert abs(half[m] - exact) <= abs(full[m] - exact)
