@@ -94,8 +94,9 @@ def poisson_radial_profile(r: float, phi):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     phi = np.asarray(phi, dtype=float)
-    # stable denominator: (1-r)^2 + 4r sin^2(phi/2) = |e^{i phi} - r|^2
-    out = (1.0 - r * r) / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * phi) ** 2)
+    # 1 - r^2 as (1-r)(1+r), which keeps its digits near r = 1, over the
+    # stable denominator (1-r)^2 + 4r sin^2(phi/2) = |e^{i phi} - r|^2
+    out = (1.0 - r) * (1.0 + r) / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * phi) ** 2)
     return out if out.ndim else float(out)
 
 

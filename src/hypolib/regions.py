@@ -42,12 +42,11 @@ import numpy as np
 
 from .errors import FitResidualLarge, RatioDiverging
 from .kernels import SpectralParam, make_spectral
-from .numerics import parallel_map
+from .numerics import next_pow2, parallel_map
 from .spherical import spherical_function
 from .transforms import (
     Density,
     Mixture,
-    _grid_size,
     _kernel_modes,
     _normalizer,
     _row_primitive,
@@ -191,15 +190,13 @@ class SampleNet:
     radial_rungs radii r = 1 - 10^{-e} with e equispaced on
     [min_exponent, max_exponent]; angular_count offsets per rung filling
     the admissible window, each rounded to the nearest angle of a grid
-    that resolves the kernel peak (transforms._grid_size); grid_cap bounds
-    that grid's size.
+    that resolves the kernel peak at that rung (_grid_size).
     """
 
     radial_rungs: int = 8
     angular_count: int = 9
     min_exponent: float = 0.5
     max_exponent: float = 4.0
-    grid_cap: int = 1 << 20
 
     def radii(self) -> tuple[float, ...]:
         es = np.linspace(self.min_exponent, self.max_exponent, self.radial_rungs)
@@ -211,8 +208,18 @@ class SampleNet:
             angular_count=2 * self.angular_count + 1,
             min_exponent=self.min_exponent,
             max_exponent=self.max_exponent,
-            grid_cap=self.grid_cap,
         )
+
+
+# the most angles of a fan-cell grid
+_GRID_CAP = 1 << 20
+
+
+def _grid_size(r: float) -> int:
+    """Angles of the grid the fan cells at radius r round to: enough to
+    resolve the kernel peak (width ~ 1/tau), at most _GRID_CAP."""
+    tau = 2.0 * math.sqrt(r) / (1.0 - r)
+    return min(_GRID_CAP, next_pow2(max(4096, int(32.0 * tau))))
 
 
 @lru_cache(maxsize=4)
@@ -285,11 +292,11 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     are skipped.  Regions of one width and kind share their fan offsets.
     """
     r_floor = _zero_free_cached(n, sp.lam)
-    shared: dict[tuple[float, int], list[int]] = {}
+    shared: dict[float, list[int]] = {}
     for k, net in enumerate(nets):
         for r in net.radii():
             if r >= r_floor:
-                shared.setdefault((r, _grid_size(r, net.grid_cap)), []).append(k)
+                shared.setdefault(r, []).append(k)
     top = max((max(g.modes, default=0) for g in densities if isinstance(g.modes, dict)), default=0)
     jumps = [b for g in densities for b, _ in g.jumps]
     groups: dict[tuple, list[int]] = {}
@@ -298,7 +305,8 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     anchors = np.array([reg.anchor_angle for reg in regions])
 
     def rung(job) -> np.ndarray:
-        (r, size), ks = job
+        r, ks = job
+        size = _grid_size(r)
         # (net position, member regions, their cells: a row per region)
         fans = []
         for c, k in enumerate(ks):

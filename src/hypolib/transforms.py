@@ -18,10 +18,12 @@ the kernel's zero-free radius.
 Transforms are computed one circle at a time: a sweep (_sweep) groups its
 points by |z|, and a density's points on one circle share one quadrature
 pass, so the kernel row is evaluated once per doubling order, not once per
-point.  poisson_transform is the one-point sweep.  Fourier data take the
-kernel row's modes they pair with from one panel quadrature
-(_kernel_modes); the maximal sweeps of regions read the row's modes and
-its primitive at many offsets (_row_primitive).
+point.  poisson_transform is the one-point sweep.  On |z| = r the
+transform's mode k is R_|k| nu^_k, the kernel row's mode (_kernel_modes,
+one panel quadrature) times the datum's (_datum_modes): Fourier data and
+the weak-star pairings of every datum are read off these; the maximal
+sweeps of regions read the row's modes and its primitive at many offsets
+(_row_primitive).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .numerics import (
     _settled,
     _stable,
     circle_fft,
-    next_pow2,
+    integrate_circle,
 )
 from .spherical import spherical_function, zero_free_radius
 
@@ -81,7 +83,6 @@ __all__ = [
     "datum_from_json",
     "TransformResult",
     "pair_functional",
-    "circle_coeffs",
     "poisson_transform",
     "normalized_kernel",
     "kernel_decay_probe",
@@ -170,57 +171,16 @@ def _sawtooth(phi):
 
 
 def _sawtooth_modes(k):
-    # c_k = i (-1)^k / (pi k), c_0 = 0, in real arithmetic; the parts are
-    # those of the complex quotient i (-1)^k / (pi k): the imaginary part
-    # (-1)^k / (pi k), the real part a zero signed like (-1)^k
+    # c_k = i (-1)^k / (pi k), c_0 = 0
     kk = np.where(k == 0, 1, k)
-    sign = np.where(kk & 1, -1.0, 1.0)
-    parts = np.empty((k.size, 2))
-    np.multiply(sign.ravel(), 0.0, out=parts[:, 0])
-    np.divide(sign.ravel(), math.pi * kk.ravel(), out=parts[:, 1])
-    out = parts.view(complex).reshape(k.shape)
-    out[k == 0] = 0.0
-    return out
-
-
-# block length of the phase tables in _phase_tables
-_PHASE_BLOCK = 1024
-
-
-def _phase_tables(c: float, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) with e^{-ikc} = high[k // _PHASE_BLOCK] low[k % _PHASE_BLOCK]
-    for 0 <= k < blocks _PHASE_BLOCK <= 2^29.  The block phases split c as
-    c_hi + c_lo with c_hi on 24 bits, so (k - k mod _PHASE_BLOCK) c_hi is
-    exact and only the small rest is rounded: a few ulps where e^{-ikc}
-    directly loses |kc| ulps to its rounded argument."""
-    c_hi = float(np.float32(c)) if abs(c) < 1e38 else c
-    starts = _PHASE_BLOCK * np.arange(blocks, dtype=float)
-    high = np.exp(-1j * (starts * c_hi)) * np.exp(-1j * (starts * (c - c_hi)))
-    return high, np.exp(-1j * c * np.arange(_PHASE_BLOCK))
-
-
-def _indicator_table(c: float, w: float, blocks: int) -> np.ndarray:
-    """c_k = e^{-ikc} sin(kw) / (pi k), c_0 = w / pi, for k below
-    blocks _PHASE_BLOCK, from phase tables (sin(kw) = -Im e^{-ikw})."""
-    high, low = _phase_tables(c, blocks)
-    table = np.multiply.outer(high, low).reshape(-1)
-    high, low = _phase_tables(w, blocks)
-    sines = np.multiply.outer(high.real, low.imag)
-    sines += np.multiply.outer(high.imag, low.real)
-    scale = np.arange(table.size, dtype=float)
-    scale[0] = 1.0
-    scale *= -math.pi
-    sines = sines.reshape(-1)
-    sines /= scale
-    table *= sines
-    table[0] = w / math.pi
-    return table
+    return np.where(k == 0, 0.0, 1j * (1 - 2 * (kk % 2)) / (math.pi * kk))
 
 
 def _indicator_modes(c: float, w: float) -> Callable:
+    # c_k = e^{-ikc} sin(kw) / (pi k), c_0 = w / pi
     def modes(k):
-        blocks = (int(k.max()) if k.size else 0) // _PHASE_BLOCK + 1
-        return _indicator_table(c, w, blocks)[k]
+        kk = np.where(k == 0, 1, k)
+        return np.where(k == 0, w / math.pi, np.exp(-1j * c * kk) * (np.sin(w * kk) / (math.pi * kk)))
 
     return modes
 
@@ -400,19 +360,6 @@ def _kernel_row(n, sp, r, phi):
     return poly.evaluate(logp) * np.exp(sp.exponent * logp)
 
 
-@lru_cache(maxsize=4)
-def _circle_row(n: int, lam: complex, r: float, size: int) -> np.ndarray:
-    """Fourier coefficients of the kernel row from every offset of the
-    `size`-point grid, for weak-star pairings: the half spectrum,
-    k = 0..size/2, of a real row (every real lam off the forbidden ray),
-    all of them, k mod size, of a complex one."""
-    row = _kernel_row(n, make_spectral(lam), r, 2.0 * math.pi * np.arange(size) / size)
-    out = np.fft.rfft(row) if np.isrealobj(row) else np.fft.fft(row)
-    out /= size
-    out.setflags(write=False)
-    return out
-
-
 def _row_panels(r: float, top: int = 0) -> list[float]:
     """Panel edges on [0, pi] for the kernel row at radius r: dyadic toward
     its peak at 0 (width ~ 1/tau), and at most pi / top wide, so that
@@ -463,69 +410,6 @@ def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
     return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
 
 
-def _grid_size(r: float, cap: int = 1 << 20, window: int = 0) -> int:
-    """Circle grid resolving the kernel peak (width ~ 1/tau) and modes +-window."""
-    tau = 2.0 * math.sqrt(r) / (1.0 - r)
-    return min(cap, next_pow2(max(4096, int(32.0 * tau), 4 * window + 4)))
-
-
-def _full(spectrum: np.ndarray, size: int) -> np.ndarray:
-    """Coefficients at k mod size; a half spectrum (k = 0..size/2, of a real
-    function) is completed by conjugate symmetry."""
-    if spectrum.size == size:
-        return spectrum
-    return np.concatenate([spectrum, spectrum[size // 2 - 1:0:-1].conj()])
-
-
-def _datum_coeffs(datum, size: int) -> np.ndarray:
-    """int e^{-ik psi} dnu(psi) on a `size`-point grid.
-
-    A real density gives the half spectrum (see _full); other data give
-    k mod size.  Exact for atoms, Fourier data and densities with
-    closed-form modes; for any other density the FFT of `size` samples.
-    """
-    if isinstance(datum, Density):
-        if isinstance(datum.modes, dict):
-            out = np.zeros(size // 2 + 1, dtype=complex)
-            for k, c in datum.modes.items():
-                if k >= size // 2:
-                    raise ValueError(f"mode {k} exceeds resolvable modes at size {size}")
-                out[k] = c
-            return out
-        if datum.modes is not None:
-            return datum.modes(np.arange(size // 2 + 1))
-        samples = np.asarray(datum(2.0 * math.pi * np.arange(size) / size))
-        coeffs = circle_fft(samples)
-        return coeffs if np.iscomplexobj(samples) else coeffs[: size // 2 + 1]
-    k = np.fft.fftfreq(size, d=1.0 / size)
-    out = np.zeros(size, dtype=complex)
-    if isinstance(datum, Atoms):
-        for ang, w in datum.points:
-            out += complex(w) * np.exp(-1j * k * float(ang))
-    elif isinstance(datum, FourierSeq):
-        w = datum.window()
-        if w >= size // 2:
-            raise ValueError(f"datum window {w} exceeds resolvable modes at size {size}")
-        # <nu, g> = sum g_m conj(nu_m): the measure's mode k is conj(nu_{-k})
-        for m, v in datum.coeffs.items():
-            out[-m % size] += complex(v).conjugate()
-    elif isinstance(datum, Mixture):
-        for part in (datum.density, datum.atoms):
-            if part is not None:
-                out += _full(_datum_coeffs(part, size), size)
-    else:
-        raise TypeError(f"not a boundary datum: {type(datum).__name__}")
-    return out
-
-
-def _mode_product(row: np.ndarray, coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Mode-by-mode product of a kernel-row spectrum and datum coefficients:
-    half when both are half, else at k mod size."""
-    if row.size != coeffs.size:
-        row, coeffs = _full(row, size), _full(coeffs, size)
-    return row * coeffs
-
-
 def _check_radii(radii) -> None:
     """ValueError naming the first radius outside [0, 1): a negative r
     would put r e^{i theta} on the antipodal circle."""
@@ -534,18 +418,49 @@ def _check_radii(radii) -> None:
             raise ValueError(f"radius must lie in [0, 1), got {r}")
 
 
-def circle_coeffs(n: int, sp: SpectralParam, datum, r: float) -> np.ndarray:
-    """Fourier coefficients (index k mod size) of theta -> order-n transform
-    of the datum at r e^{i theta}.
+def _row_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
+    """R_|k| for each integer k of ks, from one _kernel_modes call."""
+    ks = np.abs(np.asarray(ks, dtype=int))
+    top = np.unique(ks)
+    return _kernel_modes(n, sp, r, top)[np.searchsorted(top, ks)]
 
-    The transform is the convolution of the kernel row with the datum, so
-    mode by mode it is the row's coefficient times the datum's; the grid
-    size comes from _grid_size.
+
+def _datum_modes(datum, ks) -> np.ndarray:
+    """The datum's Fourier modes nu^_k = int e^{-ik psi} dnu(psi) at each
+    integer k of ks, against which the transform's mode k is R_|k| nu^_k.
+
+    Exact for atoms, Fourier data (nu^_k = conj(nu_{-k}), see the module
+    docstring) and densities with closed-form modes (nu^_{-k} = conj(nu^_k)
+    for these real densities); any other density takes one circle
+    quadrature per mode, split at its breakpoints.
     """
-    _check_radii([r])
-    size = _grid_size(r, window=datum.window() if isinstance(datum, FourierSeq) else 0)
-    row = _circle_row(n, sp.lam, float(r), size)
-    return _full(_mode_product(row, _datum_coeffs(datum, size), size), size)
+    ks = np.array([int(k) for k in ks], dtype=int)
+    if isinstance(datum, Density):
+        if datum.modes is None:
+            return np.array([
+                integrate_circle(
+                    lambda phi, k=k: datum(phi) * np.exp(-1j * k * phi), breakpoints=datum.breakpoints
+                )
+                for k in ks
+            ], dtype=complex)
+        if isinstance(datum.modes, dict):
+            out = np.array([complex(datum.modes.get(k, 0.0)) for k in np.abs(ks).tolist()], dtype=complex)
+        else:
+            out = np.asarray(datum.modes(np.abs(ks)), dtype=complex)
+        return np.where(ks < 0, out.conj(), out)
+    out = np.zeros(ks.size, dtype=complex)
+    if isinstance(datum, Atoms):
+        for ang, w in datum.points:
+            out += complex(w) * np.exp(-1j * ks * float(ang))
+    elif isinstance(datum, FourierSeq):
+        out[:] = [complex(datum.coeffs.get(-k, 0.0)).conjugate() for k in ks.tolist()]
+    elif isinstance(datum, Mixture):
+        for part in (datum.density, datum.atoms):
+            if part is not None:
+                out += _datum_modes(part, ks)
+    else:
+        raise TypeError(f"not a boundary datum: {type(datum).__name__}")
+    return out
 
 
 def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
@@ -577,16 +492,11 @@ def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
             except ResultOverflow as exc:
                 errors[i] = exc
     elif isinstance(datum, FourierSeq):
-        # mode -m of the transform is R_|m| conj(nu_m) (see _datum_coeffs)
-        ks = sorted({abs(m) for m in datum.coeffs})
-        row = dict(zip(ks, _kernel_modes(n, sp, r, ks)))
+        ks = [-m for m in datum.coeffs]
+        terms = _row_modes(n, sp, r, ks) * _datum_modes(datum, ks)
         for i, z in enumerate(zs):
             theta = math.atan2(z.imag, z.real)
-            terms = (
-                row[abs(m)] * complex(v).conjugate() * cmath.exp(-1j * m * theta)
-                for m, v in datum.coeffs.items()
-            )
-            values[i] = complex(sum(terms, 0j))
+            values[i] = complex(sum((t * cmath.exp(1j * k * theta) for k, t in zip(ks, terms)), 0j))
     elif isinstance(datum, Mixture):
         for part in (datum.density, datum.atoms):
             if part is not None:
@@ -821,18 +731,21 @@ def convergence_probe(
     pointwise-ae: same rows but only at angles away from breakpoints.
     Lp: discrete L^p distance between the normalized field and g per radius.
     weak-star: pairings of the normalized field against e^{i k phi} per
-    radius, read off circle_coeffs (they tend to the datum's coefficients
-    int e^{-ik psi} dnu; for an atom of mass 1 at angle 0: all 1).
+    radius, R_|k| nu^_k / Phi_n(r) from the kernel row's modes (_row_modes)
+    and the datum's (_datum_modes); they tend to the datum's coefficients
+    nu^_k = int e^{-ik psi} dnu (for an atom of mass 1 at angle 0: all 1).
     """
     if mode not in ("uniform", "pointwise-ae", "Lp", "weak-star"):
         raise ValueError(f"unknown probe mode {mode!r}")
     _check_radii(radii)
     report = {"mode": mode, "radii": list(radii), "rows": []}
     if mode == "weak-star":
+        ks = [int(k) for k in test_modes]
+        hat = _datum_modes(datum, ks)
         for r in radii:
-            coeffs = circle_coeffs(n, sp, datum, r) / _normalizer(n, sp, r)
-            pair = {int(k): complex(coeffs[k % coeffs.size]) for k in test_modes}
-            report["rows"].append({"r": r, "pairings": pair})
+            norm = _normalizer(n, sp, r)
+            pairs = _row_modes(n, sp, r, ks) * hat / norm
+            report["rows"].append({"r": r, "pairings": dict(zip(ks, pairs.tolist()))})
         return report
     if not isinstance(datum, Density):
         raise ValueError(f"{mode} probe needs a Density datum")

@@ -72,6 +72,20 @@ def test_float_cells_use_full_precision(tmp_path):
     assert rows[1][2] == ""  # first zero has no predecessor gap
 
 
+def test_weak_star_pairings_stay_exact_near_the_circle(tmp_path):
+    # the harmonic extension of cos pairs with e^{ik phi} as r/2 at k = +-1
+    # and 0 elsewhere, however close to the circle
+    out = tmp_path / "weak.csv"
+    assert main(["convergence", "--lambda", "0", "0", "--preset", "cos", "--mode", "weak-star",
+                 "--radii", "0.99999,0.999999", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["r", "mode", "pairing_re", "pairing_im"]
+    assert len(rows) == 1 + 2 * 7
+    for r, k, re, im in rows[1:]:
+        want = float(r) / 2.0 if abs(int(k)) == 1 else 0.0
+        assert abs(complex(float(re), float(im)) - want) <= 1e-12
+
+
 def test_forbidden_ray_dirichlet_is_a_usage_error(capsys):
     rc = main(["dirichlet", "--lambda", "-1", "0", "--radii", "0.9"])
     assert rc == 2

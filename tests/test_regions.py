@@ -18,6 +18,7 @@ from hypolib.regions import (
     SampleNet,
     _angular_offsets,
     _field_at_radius,
+    _grid_size,
     _hl_maxima,
     _region_sups,
     _row_fft,
@@ -34,8 +35,6 @@ from hypolib.spherical import spherical_function
 from hypolib.transforms import (
     Atoms,
     Mixture,
-    _datum_coeffs,
-    _grid_size,
     _row_primitive,
     _zero_free_cached,
     density_from_table,
@@ -183,33 +182,21 @@ def _mp_row_mode(n, sp, r, m):
 def test_cell_synthesis_matches_the_inverse_fft(lam, n):
     # trigonometric presets summed at the cells from the rung's kernel modes,
     # against adaptive per-point transforms; the modes R_1, R_2 against
-    # 30-digit quadrature (at r <= 0.999: past it the double kernel row
-    # itself carries the rounding of 1 - r^2, ~ 1e-16 / (1 - r) relative)
+    # 30-digit quadrature
     sp = make_spectral(lam)
     for r in (0.9, 0.999, 0.9999):
         size = _grid_size(r)
         row = _row_fft(n, sp.lam, r, 2)
         assert row[0] == spherical_function(n, r, sp)
-        if r <= 0.999:
-            for m in (1, 2):
-                exact = _mp_row_mode(n, sp, r, m)
-                assert abs(row[m] - exact) <= 1e-13 * abs(exact)
+        for m in (1, 2):
+            exact = _mp_row_mode(n, sp, r, m)
+            assert abs(row[m] - exact) <= 1e-13 * abs(exact)
         cells = np.arange(3, size, size // 16 + 1)
         for name in ("one", "cos", "sin", "cos2"):
             g = density_preset(name)
             got = _rung_field(n, sp, g, r, cells, size)
             want = _oracle(n, sp, g, r, cells, size)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def test_sliced_closed_form_coefficients_are_bit_identical():
-    sizes = {_grid_size(r) for net in (SampleNet(), SampleNet().doubled()) for r in net.radii()}
-    top = max(sizes)
-    for name in ("sawtooth", "indicator:0.0:0.5235987755982988", "indicator:0.3:0.7"):
-        g = density_preset(name)
-        whole = _datum_coeffs(g, top)
-        for size in sizes:
-            assert np.array_equal(whole[: size // 2 + 1], _datum_coeffs(g, size))
 
 
 def _fan_cells(reg, r, net, size):
@@ -252,7 +239,7 @@ def test_region_sups_match_an_inverse_fft_of_every_density(lam, n, kind):
         for r in one.radii():
             if r < _zero_free_cached(n, sp.lam):
                 continue
-            size = _grid_size(r, one.grid_cap)
+            size = _grid_size(r)
             for j, reg in enumerate(regions):
                 cells = _fan_cells(reg, r, one, size)
                 if not cells.size:

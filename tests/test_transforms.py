@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,12 +18,10 @@ from hypolib.transforms import (
     Density,
     FourierSeq,
     Mixture,
-    _datum_coeffs,
-    _indicator_modes,
+    _datum_modes,
+    _kernel_modes,
     _kernel_row,
-    _sawtooth_modes,
     _sweep,
-    circle_coeffs,
     convergence_probe,
     datum_from_json,
     datum_to_json,
@@ -60,13 +57,31 @@ def test_density_preset_rejects_unknown():
 
 
 def test_preset_modes_match_the_sampled_coefficients():
-    # trigonometric polynomials: 64 samples resolve them exactly
+    # trigonometric polynomials: 64 samples resolve them exactly, at the
+    # negative modes too (the conjugates of a real density's)
     size = 64
     phi = 2.0 * math.pi * np.arange(size) / size
+    ks = np.arange(-size // 2 + 1, size // 2)
     for name in ("one", "cos", "sin", "cos2"):
         g = density_preset(name)
-        want = circle_fft(g(phi))[: size // 2 + 1]
-        assert np.max(np.abs(_datum_coeffs(g, size) - want)) < 1e-15
+        want = circle_fft(g(phi))[ks % size]
+        assert np.max(np.abs(_datum_modes(g, ks) - want)) < 1e-15
+
+
+def test_datum_modes_of_every_kind_of_datum():
+    # atoms and Fourier data exactly, a mixture as the sum of its parts, and
+    # a density without closed-form modes by quadrature
+    ks = [-3, -1, 0, 3, 5]
+    atoms = Atoms(((0.7, 1.0 - 0.5j), (-2.0, 0.25)))
+    want = [sum(complex(w) * cmath.exp(-1j * k * a) for a, w in atoms.points) for k in ks]
+    assert np.max(np.abs(_datum_modes(atoms, ks) - want)) < 1e-15
+    nu = FourierSeq({1: 0.5 - 0.2j, -3: 2.0j, 0: 0.3})
+    assert _datum_modes(nu, ks).tolist() == [0j, 0.5 + 0.2j, 0.3 + 0j, -2j, 0j]
+    saw = density_preset("sawtooth")
+    mix = Mixture(saw, atoms)
+    assert np.array_equal(_datum_modes(mix, ks), _datum_modes(saw, ks) + _datum_modes(atoms, ks))
+    kinked = Density(saw.fn, "sawtooth without modes", breakpoints=saw.breakpoints)
+    assert np.max(np.abs(_datum_modes(kinked, ks) - _datum_modes(saw, ks))) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "indicator:0.3:0.7", "indicator:-2.9:1.1"])
@@ -157,22 +172,36 @@ def test_fourier_datum_matches_density_transform():
 
 @pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 2)])
 def test_fourier_datum_takes_the_row_modes_it_needs(lam, n):
-    # against the kernel row's full-grid FFT (circle_coeffs), and at lam = 0
-    # against the exact sum_m r^|m| e^{-im theta} conj(nu_m)
+    # against the per-point transform of the density sum_m conj(nu_m) e^{-im psi}
+    # that the functional pairs like, and at lam = 0 against the exact
+    # sum_m r^|m| e^{-im theta} conj(nu_m)
     sp = make_spectral(lam)
     nu = FourierSeq({0: 0.3, 1: 0.5 - 0.2j, -1: 0.25j, 3: -1.0, -4: 0.7 + 0.1j})
+    density = Density(
+        lambda p: sum(complex(v).conjugate() * np.exp(-1j * m * p) for m, v in nu.coeffs.items()),
+        "trigonometric polynomial",
+    )
     for r in (0.3, 0.9, 0.99):
-        coeffs = circle_coeffs(n, sp, nu, r)
         for theta in (0.0, 1.1, -2.5):
-            got = poisson_transform(n, sp, nu, r * cmath.exp(1j * theta), normalize=False).value
-            terms = [coeffs[-m % coeffs.size] * cmath.exp(-1j * m * theta) for m in nu.coeffs]
-            assert abs(got - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+            z = r * cmath.exp(1j * theta)
+            got = poisson_transform(n, sp, nu, z, normalize=False).value
+            want = poisson_transform(n, sp, density, z, normalize=False).value
+            scale = sum(abs(v) for v in nu.coeffs.values()) * abs(spherical_function(n, r, sp))
+            assert abs(got - want) <= 1e-12 * scale
             if lam == 0.0:
                 exact = sum(
                     r ** abs(m) * cmath.exp(-1j * m * theta) * complex(v).conjugate()
                     for m, v in nu.coeffs.items()
                 )
-                assert abs(got - exact) <= 1e-14 * sum(map(abs, terms))
+                assert abs(got - exact) <= 1e-14 * scale
+
+
+def test_poisson_row_modes_are_the_powers_of_r():
+    # at lam = 0 the order-0 row is the Poisson kernel, whose modes are r^k
+    r = 0.9999
+    ks = [0, 1, 2, 5]
+    for k, got in zip(ks, _kernel_modes(0, make_spectral(0.0), r, ks)):
+        assert abs(got - r**k) <= 1e-15 * r**k
 
 
 def test_normalized_kernel_has_unit_circle_mean():
@@ -230,11 +259,10 @@ def test_convergence_probe_lp_handles_jumps():
 
 
 def test_weak_star_pairings_of_a_unit_atom():
-    # classical case: pairing against e^{ik phi} equals r^{|k|} e^{-ik xi};
-    # r = 0.999 runs on the 65536-point grid
+    # classical case: pairing against e^{ik phi} equals r^{|k|} e^{-ik xi}
     sp = make_spectral(0.0)
     xi = 0.7
-    rep = convergence_probe(0, sp, Atoms(((xi, 1.0),)), "weak-star", radii=(0.99, 0.999))
+    rep = convergence_probe(0, sp, Atoms(((xi, 1.0),)), "weak-star", radii=(0.99, 0.999, 0.999999))
     for row in rep["rows"]:
         for k, v in row["pairings"].items():
             assert abs(v - row["r"] ** abs(k) * cmath.exp(-1j * k * xi)) < 1e-12
@@ -272,6 +300,26 @@ def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
         oracle = circle_fft(vals)
         for k, v in row["pairings"].items():
             assert abs(v - oracle[k % size]) < 1e-12
+
+
+def test_weak_star_probe_takes_no_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weak-star probe called an FFT")
+
+    table = density_from_table(np.cos(2.0 * math.pi * np.arange(32) / 32))
+    data = [
+        Atoms(((0.7, 1.0),)),
+        density_preset("cos"),
+        density_preset("indicator:0.3:0.7"),
+        table,
+        FourierSeq({1: 0.5, -2: 0.25j}),
+        Mixture(density_preset("sawtooth"), Atoms(((0.0, 1.0),))),
+    ]
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for datum in data:
+        rep = convergence_probe(1, make_spectral(2.0), datum, "weak-star", radii=(0.9, 0.9999))
+        assert len(rep["rows"]) == 2
 
 
 def test_convergence_probe_rejects_bad_mode():
@@ -444,36 +492,3 @@ def test_a_point_that_does_not_stabilize_names_its_own_z():
     for j, z in enumerate(zs):
         if j != 5:
             poisson_transform(0, sp, g, z)
-
-
-def _legacy_sawtooth_modes(k):
-    # the complex formula the real-arithmetic build reproduces
-    kk = np.where(k == 0, 1, k)
-    return np.where(k == 0, 0.0, 1j * (1 - 2 * (kk % 2)) / (math.pi * kk))
-
-
-def test_sawtooth_modes_are_bit_identical_to_the_complex_formula():
-    for k in (np.arange((1 << 19) + 1), np.array([0, 3, 2, 7, 0, 1]), np.array([[1, 2], [0, 5]])):
-        assert _sawtooth_modes(k).tobytes() == _legacy_sawtooth_modes(k).tobytes()
-
-
-@pytest.mark.parametrize("c,w", [(0.3, 0.7), (-2.0, 0.3), (2.9, 1.1), (0.0, math.pi / 6)])
-def test_indicator_modes_are_no_less_accurate_than_the_direct_formula(c, w):
-    # against 40-digit values at sampled k <= 2^19: the phase tables keep
-    # the error of e^{-ikc} sin(kw) at a few ulps where the direct formula
-    # loses |kc| ulps to the rounded argument
-    k = np.arange((1 << 19) + 1)
-    kk = np.where(k == 0, 1, k)
-    direct = np.exp(-1j * c * kk) * (np.sin(w * kk) / (math.pi * kk))
-    built = _indicator_modes(c, w)(k)
-    assert built[0] == w / math.pi
-    rng = np.random.default_rng(5)
-    sample = sorted({1, 2, 1023, 1024, 1025, 65537, (1 << 19) - 1, 1 << 19}
-                    | set(rng.integers(1, (1 << 19) + 1, 60).tolist()))
-    worst_direct = worst_built = 0.0
-    with mpmath.workdps(40):
-        for j in sample:
-            exact = mpmath.exp(-1j * j * mpmath.mpf(c)) * mpmath.sin(j * mpmath.mpf(w)) / (mpmath.pi * j)
-            worst_direct = max(worst_direct, float(abs(direct[j] - exact)))
-            worst_built = max(worst_built, float(abs(built[j] - exact)))
-    assert worst_built <= worst_direct
