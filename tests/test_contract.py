@@ -1,0 +1,126 @@
+"""The command-line contract: every subcommand's CSV, pinned.
+
+Each case runs `hypolib.cli.main` in process on a fixed argv and compares
+its stdout with the committed CSV under `tests/contract/`: the header, the
+row count, the exit code and every cell that is not a number exactly;
+numbers within 1e-12 relative (1e-300 absolute).  `exits.csv` holds every
+case's exit code; a case that exits nonzero prints nothing and has no CSV.
+
+A change that moves a cell past the tolerance regenerates the snapshot in
+the same commit, and says which cells moved and why:
+
+    PYTHONPATH=src python tests/test_contract.py
+"""
+
+import contextlib
+import csv
+import io
+from pathlib import Path
+
+import pytest
+
+from hypolib import cli
+
+SNAPSHOT = Path(__file__).resolve().parent / "contract"
+REL, ABS = 1e-12, 1e-300
+
+# label -> (re, im); "0" is each subcommand's default regime
+LAMBDAS = {"0": ("0", "0"), "2": ("2", "0"), "quarter": ("-0.25", "0"), "i": ("0", "1")}
+WITH_LAMBDA = {
+    "kernel": [],
+    "spherical": [],
+    "asymptotics": [],
+    "dirichlet": [],
+    "riquier": [],
+    **{f"convergence-{mode}": ["--preset", "cos", "--mode", mode]
+       for mode in ("uniform", "pointwise-ae", "Lp", "weak-star")},
+    "maximal": [],
+    "fatou": [],
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name, extra in WITH_LAMBDA.items():
+        for label, lam in LAMBDAS.items():
+            cases[f"{name}-{label}"] = [name.split("-")[0], "--lambda", *lam, *extra]
+    for label, lam in {"-1": ("-1", "0"), **LAMBDAS}.items():
+        cases[f"zeros-{label}"] = ["zeros", "--lambda", *lam]
+    for what in ("d", "growth", "associate"):
+        cases[f"examples-{what}"] = ["examples", "--what", what]
+    cases["lacunary"] = ["lacunary"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _float(cell: str) -> float | None:
+    """The value of a float cell; None for text and integers."""
+    try:
+        int(cell)
+        return None
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _same(got: str, want: str) -> bool:
+    a, b = _float(got), _float(want)
+    if a is None or b is None:
+        return got == want
+    return a == b or abs(a - b) <= max(ABS, REL * max(abs(a), abs(b)))
+
+
+def _exits() -> dict[str, int]:
+    with open(SNAPSHOT / "exits.csv", newline="") as fh:
+        return {name: int(code) for name, code in csv.reader(fh)}
+
+
+def test_the_snapshot_covers_every_case():
+    assert set(_exits()) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subcommand_output_matches_the_snapshot(name):
+    code, out = _run(CASES[name])
+    assert code == _exits()[name]
+    if code:
+        assert out == ""
+        return
+    path = SNAPSHOT / f"{name}.csv"
+    got = list(csv.reader(io.StringIO(out)))
+    want = list(csv.reader(io.StringIO(path.read_text())))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for i, (row, ref) in enumerate(zip(got[1:], want[1:]), 1):
+        assert len(row) == len(ref), i
+        for j, (cell, cell_ref) in enumerate(zip(row, ref)):
+            assert _same(cell, cell_ref), (i, want[0][j], cell, cell_ref)
+
+
+def _regenerate() -> None:
+    SNAPSHOT.mkdir(exist_ok=True)
+    for stale in SNAPSHOT.glob("*.csv"):
+        stale.unlink()
+    exits = []
+    for name, argv in sorted(CASES.items()):
+        code, out = _run(argv)
+        if code == 0:
+            (SNAPSHOT / f"{name}.csv").write_text(out)
+        exits.append(f"{name},{code}\n")
+    (SNAPSHOT / "exits.csv").write_text("".join(exits))
+
+
+if __name__ == "__main__":
+    _regenerate()
