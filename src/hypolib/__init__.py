@@ -17,13 +17,10 @@ _EXPORTS = {
     "errors": (
         "CancellationLoss",
         "ChainBroken",
-        "DecayViolation",
         "FitFailed",
-        "FitResidualLarge",
         "HypolibError",
         "NonConvergence",
         "NormalizationUnavailable",
-        "PositivityViolation",
         "PrecisionLoss",
         "RatioDiverging",
         "ResultOverflow",
@@ -32,15 +29,9 @@ _EXPORTS = {
         "TruncationWarning",
     ),
     "geometry": (
-        "MobiusMap",
         "RadialFrame",
-        "busemann",
-        "distance_to_segment",
-        "hyperbolic_distance",
-        "mobius_to_origin",
         "poisson_kernel",
         "poisson_radial_profile",
-        "rotate",
     ),
     "kernels": (
         "CRITICAL",
@@ -48,7 +39,6 @@ _EXPORTS = {
         "GENERIC",
         "SpectralParam",
         "kernel_poly",
-        "lambda_kernel",
         "make_spectral",
         "polyharmonic_kernel",
         "reduce_step",
@@ -56,7 +46,6 @@ _EXPORTS = {
     ),
     "spherical": (
         "AsymptoticLaw",
-        "abs_spherical_function",
         "asymptotic_law",
         "boundary_constant",
         "closed_form",
@@ -67,7 +56,6 @@ _EXPORTS = {
     ),
     "transforms": (
         "Atoms",
-        "DecayReport",
         "Density",
         "DirichletSolution",
         "FourierSeq",
@@ -75,17 +63,10 @@ _EXPORTS = {
         "RiquierSolution",
         "TransformResult",
         "convergence_probe",
-        "datum_from_json",
-        "datum_to_json",
-        "density_from_table",
         "density_preset",
         "dirichlet_solve",
-        "kernel_decay_probe",
-        "normalized_kernel",
-        "pair_functional",
         "poisson_transform",
         "riquier_solve",
-        "spherical_average",
     ),
     "regions": (
         "AdmissibleRegion",
@@ -93,12 +74,7 @@ _EXPORTS = {
         "MaximalReport",
         "SampleNet",
         "fatou_probe",
-        "hl_maximal",
         "maximal_inequality_probe",
-        "radial_rigidity_check",
-        "region_distance",
-        "region_membership",
-        "tubular_maximal",
     ),
     "classical": (
         "AnalyticSeries",
@@ -108,7 +84,6 @@ _EXPORTS = {
         "associate_deviation_bound",
         "associated_biharmonic",
         "demo_lacunary_spec",
-        "functional_from_series",
         "lacunary_associate_probe",
         "lacunary_circle_sup",
         "lacunary_function",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "AnalyticSeries",
     "associated_biharmonic",
     "associate_deviation_bound",
-    "functional_from_series",
     "runge_spiral_fit",
     "spiral_deviation",
     "demo_lacunary_spec",
@@ -222,30 +221,6 @@ def associate_deviation_bound(series: AnalyticSeries, r: float) -> float:
     log_r = math.log(r)
     s = sum(e * abs(c) * math.exp(e * log_r) for e, c in series.terms)
     return (1.0 - r * r) * s
-
-
-def functional_from_series(series: AnalyticSeries, real_part: bool = False):
-    """Fourier-sequence functional whose transform reproduces the series.
-
-    Pairing conventions put the conjugated coefficients on the
-    nonpositive modes.  With real_part the functional represents the
-    real part of the boundary values instead: mode 0 carries Re c_0,
-    mode e carries c_e/2 and mode -e its conjugate half.
-    """
-    from .transforms import FourierSeq
-
-    coeffs: dict[int, complex] = {}
-    if real_part:
-        for e, c in series.terms:
-            if e == 0:
-                coeffs[0] = coeffs.get(0, 0.0j) + complex(c).real
-            else:
-                coeffs[e] = coeffs.get(e, 0.0j) + c / 2.0
-                coeffs[-e] = coeffs.get(-e, 0.0j) + c.conjugate() / 2.0
-    else:
-        for e, c in series.terms:
-            coeffs[-e] = coeffs.get(-e, 0.0j) + c.conjugate()
-    return FourierSeq({k: v for k, v in coeffs.items() if v != 0.0})
 
 
 def _spiral(count: int) -> np.ndarray:

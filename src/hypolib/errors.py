@@ -47,24 +47,12 @@ class NormalizationUnavailable(HypolibError):
     """Spherical-function normalization undefined or numerically zero here."""
 
 
-class DecayViolation(HypolibError):
-    """Normalized-kernel band supremum failed to decrease along a sweep."""
-
-
 class RatioDiverging(HypolibError):
     """Maximal-function ratio kept growing under net refinement."""
 
 
-class PositivityViolation(HypolibError):
-    """A quantity that must be positive was not, beyond tolerance."""
-
-
 class ScanInconclusive(HypolibError):
     """Zero-free-radius scan found dips persisting arbitrarily close to 1."""
-
-
-class FitResidualLarge(HypolibError):
-    """Least-squares residual exceeded the acceptance threshold."""
 
 
 class FitFailed(HypolibError):

@@ -35,7 +35,6 @@ from .polynomials import ComplexPoly
 __all__ = [
     "SpectralParam",
     "make_spectral",
-    "lambda_kernel",
     "polyharmonic_kernel",
     "kernel_poly",
     "reduce_step",
@@ -86,11 +85,6 @@ def _xi_point(xi):
     if arr.ndim:
         return np.exp(1j * arr.astype(float))
     return cmath.exp(1j * float(arr))
-
-
-def lambda_kernel(z: complex, xi, sp: SpectralParam):
-    """Base eigenkernel P(z, xi)^{mu + 1/2}; xi is an angle or angle array."""
-    return polyharmonic_kernel(0, z, xi, sp)
 
 
 def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:

@@ -49,7 +49,6 @@ __all__ = [
     "gauss_2f1_many",
     "fd_laplacian",
     "circle_fft",
-    "fourier_mode",
 ]
 
 _TRAPEZOID_START = 64
@@ -1004,13 +1003,6 @@ def circle_fft(samples) -> np.ndarray:
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
     return np.fft.fft(s) / n
 
-
-def fourier_mode(coeffs: np.ndarray, n: int) -> complex:
-    """Mode-n coefficient from a circle_fft result (valid for |n| < N/2)."""
-    N = len(coeffs)
-    if not -N // 2 <= n < N // 2:
-        raise ValueError(f"mode {n} outside the resolved window of {N} samples")
-    return complex(coeffs[n % N])
 
 def next_pow2(n: int) -> int:
     """Smallest power of two >= max(n, 2)."""

@@ -40,10 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FitResidualLarge, RatioDiverging
+from .errors import RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
-from .spherical import spherical_function
 from .transforms import (
     Density,
     Mixture,
@@ -57,16 +56,11 @@ from .transforms import (
 
 __all__ = [
     "AdmissibleRegion",
-    "region_membership",
-    "region_distance",
-    "hl_maximal",
     "SampleNet",
-    "tubular_maximal",
     "MaximalReport",
     "maximal_inequality_probe",
     "FatouRow",
     "fatou_probe",
-    "radial_rigidity_check",
 ]
 
 _TUBE = "tube"
@@ -114,60 +108,14 @@ def _front_window(r: float, b: float) -> float:
     return math.sinh(b) / math.sinh(big_r)
 
 
-def region_membership(z: complex, region: AdmissibleRegion) -> bool:
-    """Closed-form membership test.
-
-    Rotates the anchor to angle zero and applies the K_r window on the
-    front half-disk, the plain radial bound on the back half.
-    """
-    w = complex(z) * cmath.exp(-1j * region.anchor_angle)
-    r = abs(w)
-    if r >= 1.0:
-        return False
-    big_r = 0.0 if r == 0.0 else math.log((1.0 + r) / (1.0 - r))
-    b = region.effective_width(big_r)
-    if b < 0.0:
-        return False
-    if r == 0.0:
-        return True
-    alpha = abs(cmath.phase(w))
-    if alpha <= 0.5 * math.pi:
-        return math.sin(alpha) <= _front_window(r, b)
-    return big_r <= b
-
-
-def region_distance(z: complex, region: AdmissibleRegion) -> float:
-    """Hyperbolic distance from z to the segment [0, anchor).
-
-    Closed form used by the membership fast path; cross-checked in tests
-    against the golden-section minimizer over the segment.
-    """
-    w = complex(z) * cmath.exp(-1j * region.anchor_angle)
-    r = abs(w)
-    if r >= 1.0:
-        return math.inf
-    if r == 0.0:
-        return 0.0
-    big_r = math.log((1.0 + r) / (1.0 - r))
-    alpha = abs(cmath.phase(w))
-    if alpha <= 0.5 * math.pi:
-        return math.asinh(math.sin(alpha) * math.sinh(big_r))
-    return big_r
-
-
-def hl_maximal(samples, zeta_angle: float) -> float:
-    """Centered arc-average maximal value of |g| at a boundary angle.
+def _hl_maxima(samples, zeta_angles) -> np.ndarray:
+    """Centered arc-average maximal value of |g| at each boundary angle.
 
     The samples are read as an equispaced grid of cell averages; arcs are
     unions of whole cells centered at the grid point nearest the anchor,
     so the supremum over arc widths reduces to a max over odd window
-    sizes, computed with one prefix-sum pass.
+    sizes, computed for every angle with one prefix-sum pass.
     """
-    return float(_hl_maxima(samples, [zeta_angle])[0])
-
-
-def _hl_maxima(samples, zeta_angles) -> np.ndarray:
-    """hl_maximal at each of the angles, from one prefix-sum pass."""
     vals = np.abs(np.asarray(samples))
     n = vals.size
     if n == 0:
@@ -338,20 +286,6 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     return out
 
 
-def tubular_maximal(
-    n: int,
-    sp: SpectralParam,
-    width: float,
-    g: Density,
-    zeta_angle: float,
-    kind: str = _TUBE,
-    net: SampleNet = SampleNet(),
-) -> float:
-    """Sampled supremum of the normalized transform over the region."""
-    region = AdmissibleRegion(zeta_angle, width, kind)
-    return float(_region_sups(n, sp, [g], [region], [net])[0][0, 0])
-
-
 @dataclass(frozen=True)
 class MaximalReport:
     """Per-test ratio table with its refined counterpart."""
@@ -480,33 +414,3 @@ def fatou_probe(
     ]
 
 
-def radial_rigidity_check(
-    sp: SpectralParam,
-    r_grid,
-    values,
-    order: int,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Fit radial samples against the first `order` radial eigenprofiles.
-
-    Columns are scaled to unit sup before the least-squares solve so the
-    growth mismatch between successive profiles does not poison the
-    conditioning.  Raises FitResidualLarge when the relative sup residual
-    exceeds tol.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    cols = np.empty((r_grid.size, order), dtype=complex)
-    for k in range(order):
-        cols[:, k] = [spherical_function(k, float(r), sp) for r in r_grid]
-    scale = np.max(np.abs(cols), axis=0)
-    scale[scale == 0.0] = 1.0
-    coeffs_scaled, *_ = np.linalg.lstsq(cols / scale, values, rcond=None)
-    coeffs = coeffs_scaled / scale
-    resid = np.max(np.abs(cols @ coeffs - values))
-    denom = max(float(np.max(np.abs(values))), 1e-300)
-    if resid / denom > tol:
-        raise FitResidualLarge(f"relative residual {resid / denom:.3e} exceeds {tol:.1e}")
-    return coeffs

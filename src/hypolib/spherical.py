@@ -36,15 +36,11 @@ and in the critical regime Phi_n = [eps^2n] at s0 = 1/2.  gauss_2f1_many
 carries these coefficients as truncated Taylor series in eps, so an order-n
 profile costs about n+1 times an order-0 one; orders above _MAX_ORDER can
 lose more than 1e-12 to cancellation and are left to quadrature.  The scans
-(scan_profile, zero_free_radius, positivity_scan, radial_zeros) evaluate
-all their radii in one closed-form call, and take the quadrature profile
+(scan_profile, zero_free_radius, radial_zeros) evaluate all their radii in
+one closed-form call, and take the quadrature profile
 only where the closed form reports CancellationLoss (large |lam| near the
 forbidden ray).  spherical_function itself stays on quadrature, the
 closed form's independent check.
-
-Absolute variant.  |Phi|_n integrates |g_n(log P)| P^{Re mu + 1/2}; the
-integrand has a kink where log P changes sign, at phi = arccos(r)
-(u = sqrt(e^R - 1)); panels are split there.
 """
 
 from __future__ import annotations
@@ -56,19 +52,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CancellationLoss,
-    NonConvergence,
-    PositivityViolation,
-    ResultOverflow,
-    ScanInconclusive,
-)
+from .errors import CancellationLoss, NonConvergence, ResultOverflow, ScanInconclusive
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
     _flat,
     _halfline_edges,
-    _jointly,
     _loggamma,
     _refine_panels,
     _unflat,
@@ -81,7 +70,6 @@ __all__ = [
     "spherical_function",
     "closed_form",
     "closed_form_many",
-    "abs_spherical_function",
     "boundary_constant",
     "AsymptoticLaw",
     "asymptotic_law",
@@ -89,7 +77,6 @@ __all__ = [
     "radial_zeros",
     "ZeroFreeRadius",
     "zero_free_radius",
-    "positivity_scan",
     "scan_profile",
 ]
 
@@ -99,30 +86,18 @@ _TAU_SWITCH = 20.0
 _MAX_ORDER = 3
 
 
-def _poly_values(poly: ComplexPoly, w, use_abs: bool):
-    v = poly.evaluate(w)
-    return np.abs(v) if use_abs else v
-
-
-def _kernel_mean(
-    poly: ComplexPoly,
-    exponent: complex,
-    r: float,
-    use_abs: bool = False,
-) -> complex:
-    """(1/2pi) int q(log P_r) P_r^{exponent} dphi, q = poly (or |poly|)."""
+def _kernel_mean(poly: ComplexPoly, exponent: complex, r: float) -> complex:
+    """(1/2pi) int poly(log P_r) P_r^{exponent} dphi."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    c = complex(exponent).real if use_abs else complex(exponent)
+    c = complex(exponent)
     if r == 0.0:
-        v0 = poly.evaluate(0.0)
-        return abs(v0) if use_abs else v0
+        return poly.evaluate(0.0)
     frame = RadialFrame.from_r(r)
     tau, R = frame.tau, frame.R
 
     if tau >= _TAU_SWITCH:
-        breaks = (math.sqrt(math.expm1(R)),) if use_abs else ()
-        halfline = _halfline_edges(tau / math.sqrt(2.0), breaks)
+        halfline = _halfline_edges(tau / math.sqrt(2.0), ())
         arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
 
         def pieces(lanes, blocks):
@@ -130,7 +105,7 @@ def _kernel_mean(
             # one L = log(1 + X^2) for both, the Jacobian on the half-line only
             X = _flat([u if lane == 0 else tau * np.sin(0.5 * u) for lane, u in zip(lanes, blocks)])
             L = np.log(1.0 + X * X)
-            vals = _unflat(_poly_values(poly, R - L, use_abs) * np.exp(-c * L), blocks)
+            vals = _unflat(poly.evaluate(R - L) * np.exp(-c * L), blocks)
             for i, (lane, u) in enumerate(zip(lanes, blocks)):
                 if lane == 0:
                     vals[i] = vals[i] * ((2.0 / tau) / np.sqrt(1.0 - (u / tau) ** 2))
@@ -142,47 +117,36 @@ def _kernel_mean(
     # moderate radius: no peak to resolve
     def f_circle(phi):
         logp = np.log(poisson_radial_profile(r, phi))
-        return _poly_values(poly, logp, use_abs) * np.exp(c * logp)
+        return poly.evaluate(logp) * np.exp(c * logp)
 
-    if use_abs:
-        # kink of |log P| at phi = arccos(r): split panels there
-        edges = (0.0, math.acos(r), 0.5 * (math.acos(r) + math.pi), math.pi)
-        return complex(_refine_panels(_jointly(f_circle), [edges])[0] / math.pi)
     return integrate_circle(f_circle, min(1.0, 1.0 / tau if tau > 0 else 1.0))
 
 
 @lru_cache(maxsize=200_000)
-def _spherical_cached(n: int, lam: complex, r: float, use_abs: bool) -> complex:
+def _spherical_cached(n: int, lam: complex, r: float) -> complex:
     """_kernel_mean of the order-n kernel.  Where the mean does not fit in a
     double it raises ResultOverflow, and where the quadrature does not
     stabilize NonConvergence, each naming n, lam and r."""
     sp = make_spectral(lam)
     poly = kernel_poly(n, sp)
-    what = f"mean of |order-{n} kernel|" if use_abs else f"Phi_{n}"
     try:
-        value = _kernel_mean(poly, sp.exponent, r, use_abs)
+        value = _kernel_mean(poly, sp.exponent, r)
         if cmath.isfinite(value):
             return value
     except ResultOverflow:
         pass
     except NonConvergence as exc:
         raise NonConvergence(
-            f"{what} at lam = {lam} did not converge at r = {r!r}: {exc}",
+            f"Phi_{n} at lam = {lam} did not converge at r = {r!r}: {exc}",
             last_estimates=exc.last_estimates,
         ) from exc
-    raise ResultOverflow(f"{what} at lam = {lam} does not fit in a double at r = {r!r}")
+    raise ResultOverflow(f"Phi_{n} at lam = {lam} does not fit in a double at r = {r!r}")
 
 
 def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
     """Order-n polyspherical function at radius r (ResultOverflow where it
     does not fit in a double)."""
-    return _spherical_cached(n, sp.lam, float(r), False)
-
-
-def abs_spherical_function(n: int, r: float, sp: SpectralParam) -> float:
-    """Circle mean of |order-n kernel|; equals Phi_n itself in the critical
-    regime, where the integrand is already nonnegative."""
-    return _spherical_cached(n, sp.lam, float(r), True).real
+    return _spherical_cached(n, sp.lam, float(r))
 
 
 def boundary_constant(sp: SpectralParam) -> complex:
@@ -472,46 +436,3 @@ def zero_free_radius(
     return ZeroFreeRadius(n, sp.lam, float(rs[last + 1]), "scan")
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    n: int
-    lam: complex
-    min_value: float
-    max_imag: float
-    odd_moment_ratio: float
-
-
-def positivity_scan(
-    n: int,
-    sp: SpectralParam,
-    rs=None,
-    tol: float = 1e-10,
-) -> PositivityReport:
-    """Check Phi_n > 0 on a radial grid for real lam >= -1/4, n >= 1,
-    together with the vanishing odd moment that drives the positivity proof."""
-    real_ok = sp.kind == CRITICAL or (
-        sp.kind == GENERIC and sp.lam.imag == 0.0 and sp.lam.real >= -0.25
-    )
-    if not real_ok:
-        raise ValueError("positivity holds for real lam >= -1/4 only")
-    if n < 1:
-        raise ValueError("positivity scan is for orders n >= 1")
-    if rs is None:
-        rs = _scan_radii(0.05, 1.0 - 1e-5, 400)
-    vals = _profile(n, sp, rs)
-    min_re = float(np.min(vals.real))
-    max_im = float(np.max(np.abs(vals.imag)))
-    if min_re <= 0.0:
-        raise PositivityViolation(
-            f"Phi_{n} dipped to {min_re:.3e} at lam = {sp.lam}"
-        )
-    worst = 0.0
-    for r in (0.3, 0.7, 0.9, 0.97):
-        moment = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r)
-        scale = _kernel_mean(ComplexPoly.monomial(2 * n + 1), 0.5, r, use_abs=True)
-        worst = max(worst, abs(moment) / max(scale.real, 1e-300))
-    if worst > tol:
-        raise PositivityViolation(f"odd log moment ratio {worst:.3e} exceeds {tol}")
-    return PositivityReport(
-        n=n, lam=sp.lam, min_value=min_re, max_imag=max_im, odd_moment_ratio=worst
-    )

@@ -29,25 +29,16 @@ sweeps of regions read the row's modes and its primitive at many offsets
 from __future__ import annotations
 
 import cmath
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DecayViolation,
-    NonConvergence,
-    NormalizationUnavailable,
-    ResultOverflow,
-    TruncationWarning,
-)
+from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import (
-    CRITICAL,
     FORBIDDEN,
     SpectralParam,
     kernel_poly,
@@ -65,8 +56,6 @@ from .numerics import (
     _panel_failure,
     _panel_nodes,
     _settled,
-    _stable,
-    circle_fft,
     integrate_circle,
 )
 from .spherical import spherical_function, zero_free_radius
@@ -78,16 +67,9 @@ __all__ = [
     "Mixture",
     "BoundaryDatum",
     "density_preset",
-    "density_from_table",
-    "datum_to_json",
-    "datum_from_json",
     "TransformResult",
-    "pair_functional",
     "poisson_transform",
-    "normalized_kernel",
-    "kernel_decay_probe",
     "dirichlet_solve",
-    "spherical_average",
     "riquier_solve",
     "convergence_probe",
 ]
@@ -221,108 +203,11 @@ def density_preset(name: str) -> Density:
     raise ValueError(f"unknown density preset {name!r}")
 
 
-def density_from_table(samples) -> Density:
-    """Trigonometric interpolant through equispaced samples g(2 pi j / N).
-
-    N must be a power of two; the interpolant is the band-limited extension,
-    so tabulated data is always smooth from the quadrature's point of view.
-    """
-    coeffs = circle_fft(samples)
-    n = len(coeffs)
-    modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    keep = np.abs(modes) < n // 2
-
-    def fn(phi):
-        phi = np.asarray(phi, dtype=float)
-        acc = np.zeros(phi.shape, dtype=complex)
-        for m, c in zip(modes[keep], coeffs[keep]):
-            acc += c * np.exp(1j * m * phi)
-        return acc.real if np.allclose(np.asarray(samples, complex).imag, 0) else acc
-
-    return Density(fn, f"table[{n}]")
-
-
-def datum_to_json(datum: BoundaryDatum) -> str:
-    return json.dumps(_datum_dict(datum), sort_keys=True)
-
-
-def _datum_dict(datum: BoundaryDatum) -> dict:
-    if isinstance(datum, FourierSeq):
-        return {
-            "fourier": {
-                str(m): [complex(v).real, complex(v).imag]
-                for m, v in sorted(datum.coeffs.items())
-            }
-        }
-    if isinstance(datum, Density):
-        return {"density": datum.name}
-    if isinstance(datum, Atoms):
-        return {
-            "atoms": [[a, complex(w).real, complex(w).imag] for a, w in datum.points]
-        }
-    if isinstance(datum, Mixture):
-        out = {}
-        if datum.density is not None:
-            out.update(_datum_dict(datum.density))
-        if datum.atoms is not None:
-            out.update(_datum_dict(datum.atoms))
-        return out
-    raise TypeError(f"not a boundary datum: {type(datum).__name__}")
-
-
-def datum_from_json(text: str) -> BoundaryDatum:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("boundary datum document must be a JSON object")
-    density = atoms = None
-    if "fourier" in doc:
-        seq = FourierSeq({int(k): complex(v[0], v[1]) for k, v in doc["fourier"].items()})
-        if len(doc) != 1:
-            raise ValueError("fourier data cannot be mixed with other variants")
-        return seq
-    if "density" in doc:
-        spec = doc["density"]
-        density = density_preset(spec) if isinstance(spec, str) else density_from_table(spec)
-    if "atoms" in doc:
-        atoms = Atoms(tuple((a, complex(re, im)) for a, re, im in doc["atoms"]))
-    if density is not None and atoms is not None:
-        return Mixture(density, atoms)
-    if density is not None:
-        return density
-    if atoms is not None:
-        return atoms
-    raise ValueError(f"unrecognized boundary datum keys: {sorted(doc)}")
-
-
 @dataclass(frozen=True)
 class TransformResult:
     value: complex
     normalized: Optional[complex]
     frame: RadialFrame
-
-
-def pair_functional(nu: FourierSeq, g_coeffs: dict, rel_tol: float = 1e-11) -> complex:
-    """<nu, g> = sum g_m conj(nu_m) over the overlap window.
-
-    Warns when the last resolved modes still carry weight above rel_tol of
-    the accumulated value (the truncation window is then too small).
-    """
-    total = 0j
-    for m, v in nu.coeffs.items():
-        total += complex(g_coeffs.get(m, 0.0)) * complex(v).conjugate()
-    w = nu.window()
-    if w and g_coeffs:
-        edge = max(
-            abs(complex(g_coeffs.get(m, 0.0)) * complex(nu.coeffs.get(m, 0.0)))
-            for m in (w, -w)
-        )
-        if edge > rel_tol * max(abs(total), 1e-300):
-            warnings.warn(
-                f"pairing tail at modes +-{w} is {edge:.2e}, not negligible",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    return total
 
 
 @lru_cache(maxsize=4096)
@@ -570,58 +455,6 @@ def poisson_transform(
     return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(abs(z)))
 
 
-def normalized_kernel(n: int, sp: SpectralParam, z: complex, xi: float) -> complex:
-    """Order-n kernel at (z, boundary angle xi) over its circle mean at |z|."""
-    denom = _normalizer(n, sp, abs(complex(z)))
-    return polyharmonic_kernel(n, complex(z), float(xi), sp) / denom
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    radii: tuple
-    band_edges: tuple
-    band_sups: tuple
-
-
-def kernel_decay_probe(
-    n: int,
-    sp: SpectralParam,
-    radii,
-    a: float,
-    angle_count: int = 200,
-) -> DecayReport:
-    """Sup of |normalized kernel| over the angular band away from the peak.
-
-    Band lower edge: 2 tau^{-a} (generic regime, needs a < 2 Re mu/(2 Re mu + 1))
-    or 2 (log tau)^{-a} (critical, needs a < 1).  The sups must decrease to 0
-    along increasing radii, else DecayViolation.
-    """
-    if sp.kind == FORBIDDEN:
-        raise ValueError("decay probe needs a normalizable kernel")
-    if sp.kind == CRITICAL:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"critical band exponent must lie in (0,1), got {a}")
-    else:
-        cap = 2.0 * sp.mu.real / (2.0 * sp.mu.real + 1.0)
-        if not 0.0 < a < cap:
-            raise ValueError(f"band exponent must lie in (0, {cap:.4f}), got {a}")
-    radii = sorted(float(r) for r in radii)
-    edges, sups = [], []
-    for r in radii:
-        tau = RadialFrame.from_r(r).tau
-        lo = 2.0 * (math.log(tau)) ** (-a) if sp.kind == CRITICAL else 2.0 * tau ** (-a)
-        lo = min(lo, math.pi / 2)
-        psi = np.geomspace(lo, math.pi, angle_count)
-        denom = spherical_function(n, r, sp)
-        vals = np.abs(_kernel_row(n, sp, r, psi) / denom)
-        edges.append(lo)
-        sups.append(float(np.max(vals)))
-    for a_, b_ in zip(sups, sups[1:]):
-        if b_ >= a_:
-            raise DecayViolation(f"band sup failed to decrease: {a_:.3e} -> {b_:.3e}")
-    return DecayReport(radii=tuple(radii), band_edges=tuple(edges), band_sups=tuple(sups))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     xi_angle: float
@@ -655,29 +488,6 @@ def dirichlet_solve(sp: SpectralParam, g: Density):
     if sp.kind == FORBIDDEN:
         raise ValueError("no boundary solver on the forbidden ray")
     return DirichletSolution(sp=sp, g=g)
-
-
-def spherical_average(f: Callable, r: float) -> complex:
-    """(1/2pi) int f(r e^{i phi}) dphi for a pointwise-evaluable field.
-
-    Doubles a trapezoid grid from 64 nodes until stable; a field that has
-    not stabilized at 4096 nodes (a peak narrower than the grid resolves)
-    raises NonConvergence with the last two estimates.
-    """
-
-    def mean(n: int) -> complex:
-        phi = 2.0 * math.pi * np.arange(n) / n
-        return complex(np.mean([complex(f(r * complex(math.cos(p), math.sin(p)))) for p in phi]))
-
-    n = 64
-    prev = mean(n)
-    while n < 4096:
-        n *= 2
-        cur = mean(n)
-        if _stable(cur, prev):
-            return cur
-        prev = cur
-    raise NonConvergence(f"spherical average did not stabilize by n = {n}", last_estimates=(prev, cur))
 
 
 @dataclass(frozen=True)

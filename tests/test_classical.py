@@ -13,7 +13,6 @@ from hypolib.classical import (
     associate_deviation_bound,
     associated_biharmonic,
     demo_lacunary_spec,
-    functional_from_series,
     lacunary_associate_probe,
     lacunary_circle_sup,
     lacunary_function,
@@ -66,7 +65,7 @@ def test_weight_matches_direct_summation(n, r):
 def test_weight_mode_expansion_via_fft():
     # log(1/|1 - z e^{-i phi}|^2) has cosine coefficients r^m/m; the
     # transform weights follow from termwise integration
-    from hypolib.numerics import circle_fft, fourier_mode
+    from hypolib.numerics import circle_fft
 
     r = 0.6
     size = 2048
@@ -74,7 +73,7 @@ def test_weight_mode_expansion_via_fft():
     f = -np.log(np.abs(1 - r * np.exp(-1j * phi)) ** 2)
     coeffs = circle_fft(f)
     for m in (1, 2, 5):
-        assert fourier_mode(coeffs, m) == pytest.approx(r**m / m, abs=1e-12)
+        assert coeffs[m % size] == pytest.approx(r**m / m, abs=1e-12)
 
 
 def test_spiral_fit_is_reported_infeasible():
@@ -205,14 +204,3 @@ def test_associate_field_scales_like_distance_squared():
         f = associated_biharmonic(series, r + 0j)
         assert abs(f) / big_r**2 < 20.0
         assert associate_deviation_bound(series, r) > 0
-
-
-def test_functional_from_series_pairs_with_modes():
-    spec = demo_lacunary_spec()
-    series = lacunary_series(spec)
-    nu = functional_from_series(series)
-    # conjugated coefficients land on the nonpositive modes
-    for e, c in series.terms:
-        assert complex(nu.coeffs.get(-e, 0.0)) == pytest.approx(
-            complex(c).conjugate(), rel=1e-12
-        )

@@ -1,23 +1,13 @@
-"""Disk geometry: kernel formula, distances, frames, Mobius maps."""
+"""Disk geometry: kernel formula, frames, invariance under disk automorphisms."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypolib.geometry import (
-    MobiusMap,
-    RadialFrame,
-    busemann,
-    distance_to_segment,
-    ensure_disk,
-    hyperbolic_distance,
-    mobius_to_origin,
-    poisson_kernel,
-    poisson_radial_profile,
-    rotate,
-)
+from hypolib.geometry import RadialFrame, ensure_disk, poisson_kernel, poisson_radial_profile
 
 
 def raw_kernel(z: complex, xi: complex) -> float:
@@ -51,44 +41,12 @@ def test_radial_profile_matches_points_and_survives_tiny_angles():
     assert prof[0] == pytest.approx((1 + r) / (1 - r), rel=1e-9)
 
 
-def test_hyperbolic_distance_radial_formula_and_symmetry():
-    for r in (0.1, 0.5, 0.9, 0.999):
-        assert hyperbolic_distance(0j, r + 0j) == pytest.approx(
-            math.log((1 + r) / (1 - r)), rel=1e-12
-        )
-    a, b = 0.3 + 0.2j, -0.5 + 0.1j
-    assert hyperbolic_distance(a, b) == pytest.approx(hyperbolic_distance(b, a), rel=1e-12)
-
-
-def test_distance_is_mobius_invariant():
-    a, b = 0.25 - 0.6j, 0.4 + 0.33j
-    d = hyperbolic_distance(a, b)
-    for z0 in (0.3 + 0.1j, -0.7j):
-        T = MobiusMap(z0)
-        assert hyperbolic_distance(T(a), T(b)) == pytest.approx(d, rel=1e-10)
-    assert hyperbolic_distance(rotate(a, 1.1), rotate(b, 1.1)) == pytest.approx(d, rel=1e-12)
-
-
-def test_mobius_to_origin_round_trip():
-    z0 = 0.62 - 0.14j
-    T = mobius_to_origin(z0)
-    assert T(0j) == pytest.approx(z0, abs=1e-15)
-    assert abs(T.inverse()(z0)) < 1e-15
-    assert T.inverse()(T(0.3j)) == pytest.approx(0.3j, abs=1e-14)
-
-
 def test_radial_frame_round_trip():
     fr = RadialFrame.from_R(3.0)
     assert fr.r == pytest.approx(math.tanh(1.5), rel=1e-14)
     assert fr.tau == pytest.approx(2.0 * math.sqrt(fr.r) / (1.0 - fr.r), rel=1e-12)
     back = RadialFrame.from_r(fr.r)
     assert back.R == pytest.approx(3.0, rel=1e-12)
-
-
-def test_busemann_zero_at_center_and_log_identity():
-    assert busemann(0j, cmath.exp(0.4j)) == pytest.approx(0.0, abs=1e-15)
-    z, xi = 0.5 + 0.2j, cmath.exp(2.0j)
-    assert busemann(z, xi) == pytest.approx(-math.log(raw_kernel(z, xi)), rel=1e-12)
 
 
 def test_ensure_disk_rejects_boundary_and_outside():
@@ -98,8 +56,25 @@ def test_ensure_disk_rejects_boundary_and_outside():
         ensure_disk(1.2j)
 
 
-def test_distance_to_segment_vanishes_on_the_ray():
-    assert distance_to_segment(0.4 * cmath.exp(0.9j), 0.9) == pytest.approx(0.0, abs=1e-6)
-    # opposite anchor: the nearest segment point is the origin
-    off = distance_to_segment(0.4 * cmath.exp(0.9j), 0.9 + math.pi)
-    assert off == pytest.approx(math.log(1.4 / 0.6), rel=1e-6)
+def _disk_point(modulus: float, angle: float) -> complex:
+    return modulus * cmath.exp(1j * angle)
+
+
+DISK = st.builds(_disk_point, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(z=DISK, a=DISK, angle=st.floats(-math.pi, math.pi), turn=st.floats(-math.pi, math.pi))
+def test_poisson_kernel_is_mobius_invariant(z, a, angle, turn):
+    """P(z, xi) |dxi| is harmonic measure, so for a disk automorphism T,
+    P(Tz, T xi) |T'(xi)| = P(z, xi).  T is a rotation after the map
+    u -> (u + a)/(1 + conj(a) u) that sends 0 to a."""
+    rot = cmath.exp(1j * turn)
+
+    def T(u: complex) -> complex:
+        return rot * (u + a) / (1.0 + a.conjugate() * u)
+
+    xi = cmath.exp(1j * angle)
+    derivative = (1.0 - abs(a) ** 2) / abs(1.0 + a.conjugate() * xi) ** 2
+    moved = poisson_kernel(T(z), T(xi)) * derivative
+    assert moved == pytest.approx(poisson_kernel(z, xi), rel=1e-10)

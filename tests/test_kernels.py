@@ -10,7 +10,6 @@ from hypolib.errors import ResultOverflow
 from hypolib.kernels import (
     fd_verify_kernel,
     kernel_poly,
-    lambda_kernel,
     make_spectral,
     polyharmonic_kernel,
     reduce_step,
@@ -100,7 +99,7 @@ def test_polyharmonic_kernel_matches_manual_formula():
         assert polyharmonic_kernel(1, z, xi_angle, sp) == pytest.approx(
             g1 * want0, rel=1e-13
         )
-    assert lambda_kernel(z, xi_angle, make_spectral(2.0)) == pytest.approx(
+    assert polyharmonic_kernel(0, z, xi_angle, make_spectral(2.0)) == pytest.approx(
         p**2, rel=1e-13
     )
 

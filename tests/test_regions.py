@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hypolib import transforms
-from hypolib.errors import FitResidualLarge, NonConvergence
+from hypolib.errors import NonConvergence
 from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
 from hypolib.regions import (
     _DEFAULT_SUITE,
@@ -18,26 +18,22 @@ from hypolib.regions import (
     SampleNet,
     _angular_offsets,
     _field_at_radius,
+    _front_window,
     _grid_size,
     _hl_maxima,
     _region_sups,
     _row_fft,
     _wrapped,
     fatou_probe,
-    hl_maximal,
     maximal_inequality_probe,
-    radial_rigidity_check,
-    region_distance,
-    region_membership,
-    tubular_maximal,
 )
 from hypolib.spherical import spherical_function
 from hypolib.transforms import (
     Atoms,
+    Density,
     Mixture,
     _row_primitive,
     _zero_free_cached,
-    density_from_table,
     density_preset,
     poisson_transform,
 )
@@ -58,19 +54,10 @@ def _oracle(n, sp, g, r, cells, size):
     ])
 
 
-def test_radial_points_belong_to_every_region():
-    for kind in ("tube", "enlarged"):
-        region = AdmissibleRegion(anchor_angle=0.9, width=0.5, kind=kind)
-        z = 0.95 * cmath.exp(0.9j)
-        assert region_membership(z, region)
-        assert region_distance(z, region) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_far_points_are_outside_with_positive_distance():
-    region = AdmissibleRegion(anchor_angle=0.0, width=0.5, kind="tube")
-    z = 0.9 * cmath.exp(2.5j)
-    assert not region_membership(z, region)
-    assert region_distance(z, region) > 0.5
+def _sup(n, sp, g, zeta, width=1.0, kind="tube", net=SampleNet()) -> float:
+    # sampled sup of the normalized transform over one region
+    region = AdmissibleRegion(zeta, width, kind)
+    return float(_region_sups(n, sp, [g], [region], [net])[0][0, 0])
 
 
 def test_enlarged_region_contains_the_tube():
@@ -78,14 +65,11 @@ def test_enlarged_region_contains_the_tube():
     wide = AdmissibleRegion(anchor_angle=0.0, width=0.8, kind="enlarged")
     assert wide.effective_width(12.0) > wide.effective_width(4.0)
     assert tube.effective_width(12.0) == pytest.approx(tube.effective_width(4.0))
-    rng = np.random.default_rng(3)
-    hits = 0
-    for _ in range(40):
-        z = (0.5 + 0.49 * rng.random()) * cmath.exp(1j * 0.6 * (rng.random() - 0.5))
-        if region_membership(z, tube):
-            hits += 1
-            assert region_membership(z, wide)
-    assert hits > 0
+    # past R = 1 (r > 0.47) the enlarged window admits every tube angle
+    for r in (0.5, 0.7, 0.9, 0.99, 0.9999):
+        big_r = math.log((1 + r) / (1 - r))
+        window = _front_window(r, tube.effective_width(big_r))
+        assert 0.0 < window <= _front_window(r, wide.effective_width(big_r))
 
 
 def test_region_rejects_unknown_kind():
@@ -95,12 +79,12 @@ def test_region_rejects_unknown_kind():
 
 def test_hl_maximal_constant_and_spike():
     n = 64
-    assert hl_maximal(np.full(n, 2.5), 0.3) == pytest.approx(2.5, rel=1e-12)
+    assert _hl_maxima(np.full(n, 2.5), [0.3])[0] == pytest.approx(2.5, rel=1e-12)
     spike = np.zeros(n)
     spike[0] = 1.0
-    got = hl_maximal(spike, 0.0)
+    got = _hl_maxima(spike, [0.0])[0]
     assert got == pytest.approx(1.0, rel=1e-12)  # one-cell arc at the anchor
-    assert hl_maximal(spike, math.pi) == pytest.approx(1.0 / n, rel=1e-10)
+    assert _hl_maxima(spike, [math.pi])[0] == pytest.approx(1.0 / n, rel=1e-10)
 
 
 def test_sample_net_doubling():
@@ -113,9 +97,7 @@ def test_sample_net_doubling():
 
 def test_tubular_maximal_of_constant_datum_is_unity():
     sp = make_spectral(0.0)
-    got = tubular_maximal(
-        0, sp, 0.7, density_preset("one"), 0.4, net=SampleNet(radial_rungs=4, angular_count=5)
-    )
+    got = _sup(0, sp, density_preset("one"), 0.4, 0.7, net=SampleNet(radial_rungs=4, angular_count=5))
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
@@ -126,19 +108,19 @@ def test_tubular_maximal_is_the_one_region_case_of_the_suite_sups():
     zetas = (0.0, 1.3, -2.4)
     regions = [AdmissibleRegion(z, 1.0, "enlarged") for z in zetas]
     together = _region_sups(1, sp, [g], regions, [net])[0][0]
-    alone = [tubular_maximal(1, sp, 1.0, g, z, kind="enlarged", net=net) for z in zetas]
+    alone = [_sup(1, sp, g, z, kind="enlarged", net=net) for z in zetas]
     assert list(together) == alone
     assert min(alone) > 0
 
 
 def test_a_density_without_closed_form_takes_the_circle_quadrature():
-    # a tabulated cosine has neither a modes table nor jumps
+    # a plain cosine has neither a modes table nor jumps
     sp = make_spectral(-0.25)
     net = SampleNet(radial_rungs=3, angular_count=5)
-    table = density_from_table(np.cos(2.0 * math.pi * np.arange(32) / 32))
+    plain = Density(lambda phi: np.cos(phi), "plain cos")
     for zeta in (0.3, 2.0):
-        got = tubular_maximal(1, sp, 1.0, table, zeta, net=net)
-        assert got == pytest.approx(tubular_maximal(1, sp, 1.0, density_preset("cos"), zeta, net=net), rel=1e-12)
+        got = _sup(1, sp, plain, zeta, net=net)
+        assert got == pytest.approx(_sup(1, sp, density_preset("cos"), zeta, net=net), rel=1e-12)
 
 
 @pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 0)])
@@ -284,7 +266,7 @@ def test_hl_maxima_match_the_per_anchor_loop():
     for _, preset in _DEFAULT_SUITE + (("narrow", "indicator:2.9:0.01"),):
         samples = density_preset(preset)(grid)
         together = _hl_maxima(samples, zetas)
-        assert together.tolist() == [hl_maximal(samples, float(a)) for a in zetas]
+        assert together.tolist() == [_hl_maxima(samples, [a])[0] for a in zetas]
         for a in zetas:
             # the one-anchor prefix-sum pass that the batch replaces
             vals = np.abs(samples)
@@ -293,7 +275,7 @@ def test_hl_maxima_match_the_per_anchor_loop():
             ks = np.arange((vals.size - 1) // 2 + 1)
             sums = prefix[center + vals.size + ks + 1] - prefix[center + vals.size - ks]
             want = max(float(np.max(sums / (2 * ks + 1))), float(vals.mean()))
-            assert hl_maximal(samples, float(a)) == want
+            assert _hl_maxima(samples, [a])[0] == want
 
 
 def test_default_probe_takes_no_fft(monkeypatch):
@@ -379,17 +361,3 @@ def test_fatou_atom_part_tracks_point_masses():
     # mass sits at the far side, so its trace at zeta = pi fades
     deepest = max(rows, key=lambda row: row.r)
     assert deepest.atom_part < 1e-2
-
-
-def test_rigidity_fit_accepts_true_profile_and_rejects_higher_order():
-    sp = make_spectral(2.0)
-    r_grid = np.linspace(0.1, 0.9, 12)
-    phi0 = [spherical_function(0, float(r), sp) for r in r_grid]
-    coeffs = radial_rigidity_check(sp, r_grid, phi0, order=1)
-    assert coeffs[0] == pytest.approx(1.0, rel=1e-8)
-    phi1 = [spherical_function(1, float(r), sp) for r in r_grid]
-    with pytest.raises(FitResidualLarge):
-        radial_rigidity_check(sp, r_grid, phi1, order=1)
-    two = radial_rigidity_check(sp, r_grid, phi1, order=2)
-    assert two[1] == pytest.approx(1.0, rel=1e-7)
-    assert abs(two[0]) < 1e-7

@@ -6,16 +6,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_doubling import ref_kernel_mean
 
+from hypolib import spherical
 from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow
-from hypolib.kernels import CRITICAL, FORBIDDEN, make_spectral
+from hypolib.kernels import CRITICAL, FORBIDDEN, kernel_poly, make_spectral
+from hypolib.polynomials import ComplexPoly
 from hypolib.spherical import (
-    abs_spherical_function,
     asymptotic_law,
     boundary_constant,
     closed_form,
     closed_form_many,
-    positivity_scan,
     radial_zeros,
     scan_profile,
     small_radius_law,
@@ -143,16 +144,15 @@ def test_closed_form_overflow_is_a_typed_error():
 @pytest.mark.parametrize("r", [0.9, 0.999])
 def test_quadrature_overflow_is_a_typed_error(r):
     sp = make_spectral(1e6)
-    for mean in (spherical_function, abs_spherical_function):
-        with pytest.raises(ResultOverflow, match=rf"lam = \(1000000\+0j\).* r = {r}$"):
-            mean(0, r, sp)
+    with pytest.raises(ResultOverflow, match=rf"lam = \(1000000\+0j\).* r = {r}$"):
+        spherical_function(0, r, sp)
 
 
 def test_quadrature_non_convergence_names_its_inputs():
-    # the panel doubling cannot meet its tolerance near |mean| = 1e267
-    with pytest.raises(NonConvergence, match=r"order-0 kernel\| at lam = \(1000000\+0j\) did not"
-                                             r" converge at r = 0\.3: panel quadrature"):
-        abs_spherical_function(0, 0.3, make_spectral(1e6))
+    # far out on the forbidden ray the panel doubling cannot meet its tolerance
+    with pytest.raises(NonConvergence, match=r"Phi_0 at lam = \(-10000\+0j\) did not"
+                                             r" converge at r = 0\.905: panel quadrature"):
+        spherical_function(0, 0.905, make_spectral(-1e4))
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
@@ -212,7 +212,7 @@ def test_closed_form_orders_match_quadrature_property(re, im, n, rs):
     for r, v in zip(rs, got):
         want = spherical_function(n, r, sp)
         # the mean of |kernel| bounds |Phi_n| and does not vanish at its zeros
-        assert abs(v - want) <= 1e-9 * abs_spherical_function(n, r, sp), (sp.lam, n, r, v, want)
+        assert abs(v - want) <= 1e-9 * _abs_mean(n, r, sp), (sp.lam, n, r, v, want)
 
 
 def test_closed_form_orders_beyond_the_jets_are_refused():
@@ -302,14 +302,30 @@ def test_zero_free_radius_and_abs_mean():
     sp = make_spectral(2.0)
     zf = zero_free_radius(0, sp)
     assert 0.0 <= zf.r_min < 0.5
-    assert abs_spherical_function(0, 0.6, sp) == pytest.approx(
-        abs(spherical_function(0, 0.6, sp)), rel=1e-12
-    )
+    # the kernel is positive, so the mean of |kernel| is |Phi_0|
+    assert _abs_mean(0, 0.6, sp) == pytest.approx(abs(spherical_function(0, 0.6, sp)), rel=1e-12)
 
 
-def test_positivity_scan_clean_for_positive_kernel():
-    rep = positivity_scan(1, make_spectral(2.0))
-    assert rep.min_value > 0
-    assert rep.max_imag < 1e-10
-    with pytest.raises(ValueError):
-        positivity_scan(1, make_spectral(1j))
+def _abs_mean(n: int, r: float, sp) -> float:
+    """Circle mean of |order-n kernel|, by the tests' reference quadrature."""
+    return ref_kernel_mean(kernel_poly(n, sp), sp.exponent, r, use_abs=True).real
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    # real lam >= -1/4: the critical point itself, or the generic half-line
+    lam=st.one_of(st.just(-0.25), st.floats(-0.25, 30.0)),
+    n=st.integers(1, 3),
+    rs=st.lists(st.floats(0.05, 1.0 - 1e-5), min_size=1, max_size=8),
+    r=st.floats(0.05, 0.999),
+)
+def test_polyspherical_functions_are_positive_for_real_lam_above_the_critical_point(lam, n, rs, r):
+    sp = make_spectral(lam)
+    vals = closed_form_many(rs, sp, n)
+    assert np.all(vals.real > 0), (lam, n, vals)
+    assert np.all(np.abs(vals.imag) <= 1e-12 * vals.real), (lam, n, vals)
+    # Positivity rests on the vanishing odd log moments of P^{1/2}: the
+    # means of P^s and P^{1-s} agree, so d^(2n+1)/ds^(2n+1) vanishes at 1/2.
+    odd = ComplexPoly.monomial(2 * n + 1)
+    moment = spherical._kernel_mean(odd, 0.5, r)
+    assert abs(moment) <= 1e-12 * ref_kernel_mean(odd, 0.5, r, use_abs=True).real
