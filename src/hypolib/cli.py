@@ -14,9 +14,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import warnings
+
+# One BLAS thread per process, set before numpy loads: a subcommand makes
+# few small BLAS calls, and starting OpenBLAS's thread pool costs each
+# invocation more than the pool saves.  A value the user set wins, and a
+# bare `import hypolib` sets nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

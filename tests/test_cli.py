@@ -378,15 +378,37 @@ def test_criteria_range_expansion(tmp_path):
     assert [r[0] for r in rows[1:]] == ["2", "3", "6"]
 
 
+def _fresh(code: str, **env: str) -> str:
+    """Stdout of a fresh interpreter running code, with OPENBLAS_NUM_THREADS
+    unset unless env sets it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def _loaded_after(code: str) -> set[str]:
     """Modules a fresh interpreter holds after running code."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    return set(_fresh(f"{code}\nimport sys; print(*sys.modules)").split())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_a_cli_process_runs_one_thread():
+    # numpy's OpenBLAS would otherwise start a thread per core
+    out = _fresh(
+        "import contextlib, io, hypolib.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    hypolib.cli.main(['kernel', '--lambda', '2', '0'])\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('Threads:')))"
     )
-    return set(out.stdout.split())
+    assert out.split() == ["Threads:", "1"]
+
+
+def test_a_users_blas_setting_wins_and_the_library_sets_none():
+    show = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh(f"import hypolib.cli; {show}", OPENBLAS_NUM_THREADS="2").split() == ["2"]
+    assert _fresh(f"import hypolib, hypolib.kernels; {show}").split() == ["None"]
 
 
 def test_cli_import_leaves_scipy_out():
