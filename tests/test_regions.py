@@ -117,7 +117,7 @@ def test_a_density_without_closed_form_takes_the_circle_quadrature():
     # a plain cosine has neither a modes table nor jumps
     sp = make_spectral(-0.25)
     net = SampleNet(radial_rungs=3, angular_count=5)
-    plain = Density(lambda phi: np.cos(phi), "plain cos")
+    plain = Density(np.cos, "plain cos")
     for zeta in (0.3, 2.0):
         got = _sup(1, sp, plain, zeta, net=net)
         assert got == pytest.approx(_sup(1, sp, density_preset("cos"), zeta, net=net), rel=1e-12)

@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_doubling import ref_kernel_mean
 
 from hypolib import spherical
 from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow
@@ -23,12 +22,18 @@ from hypolib.spherical import (
     spherical_function,
     zero_free_radius,
 )
+from test_doubling import ref_kernel_mean
 
 # frozen against 30-digit direct quadrature of the circle mean
 PHI_099_AT_I = -2.941860347845702 + 0.710678631666179j
 PHI_0999_CRITICAL = 0.12795988302327248
 PHI_07_GENERIC_COMPLEX = 1.6514751406978625 + 0.9368271794352357j
 C_AT_I = 0.5681393132001134 - 0.2421591922904217j
+
+
+def _abs_mean(n: int, r: float, sp) -> float:
+    """Circle mean of |order-n kernel|, by the tests' reference quadrature."""
+    return ref_kernel_mean(kernel_poly(n, sp), sp.exponent, r, use_abs=True).real
 
 
 def test_mean_of_squared_kernel_is_rational():
@@ -304,11 +309,6 @@ def test_zero_free_radius_and_abs_mean():
     assert 0.0 <= zf.r_min < 0.5
     # the kernel is positive, so the mean of |kernel| is |Phi_0|
     assert _abs_mean(0, 0.6, sp) == pytest.approx(abs(spherical_function(0, 0.6, sp)), rel=1e-12)
-
-
-def _abs_mean(n: int, r: float, sp) -> float:
-    """Circle mean of |order-n kernel|, by the tests' reference quadrature."""
-    return ref_kernel_mean(kernel_poly(n, sp), sp.exponent, r, use_abs=True).real
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -287,7 +287,7 @@ def test_weak_star_probe_takes_no_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weak-star probe called an FFT")
 
-    plain = Density(lambda phi: np.cos(phi), "plain cos")  # no modes, no jumps
+    plain = Density(np.cos, "plain cos")  # no modes, no jumps
     data = [
         Atoms(((0.7, 1.0),)),
         density_preset("cos"),
