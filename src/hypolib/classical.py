@@ -151,9 +151,9 @@ class AnalyticSeries:
         object.__setattr__(self, "terms", merged)
 
     @classmethod
-    def from_dense(cls, coefficients, growth_bound: float = 0.0) -> "AnalyticSeries":
-        terms = tuple((e, complex(c)) for e, c in enumerate(coefficients))
-        return cls(terms, growth_bound)
+    def from_dense(cls, coefficients) -> "AnalyticSeries":
+        """The exact polynomial sum_e coefficients[e] z^e."""
+        return cls(tuple((e, complex(c)) for e, c in enumerate(coefficients)))
 
     @property
     def max_exponent(self) -> int:
@@ -439,7 +439,11 @@ class Witness:
     poly_value: complex
 
 
-def lacunary_witness(N: int, gap: LacunarySpec, phase_scan: int = 64) -> Witness:
+# phase multiples lacunary_witness scans
+_PHASE_SCAN = 64
+
+
+def lacunary_witness(N: int, gap: LacunarySpec) -> Witness:
     """Point with |h(z)| / |log(1-|z|)| pushed above the unit scale.
 
     Takes the spiral sample maximizing |p|, plants z so z^(2^(N!))
@@ -455,7 +459,7 @@ def lacunary_witness(N: int, gap: LacunarySpec, phase_scan: int = 64) -> Witness
     r = math.exp(math.log(abs(w_star)) / stride)
     denom = abs(math.log(1.0 - r))
     best = None
-    for m in range(phase_scan):
+    for m in range(_PHASE_SCAN):
         alpha = (cmath.phase(w_star) + 2.0 * math.pi * m) / stride
         z = r * complex(math.cos(alpha), math.sin(alpha))
         ratio = abs(lacunary_function(z, gap)) / denom
@@ -473,11 +477,12 @@ def _check_open_radii(radii) -> None:
             raise ValueError(f"radius must lie in (0, 1), got {r}")
 
 
-def lacunary_growth_probe(
-    gap: LacunarySpec,
-    radii,
-    angles=(0.0, 1.0, 2.5),
-) -> dict:
+# the angles at which the growth and associate probes sample each radius
+_GROWTH_ANGLES = (0.0, 1.0, 2.5)
+_ASSOCIATE_ANGLES = (0.0, 2.0)
+
+
+def lacunary_growth_probe(gap: LacunarySpec, radii) -> dict:
     """Ratio |h| / |log(1-r)| over a grid, against the gap-sum envelope.
 
     The envelope at radius r is B sum_k k! r^(2^(k!)), a pointwise
@@ -495,7 +500,7 @@ def lacunary_growth_probe(
             for k in range(1, gap.k_max + 1)
         )
         c_fit = max(c_fit, chain / denom)
-        for a in angles:
+        for a in _GROWTH_ANGLES:
             z = r * complex(math.cos(a), math.sin(a))
             ratio = abs(lacunary_function(z, gap)) / denom
             rows.append({"r": r, "angle": a, "ratio": ratio, "envelope": chain / denom})
@@ -503,7 +508,7 @@ def lacunary_growth_probe(
             "max_ratio": max(row["ratio"] for row in rows)}
 
 
-def lacunary_associate_probe(gap: LacunarySpec, radii, angles=(0.0, 2.0)) -> dict:
+def lacunary_associate_probe(gap: LacunarySpec, radii) -> dict:
     """Second-order field of the gap series against its scaling laws.
 
     Checks |f| / R^2 stays bounded (R the hyperbolic distance to the
@@ -520,7 +525,7 @@ def lacunary_associate_probe(gap: LacunarySpec, radii, angles=(0.0, 2.0)) -> dic
         big_r = math.log((1.0 + r) / (1.0 - r))
         d0 = -math.log1p(-r * r)
         bound = associate_deviation_bound(series, r)
-        for a in angles:
+        for a in _ASSOCIATE_ANGLES:
             z = r * complex(math.cos(a), math.sin(a))
             f = associated_biharmonic(series, z)
             h = lacunary_function(z, gap)

@@ -103,10 +103,10 @@ def _floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",") if tok]
 
 
-def _ints(what: str, low: float = -math.inf, high: float = math.inf):
+def _ints(what: str, low: float = -math.inf):
     """Parser of an integer list like 1-12 or 1,4,13 of at most _LIST_CAP
-    values, each in [low, high]."""
-    value = _bounded(low, high, what)
+    values, each at least low."""
+    value = _bounded(low, math.inf, what)
 
     def parse(text: str) -> list[int]:
         out: set[int] = set()

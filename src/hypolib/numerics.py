@@ -6,7 +6,7 @@ integrands) and panelized Gauss-Legendre with dyadically refined panels
 accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
-_circle_means takes the circle mean of many translates of one integrand.
+transforms._kernel_modes takes many Fourier modes of one kernel row.
 The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
 per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
 integrand, and each later trapezoid doubling evaluates only the odd nodes
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -61,8 +60,8 @@ _PANEL_ORDER = 16
 # max(_ABS_TOL, _REL_TOL |estimate|)
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-11
-# Integrand values one chunk of a many-angle circle mean (_circle_means)
-# evaluates at once; the angles are taken in chunks that stay under it.
+# Integrand values one chunk of a many-lane quadrature (_chunks) evaluates
+# at once; the lanes are taken in chunks that stay under it.
 _SWEEP_ELEMENTS = 1 << 18
 
 
@@ -333,7 +332,6 @@ def integrate_circle(
     with doubling is used.
     Kink angles passed in `breakpoints` force the panel path with edges
     aligned to them.  Each doubling evaluates f only at the nodes it adds.
-    _circle_means takes the same rule to many translates of one integrand.
     """
     breakpoints = tuple(breakpoints)
     base = _circle_panels(peak_scale, breakpoints)
@@ -356,142 +354,6 @@ def _chunks(lanes: np.ndarray, per_lane: int) -> list[np.ndarray]:
     """lanes in runs whose per-lane arrays stay under _SWEEP_ELEMENTS."""
     step = max(1, _SWEEP_ELEMENTS // max(1, per_lane))
     return [lanes[i : i + step] for i in range(0, lanes.size, step)]
-
-
-def _integrand(fv, g, nodes, thetas, weights=None) -> np.ndarray:
-    """Rows f(nodes) g(nodes + theta), one per theta, times the weights if
-    given, as the complex values f times the complex value of g would give.
-
-    fv (the values of f), nodes and weights lead with a lane axis of length
-    1 (shared by every theta) or len(thetas).  Real f and g values are
-    multiplied in real arithmetic: the zero imaginary parts complex
-    arithmetic would carry cannot change a real part, and every imaginary
-    part it would give is +0.
-    """
-    shifted = nodes + thetas.reshape((-1,) + (1,) * (nodes.ndim - 1))
-    gv = np.asarray(g(shifted.ravel())).reshape(shifted.shape)
-    vals = fv * gv if np.isrealobj(fv) and np.isrealobj(gv) else fv * gv.astype(complex)
-    if weights is not None:
-        vals = vals * weights
-    return vals.astype(complex, copy=False)
-
-
-def _kink_groups(base: list[float], thetas: list[float], breakpoints) -> list[tuple]:
-    """Each lane's panels: the base edges plus its kinks b - theta.
-
-    Lanes with the same number of edges form a group (lanes, edges, own,
-    idx): edges has a row per lane; own marks the panels a kink splits,
-    which take their own nodes; idx gives every other panel's index among
-    the base panels.
-    """
-    shared = np.asarray(base)
-    rows: dict[int, list] = {}
-    for lane, t in enumerate(thetas):
-        edges = _with_kinks(base, [b - t for b in breakpoints])
-        rows.setdefault(len(edges), []).append((lane, edges))
-    groups = []
-    for members in rows.values():
-        edges = np.array([e for _, e in members])
-        pos = np.searchsorted(shared, edges)
-        on_base = shared[np.minimum(pos, shared.size - 1)] == edges
-        own = ~(on_base[:, :-1] & on_base[:, 1:])
-        idx = np.minimum(pos[:, :-1], shared.size - 2)
-        groups.append((np.array([lane for lane, _ in members]), edges, own, idx))
-    return groups
-
-
-def _order_sums(rows: np.ndarray, blocks) -> list[np.ndarray]:
-    """Per lane (first axis), the sum of each order's block (a _gl_nodes
-    slice) of the last axis, copied to its own array so it sums as it
-    would for that order alone."""
-    return [
-        np.ascontiguousarray(rows[..., k]).reshape(len(rows), -1).sum(axis=1) for k in blocks
-    ]
-
-
-def _circle_means(f: Callable, g: Callable, angles, peak_scale: float, breakpoints):
-    """Means (1/2pi) int f(phi) g(phi + theta) dphi at each theta of angles:
-    integrate_circle's quadrature for many translates of g at once, g's
-    kinks given by breakpoints.
-
-    Per doubling step, f is evaluated once on the nodes every angle shares
-    (the trapezoid grid's new nodes, or the dyadic panels) together with
-    all the sub-panels that the kinks b - theta split; g on one
-    (angles x nodes) array per chunk of angles.  Each angle keeps its own
-    doubling check, so its mean is the one integrate_circle gives for
-    f(phi) g(phi + theta).  Returns the means and {index: error} for the
-    angles whose estimate overflowed or did not stabilize.
-    """
-    thetas = np.array([float(t) for t in angles])
-    base = _circle_panels(peak_scale, breakpoints)
-    if base is None:
-        # the integrand rows of the lanes last evaluated, while they stay
-        # within one lane's grid at the cap
-        kept, kept_lanes = None, None
-
-        def trapezoid(orders, lanes):
-            nonlocal kept, kept_lanes
-            n, lanes = orders[-1], np.asarray(lanes)
-            old = None if kept is None else kept[np.searchsorted(kept_lanes, lanes)]
-            phi = _trapezoid_grid(n, old is not None)
-            fv = np.asarray(f(phi))[None]
-            keep = lanes.size * n <= _TRAPEZOID_CAP
-            rows = np.empty((lanes.size, n), dtype=complex) if keep else None
-            means = np.empty((len(orders), lanes.size), dtype=complex)
-            for c in _chunks(np.arange(lanes.size), phi.size):
-                vals = _integrand(fv, g, phi[None], thetas[lanes[c]])
-                if old is not None:
-                    vals = _interleaved(old[c], vals)
-                means[:, c] = _trapezoid_means(vals, orders)
-                if keep:
-                    rows[c] = vals
-            kept, kept_lanes = rows, lanes
-            return means
-
-        values, errors = _doubling(
-            trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, thetas.size, _trapezoid_failure
-        )
-        return np.array(values, dtype=complex), errors
-
-    groups = _kink_groups(base, thetas.tolist(), breakpoints)
-    group_of = np.empty(thetas.size, dtype=int)
-    row_of = np.empty(thetas.size, dtype=int)
-    for k, (members, *_) in enumerate(groups):
-        group_of[members] = k
-        row_of[members] = np.arange(members.size)
-
-    def panels(orders, lanes):
-        lanes = np.asarray(lanes)
-        x, wts, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(np.asarray(base), x, wts)
-        active = []
-        for k, (_, edges, own, idx) in enumerate(groups):
-            at = np.flatnonzero(group_of[lanes] == k)
-            rows = row_of[lanes[at]]
-            active.append((at, edges[rows], own[rows], idx[rows]))
-        # one evaluation of f on the shared panels and the split sub-panels of every lane
-        split = [
-            _panel_nodes(np.stack([edges[:, :-1][own], edges[:, 1:][own]], axis=-1), x, wts)[0]
-            for _, edges, own, _ in active
-        ]
-        shared, *own_vals = _unflat(np.asarray(f(_flat([nodes, *split]))), [nodes, *split])
-        sums = np.zeros((len(orders), lanes.size), dtype=complex)
-        for (at, edges, own, idx), vals in zip(active, own_vals):
-            if not own.any():
-                for c in _chunks(at, shared.size):
-                    rows = _integrand(shared[None], g, nodes[None], thetas[lanes[c]], weights[None])
-                    sums[:, c] = _order_sums(rows, blocks)
-                continue
-            fv = shared[idx]
-            fv[own] = vals.reshape(-1, x.size)
-            for c in _chunks(np.arange(at.size), fv[0].size):
-                lane_nodes, lane_weights = _panel_nodes(edges[c], x, wts)
-                rows = _integrand(fv[c], g, lane_nodes, thetas[lanes[at[c]]], lane_weights)
-                sums[:, at[c]] = _order_sums(rows, blocks)
-        return sums
-
-    sums, errors = _doubling(panels, _PANEL_ORDER, 4 * _PANEL_ORDER, thetas.size, _panel_failure)
-    return np.array([s / (2.0 * math.pi) for s in sums], dtype=complex), errors
 
 
 def _halfline_edges(tau: float, breakpoints) -> list[float]:
@@ -922,6 +784,9 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     take the Cauchy mean of F(a + u, b - u; c; x) u^-j over a circle in u
     (_cauchy_jet), as do lanes where a connection coefficient vanishes.
 
+    With a, b and c real, F and its jets are real, and the imaginary part
+    that the complex arithmetic leaves as rounding noise is set to 0.
+
     Raises ResultOverflow, with an overflowing lane as `index`, where the
     evaluation leaves double range, and CancellationLoss, with the lane as
     `index`, where a finite lane's series lost more than six digits to
@@ -952,23 +817,24 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
                 ratio[near] = big / np.abs(f)
             if far.any():
                 out[far], ratio[far] = _connection(a, c - b, c, w[far], L[far])
-            _check_lanes(out, ratio, x, (a, b, c))
-            return out.reshape(xs.shape)
-        out = np.empty((order + 1, x.size), dtype=complex)
-        s = b - a
-        band = abs(s - round(s.real)) < _JET_BAND
-        near = w >= (1.0 - _JET_NEAR if band else 0.5)
-        far = ~near
-        if near.any():
-            f, big = _series_jet(a, c - b, c, (1, 1, 0), -x[near] * w[near], order)
-            out[:, near] = _jet_mul(_exp_jet(-a * L[near], -L[near], order), f)
-            ratio[near] = big / np.abs(f[0])
-        if far.any():
-            args = (a, c - b, c, w[far], L[far], order)
-            jets = None if band else _connection_jet(*args)
-            out[:, far], ratio[far] = jets if jets is not None else _cauchy_jet(*args)
+        else:
+            out = np.empty((order + 1, x.size), dtype=complex)
+            s = b - a
+            band = abs(s - round(s.real)) < _JET_BAND
+            near = w >= (1.0 - _JET_NEAR if band else 0.5)
+            far = ~near
+            if near.any():
+                f, big = _series_jet(a, c - b, c, (1, 1, 0), -x[near] * w[near], order)
+                out[:, near] = _jet_mul(_exp_jet(-a * L[near], -L[near], order), f)
+                ratio[near] = big / np.abs(f[0])
+            if far.any():
+                args = (a, c - b, c, w[far], L[far], order)
+                jets = None if band else _connection_jet(*args)
+                out[:, far], ratio[far] = jets if jets is not None else _cauchy_jet(*args)
     _check_lanes(out, ratio, x, (a, b, c))
-    return out.reshape((order + 1,) + xs.shape)
+    if a.imag == b.imag == c.imag == 0.0:
+        out.imag = 0.0
+    return out.reshape(out.shape[:-1] + xs.shape)
 
 
 def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:
@@ -1012,28 +878,8 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def thread_count() -> int:
-    """Worker cap: HYPOLIB_THREADS if set, else the CPU count."""
-    env = os.environ.get("HYPOLIB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"HYPOLIB_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def parallel_map(fn: Callable, items) -> list:
-    """Order-preserving map over a thread pool capped by thread_count().
-
-    Results come back in input order regardless of completion order, so
-    reductions over them stay deterministic.
-    """
-    items = list(items)
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in order.  A named step only, which the rungs
+    of regions._region_sups go through so that perfbench/spans.py can
+    trace them."""
+    return [fn(x) for x in items]

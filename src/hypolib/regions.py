@@ -17,18 +17,13 @@ front half, and R <= b on the back half.
 Maximal operators are sampled suprema over a deterministic net: a radial
 ladder r = 1 - 10^{-e} with equispaced exponents, and per rung a fan of
 angular offsets filling the K_r window, rounded to a grid of angles.  At a
-fixed rung each density is evaluated at the fan cells alone, from a few
-numbers of the kernel row K_r: a trigonometric polynomial from the row's
-Fourier modes R_k, and a density whose derivative is a constant plus
-jumps J_i at angles b_i from the primitive of the row,
-
-    u(theta) / Phi_n(r) = c_0 + sum_i (J_i / 2pi) (int_0^{x_i} K_r / Phi_n(r) - x_i),
-
-with x_i = theta - b_i wrapped into [-pi, pi]: the row is even and the
-density's modes are c_k = sum_i J_i e^{-ik b_i} / (2 pi i k).  One
-cumulative quadrature per rung gives the primitive at every offset of
-every jump; any other density takes the circle quadrature of the
-transforms at its cells.
+fixed rung each density is evaluated at the fan cells alone, by the
+transforms' density evaluator (transforms._density_values) over Phi_n(r):
+a trigonometric polynomial from the kernel row's Fourier modes R_k, and a
+density whose derivative is a constant plus jumps from the primitive of
+the row.  Each rung takes its modes once, and one cumulative quadrature
+gives the primitive at every offset of every jump; any other density
+takes a circle quadrature per cell.
 """
 
 from __future__ import annotations
@@ -46,10 +41,13 @@ from .numerics import next_pow2, parallel_map
 from .transforms import (
     Density,
     Mixture,
+    _density_values,
     _kernel_modes,
+    _located,
     _normalizer,
     _row_primitive,
     _sweep,
+    _wrapped,
     _zero_free_cached,
     density_preset,
 )
@@ -172,50 +170,27 @@ def _grid_size(r: float) -> int:
 
 @lru_cache(maxsize=4)
 def _row_fft(n: int, lam: complex, r: float, top: int) -> np.ndarray:
-    """The kernel data of one rung: Phi_n(r), the row's mode 0, then its
-    modes R_1..R_top (transforms._kernel_modes)."""
+    """The kernel row's modes R_0..R_top at one rung: R_0 = Phi_n(r), the
+    row's circle mean, in closed form, then R_1..R_top
+    (transforms._kernel_modes)."""
     sp = make_spectral(lam)
     out = np.concatenate([[_normalizer(n, sp, r)], _kernel_modes(n, sp, r, range(1, top + 1))])
     out.setflags(write=False)
     return out
 
 
-def _wrapped(thetas: np.ndarray, b: float) -> np.ndarray:
-    """theta - b for each theta, moved by a multiple of 2 pi into [-pi, pi];
-    exact offsets stay untouched, so close to b the offset keeps its digits."""
-    x = thetas - b
-    return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
-
-
 def _field_at_radius(
     n: int, sp: SpectralParam, thetas: np.ndarray, g: Density, r: float, row: np.ndarray, primitive
 ) -> np.ndarray:
     """Normalized order-n transform of the real density g at the angles
-    thetas on |z| = r.
-
-    row is the rung's kernel data (_row_fft: Phi_n(r), R_1, R_2, ...) and
-    primitive the row's primitive at the offsets of every jump
-    (_row_primitive).  A trigonometric polynomial {k >= 0: c_k} sums
-    c_0 + sum_k (R_k / Phi_n(r)) 2 Re(c_k e^{ik theta}): the row is even and
-    the density real, so mode -k pairs R_k with conj(c_k).  A density with
-    jumps takes the primitive (see the module docstring); any other density
-    the circle quadrature of the transforms.
-    """
-    norm = row[0]
-    if isinstance(g.modes, dict) and max(g.modes, default=0) < row.size:
-        acc = np.full(thetas.shape, complex(g.modes.get(0, 0.0)))
-        for k, c in g.modes.items():
-            if k:
-                acc += row[k] / norm * (2.0 * (c * np.exp(1j * k * thetas)).real)
-        return acc
-    if g.jumps:
-        acc = np.full(thetas.shape, complex(g.modes(np.zeros(1, dtype=int))[0]))
-        for b, jump in g.jumps:
-            x = _wrapped(thetas, b)
-            acc += jump / (2.0 * math.pi) * (primitive(x) / norm - x)
-        return acc
-    zs = r * np.exp(1j * thetas)
-    return np.array([v for v, _ in _sweep(n, sp, g, zs, normalize=False)]) / norm
+    thetas on |z| = r: transforms._density_values from the rung's modes
+    (_row_fft) and the row's primitive at the offsets of every jump
+    (_row_primitive), over Phi_n(r) = row[0]."""
+    values, errors = _density_values(n, sp, g, r, thetas, row, primitive)
+    if errors:
+        i = min(errors)
+        raise _located(n, sp, cmath.rect(r, thetas[i]), errors[i]) from errors[i]
+    return values / row[0]
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
@@ -393,12 +368,12 @@ def fatou_probe(
             window = math.asin(min(1.0, _front_window(r, b)))
             for frac in (0.0, 0.9):
                 alpha = frac * window
-                points.append((float(ang), r, alpha, r * cmath.exp(1j * (float(ang) + alpha)), target))
-    zs = [z for *_, z, _ in points]
-    results = _sweep(n, sp, datum, zs)
-    atom_parts = [0.0] * len(zs)
+                points.append((float(ang), r, alpha, target))
+    polar = [(r, ang + alpha) for ang, r, alpha, _ in points]
+    results = _sweep(n, sp, datum, polar)
+    atom_parts = [0.0] * len(polar)
     if atoms is not None and atoms.points:
-        atom_parts = [abs(v) for _, v in _sweep(n, sp, atoms, zs)]
+        atom_parts = [abs(v) for _, v in _sweep(n, sp, atoms, polar)]
     return [
         FatouRow(
             zeta_angle=ang,
@@ -409,7 +384,7 @@ def fatou_probe(
             target=target,
             atom_part=atom_part,
         )
-        for (ang, r, alpha, _, target), (value, normalized), atom_part
+        for (ang, r, alpha, target), (value, normalized), atom_part
         in zip(points, results, atom_parts)
     ]
 

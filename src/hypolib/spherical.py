@@ -307,23 +307,27 @@ def _profile(n: int, sp: SpectralParam, rs) -> np.ndarray:
     return np.array([spherical_function(n, float(r), sp) for r in rs])
 
 
-def scan_profile(
-    n: int,
-    sp: SpectralParam,
-    r_lo: float = 0.05,
-    r_hi: float = 1.0 - 1e-6,
-    count: int = 2000,
-):
+# the radial scans' grid: count radii geometric in 1 - r from _SCAN_LO up
+# to r_max (_SCAN_HI for scan_profile)
+_SCAN_LO = 0.05
+_SCAN_HI = 1.0 - 1e-6
+_SCAN_COUNT = 2000
+# the zero-free radius of an odd order at real lam >= -1/4, a floor against
+# the kernel's pole at the origin
+_POLE_FLOOR = 0.05
+
+
+def scan_profile(n: int, sp: SpectralParam, count: int = _SCAN_COUNT):
     """Radial profile (radii, Phi_n values) on a geometric grid in 1 - r,
     for zero and dip detection."""
-    rs = _scan_radii(r_lo, r_hi, count)
+    rs = _scan_radii(_SCAN_LO, _SCAN_HI, count)
     return rs, _profile(n, sp, rs)
 
 
 def radial_zeros(
     sp: SpectralParam,
     r_max: float = 0.9999,
-    count: int = 2000,
+    count: int = _SCAN_COUNT,
 ):
     """Zeros of Phi(.|lam) in (0, r_max] for lam on the forbidden ray.
 
@@ -337,7 +341,7 @@ def radial_zeros(
     """
     if sp.kind != FORBIDDEN:
         raise ValueError("zeros accumulate only for real lam < -1/4")
-    rs = _scan_radii(0.05, r_max, count)
+    rs = _scan_radii(_SCAN_LO, r_max, count)
     try:
         sign = np.sign(closed_form_many(rs, sp).real)
         depth = _LOOKAHEAD
@@ -398,16 +402,11 @@ class ZeroFreeRadius:
     method: str
 
 
-def zero_free_radius(
-    n: int,
-    sp: SpectralParam,
-    eps: float = 0.05,
-    count: int = 2000,
-) -> ZeroFreeRadius:
+def zero_free_radius(n: int, sp: SpectralParam) -> ZeroFreeRadius:
     """Smallest radius r_min with Phi_n zero-free on (r_min, 1).
 
     Real lam >= -1/4: positivity gives 0 for even n and the critical regime;
-    odd n keeps a floor eps against the kernel's pole at the origin.  Complex
+    odd n keeps a floor _POLE_FLOOR against the kernel's pole at the origin.  Complex
     lam: scan |Phi_n| against the absolute boundary law on a geometric grid
     and return the last dip; persistent dips near 1 raise ScanInconclusive.
     """
@@ -420,9 +419,9 @@ def zero_free_radius(
     if sp.lam.imag == 0.0 and sp.lam.real >= -0.25:
         if n % 2 == 0:
             return ZeroFreeRadius(n, sp.lam, 0.0, "positivity")
-        return ZeroFreeRadius(n, sp.lam, eps, "positivity+pole-floor")
+        return ZeroFreeRadius(n, sp.lam, _POLE_FLOOR, "positivity+pole-floor")
 
-    rs, vals = scan_profile(n, sp, count=count)
+    rs, vals = scan_profile(n, sp)
     law = asymptotic_law(n, sp, absolute=True)
     ratio = np.abs(vals) / np.abs(law.evaluate(np.log1p(rs) - np.log1p(-rs)))
     dips = np.nonzero(ratio < 1e-6)[0]

@@ -15,15 +15,18 @@ The order-n transform integrates the graded kernel against the datum;
 that makes boundary limits meaningful.  Normalization refuses radii below
 the kernel's zero-free radius.
 
-Transforms are computed one circle at a time: a sweep (_sweep) groups its
-points by |z|, and a density's points on one circle share one quadrature
-pass, so the kernel row is evaluated once per doubling order, not once per
-point.  poisson_transform is the one-point sweep.  On |z| = r the
-transform's mode k is R_|k| nu^_k, the kernel row's mode (_kernel_modes,
-one panel quadrature) times the datum's (_datum_modes): Fourier data and
-the weak-star pairings of every datum are read off these; the maximal
-sweeps of regions read the row's modes and its primitive at many offsets
-(_row_primitive).
+Transforms are computed one circle at a time: a sweep (_sweep) takes its
+points as (r, theta) and groups them by the radius r the caller gave.  On
+|z| = r the transform's mode k is R_|k| nu^_k, the kernel row's mode
+(_kernel_modes, one panel quadrature) times the datum's (_datum_modes).
+Fourier data and the weak-star pairings of every datum are read off
+these, and so is every density with a closed form (_density_values): a
+trigonometric polynomial from the row's modes, a density with jumps from
+its mode 0 and its primitive (_row_primitive), so a circle of such a
+density takes one or two row quadratures however many points it has.  The
+maximal sweeps of regions take the same evaluator at each rung.  Any other
+density takes a circle quadrature per point.  poisson_transform is the
+one-point sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .kernels import (
 from .numerics import (
     _PANEL_ORDER,
     _chunks,
-    _circle_means,
     _cumulative_panels,
     _doubling,
     _dyadic_edges,
@@ -348,27 +350,83 @@ def _datum_modes(datum, ks) -> np.ndarray:
     return out
 
 
-def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
-    """Order-n transform of the datum at the points zs, all on |z| = r,
-    with {index: error} for the points whose value does not fit in a double
-    or whose quadrature does not stabilize.
+def _wrapped(thetas: np.ndarray, b: float) -> np.ndarray:
+    """theta - b for each theta, moved by a multiple of 2 pi into [-pi, pi];
+    exact offsets stay untouched, so close to b the offset keeps its digits."""
+    x = thetas - b
+    return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
 
-    A density takes one quadrature pass for the whole circle
-    (numerics._circle_means): the kernel row is shared, only the panels
-    that the density's kinks split differ from point to point.  Fourier
-    data take the kernel row's modes they need once (_kernel_modes).
+
+def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=None):
+    """Order-n transform of the real density g at the angles thetas on
+    |z| = r, with {index: error} for the points whose quadrature overflows
+    or does not stabilize.
+
+    row holds the kernel row's modes R_0, R_1, ... (_kernel_modes) and
+    primitive the row's primitive at the offset of every jump from every
+    angle (_row_primitive); either is computed here when not given.  A
+    trigonometric polynomial {k >= 0: c_k} sums
+    c_0 R_0 + sum_k R_k 2 Re(c_k e^{ik theta}): the row is even and g real,
+    so mode -k pairs R_k with conj(c_k).  A density whose derivative is a
+    constant plus jumps J_i at angles b_i, whose modes are therefore
+    c_k = sum_i J_i e^{-ik b_i} / (2 pi i k), sums to
+
+        c_0 R_0 + sum_i (J_i / 2pi) (int_0^{x_i} K_r - R_0 x_i),
+
+    x_i = theta - b_i wrapped into [-pi, pi].  Any other density takes, at
+    each angle, the circle quadrature of K_r(phi) g(phi + theta) with g's
+    breakpoints shifted by theta.
     """
-    if isinstance(datum, Density):
+    thetas = np.asarray(thetas, dtype=float)
+    table = g.modes if isinstance(g.modes, dict) else None
+    if table is None and not g.jumps:
         tau = RadialFrame.from_r(r).tau
         peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
-        thetas = [math.atan2(z.imag, z.real) for z in zs]
-        return _circle_means(
-            lambda phi: _kernel_row(n, sp, r, phi), datum, thetas, peak, datum.breakpoints
-        )
-    values = np.zeros(len(zs), dtype=complex)
+        values = np.zeros(thetas.size, dtype=complex)
+        errors: dict = {}
+        for i, t in enumerate(thetas.tolist()):
+            try:
+                values[i] = integrate_circle(
+                    lambda phi: _kernel_row(n, sp, r, phi) * g(phi + t),
+                    peak,
+                    [b - t for b in g.breakpoints],
+                )
+            except (ResultOverflow, NonConvergence) as exc:
+                errors[i] = exc
+        return values, errors
+    if row is None:
+        top = max(table, default=0) if table is not None else 0
+        row = _kernel_modes(n, sp, r, range(top + 1))
+    if table is not None:
+        acc = np.full(thetas.shape, complex(table.get(0, 0.0)) * row[0])
+        for k, c in table.items():
+            if k:
+                acc += row[k] * (2.0 * (c * np.exp(1j * k * thetas)).real)
+        return acc, {}
+    offsets = [_wrapped(thetas, b) for b, _ in g.jumps]
+    if primitive is None:
+        primitive = _row_primitive(n, sp, r, np.concatenate(offsets))
+    acc = np.full(thetas.shape, complex(g.modes(np.zeros(1, dtype=int))[0]) * row[0])
+    for (_, jump), x in zip(g.jumps, offsets):
+        acc += jump / (2.0 * math.pi) * (primitive(x) - row[0] * x)
+    return acc, {}
+
+
+def _circle_values(n, sp, datum, r: float, thetas: list) -> tuple[np.ndarray, dict]:
+    """Order-n transform of the datum at the points r e^{i theta}, theta in
+    thetas, with {index: error} for the points whose value does not fit in
+    a double or whose quadrature does not stabilize.
+
+    A density takes _density_values; Fourier data take the kernel row's
+    modes they need once (_kernel_modes); atoms the kernel at each point.
+    """
+    if isinstance(datum, Density):
+        return _density_values(n, sp, datum, r, thetas)
+    values = np.zeros(len(thetas), dtype=complex)
     errors: dict = {}
     if isinstance(datum, Atoms):
-        for i, z in enumerate(zs):
+        for i, theta in enumerate(thetas):
+            z = cmath.rect(r, theta)
             try:
                 values[i] = sum(
                     (complex(w) * polyharmonic_kernel(n, z, float(ang), sp) for ang, w in datum.points),
@@ -379,13 +437,12 @@ def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
     elif isinstance(datum, FourierSeq):
         ks = [-m for m in datum.coeffs]
         terms = _row_modes(n, sp, r, ks) * _datum_modes(datum, ks)
-        for i, z in enumerate(zs):
-            theta = math.atan2(z.imag, z.real)
+        for i, theta in enumerate(thetas):
             values[i] = complex(sum((t * cmath.exp(1j * k * theta) for k, t in zip(ks, terms)), 0j))
     elif isinstance(datum, Mixture):
         for part in (datum.density, datum.atoms):
             if part is not None:
-                vals, errs = _circle_values(n, sp, part, r, zs)
+                vals, errs = _circle_values(n, sp, part, r, thetas)
                 values = values + vals
                 for i, exc in errs.items():
                     errors.setdefault(i, exc)
@@ -394,43 +451,44 @@ def _circle_values(n, sp, datum, r: float, zs: list) -> tuple[np.ndarray, dict]:
     return values, errors
 
 
-def _sweep(n: int, sp: SpectralParam, datum, zs, normalize: bool = True) -> list:
-    """(value, normalized value or None) of the order-n transform at each
-    point of zs, in order, one pass per circle |z| = r (_circle_values).
+def _located(n: int, sp: SpectralParam, z: complex, exc):
+    """exc, of its type, as the failure of the order-n transform at z."""
+    where = f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}"
+    if isinstance(exc, ResultOverflow):
+        return ResultOverflow(where)
+    return NonConvergence(where, last_estimates=exc.last_estimates)
 
+
+def _sweep(n: int, sp: SpectralParam, datum, points, normalize: bool = True) -> list:
+    """(value, normalized value or None) of the order-n transform at each
+    point (r, theta) of points, the disk point r e^{i theta}, in order.
+
+    One pass per radius the caller gave (_circle_values): points meant for
+    one circle share it, whatever |z| their coordinates would round to.
     Raises as a poisson_transform call per point, in order, would: at the
     first point whose value fails, naming lam, n and that z, or whose
     normalization is refused.
     """
-    zs = [complex(z) for z in zs]
-    for z in zs:
-        if abs(z) >= 1.0:
-            raise ValueError(f"z must lie in the open disk, got |z| = {abs(z)}")
     circles: dict[float, list] = {}
-    for i, z in enumerate(zs):
-        circles.setdefault(abs(z), []).append(i)
-    values = np.zeros(len(zs), dtype=complex)
+    for i, (r, _) in enumerate(points):
+        circles.setdefault(float(r), []).append(i)
+    values = np.zeros(len(points), dtype=complex)
     errors: dict = {}
     for r, idx in circles.items():
         try:
-            vals, errs = _circle_values(n, sp, datum, r, [zs[i] for i in idx])
+            vals, errs = _circle_values(n, sp, datum, r, [float(points[i][1]) for i in idx])
         except (ResultOverflow, NonConvergence) as exc:
             vals, errs = 0j, {0: exc}
         values[idx] = vals
         errors.update((idx[j], exc) for j, exc in errs.items())
     out, denoms = [], {}
-    for i, z in enumerate(zs):
+    for i, (r, theta) in enumerate(points):
         if i in errors:
-            exc = errors[i]
-            where = f"order-{n} transform at lam = {sp.lam}, z = {z}: {exc}"
-            if isinstance(exc, ResultOverflow):
-                raise ResultOverflow(where) from exc
-            raise NonConvergence(where, last_estimates=exc.last_estimates) from exc
+            raise _located(n, sp, cmath.rect(r, theta), errors[i]) from errors[i]
         value = complex(values[i])
         if not normalize:
             out.append((value, None))
             continue
-        r = abs(z)
         if r not in denoms:
             denoms[r] = _normalizer(n, sp, r)
         out.append((value, value / denoms[r]))
@@ -446,13 +504,16 @@ def poisson_transform(
 ) -> TransformResult:
     """Order-n transform of the boundary datum, with its normalized value.
 
-    The one-point sweep.  Raises ResultOverflow where the value does not
-    fit in a double, and NonConvergence where its quadrature does not
-    stabilize, each naming lam, n and z.
+    The one-point sweep at (|z|, arg z).  Raises ResultOverflow where the
+    value does not fit in a double, and NonConvergence where its quadrature
+    does not stabilize, each naming lam, n and z.
     """
     z = complex(z)
-    ((value, normalized),) = _sweep(n, sp, datum, [z], normalize)
-    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(abs(z)))
+    r = abs(z)
+    if r >= 1.0:
+        raise ValueError(f"z must lie in the open disk, got |z| = {r}")
+    ((value, normalized),) = _sweep(n, sp, datum, [(r, cmath.phase(z))], normalize)
+    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))
 
 
 @dataclass(frozen=True)
@@ -475,10 +536,9 @@ class DirichletSolution:
     def verify(self, xi_angles, radii) -> list:
         """Boundary sweep rows: normalized field vs g at each (xi, r)."""
         _check_radii(radii)
-        points = [(ang, r) for ang in xi_angles for r in radii]
-        zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
+        points = [(r, ang) for ang in xi_angles for r in radii]
         rows = []
-        for (ang, r), (_, value) in zip(points, _sweep(0, self.sp, self.g, zs)):
+        for (r, ang), (_, value) in zip(points, _sweep(0, self.sp, self.g, points)):
             tgt = self.g.at(ang)
             rows.append(SweepRow(ang, r, value, tgt, abs(value - tgt)))
         return rows
@@ -503,12 +563,11 @@ class RiquierSolution:
         """Boundary traces: each layer over its own normalizer tends to its
         datum; lower layers over a higher normalizer tend to 0."""
         _check_radii(radii)
-        points = [(ang, r) for ang in xi_angles for r in radii]
-        zs = [r * complex(math.cos(ang), math.sin(ang)) for ang, r in points]
+        points = [(r, ang) for ang in xi_angles for r in radii]
         own, cross, layers = [], [], []
         for k, g in enumerate(self.gs):
-            layers.append([v for v, _ in _sweep(k, self.sp, g, zs, normalize=False)])
-            for p, (ang, r) in enumerate(points):
+            layers.append([v for v, _ in _sweep(k, self.sp, g, points, normalize=False)])
+            for p, (r, ang) in enumerate(points):
                 phi_k = spherical_function(k, r, self.sp)
                 vk = layers[k][p] / phi_k
                 tgt = g.at(ang)
@@ -525,15 +584,20 @@ def riquier_solve(sp: SpectralParam, gs):
     return RiquierSolution(sp=sp, gs=tuple(gs))
 
 
+# the probe's angles: equispaced on the circle, _LP_ANGLES of them for Lp,
+# else _PROBE_ANGLES; and the modes of its weak-star pairings
+_PROBE_ANGLES = 24
+_LP_ANGLES = 64
+_PAIRING_MODES = range(-3, 4)
+
+
 def convergence_probe(
     n: int,
     sp: SpectralParam,
     datum: BoundaryDatum,
     mode: str,
     radii=(0.9, 0.99, 0.999),
-    xi_angles=None,
     p: float = 2.0,
-    test_modes=range(-3, 4),
 ) -> dict:
     """Empirical boundary-convergence report.
 
@@ -541,16 +605,17 @@ def convergence_probe(
     pointwise-ae: same rows but only at angles away from breakpoints.
     Lp: discrete L^p distance between the normalized field and g per radius.
     weak-star: pairings of the normalized field against e^{i k phi} per
-    radius, R_|k| nu^_k / Phi_n(r) from the kernel row's modes (_row_modes)
-    and the datum's (_datum_modes); they tend to the datum's coefficients
-    nu^_k = int e^{-ik psi} dnu (for an atom of mass 1 at angle 0: all 1).
+    radius and |k| <= 3, R_|k| nu^_k / Phi_n(r) from the kernel row's modes
+    (_row_modes) and the datum's (_datum_modes); they tend to the datum's
+    coefficients nu^_k = int e^{-ik psi} dnu (for an atom of mass 1 at
+    angle 0: all 1).
     """
     if mode not in ("uniform", "pointwise-ae", "Lp", "weak-star"):
         raise ValueError(f"unknown probe mode {mode!r}")
     _check_radii(radii)
     report = {"mode": mode, "radii": list(radii), "rows": []}
     if mode == "weak-star":
-        ks = [int(k) for k in test_modes]
+        ks = list(_PAIRING_MODES)
         hat = _datum_modes(datum, ks)
         for r in radii:
             norm = _normalizer(n, sp, r)
@@ -559,17 +624,15 @@ def convergence_probe(
         return report
     if not isinstance(datum, Density):
         raise ValueError(f"{mode} probe needs a Density datum")
-    if mode == "Lp":
-        xi_angles = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-    elif xi_angles is None:
-        xi_angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+    xi_angles = np.linspace(
+        -math.pi, math.pi, _LP_ANGLES if mode == "Lp" else _PROBE_ANGLES, endpoint=False
+    ).tolist()
     if mode == "pointwise-ae":
         xi_angles = [
             a for a in xi_angles
             if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b in datum.breakpoints)
         ]
-    zs = [r * complex(math.cos(a), math.sin(a)) for r in radii for a in xi_angles]
-    swept = [v for _, v in _sweep(n, sp, datum, zs)]
+    swept = [v for _, v in _sweep(n, sp, datum, [(r, a) for r in radii for a in xi_angles])]
     targets = [datum.at(a) for a in xi_angles]
     for i, r in enumerate(radii):
         errs = [abs(v - t) for v, t in zip(swept[i * len(targets) :], targets)]

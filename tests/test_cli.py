@@ -124,10 +124,10 @@ def test_cancelling_closed_form_is_a_one_line_library_error(capsys):
 
 
 def test_unconverged_transform_names_its_inputs(capsys):
-    assert main(["riquier", "--lambda", "1e3", "1e3"]) == 1
+    assert main(["riquier", "--lambda", "-1e4", "1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("NonConvergence: order-0 transform at lam = (1000+1000j), z = ")
+    assert err.startswith("NonConvergence: order-0 transform at lam = (-10000+1j), z = ")
 
 
 @pytest.mark.parametrize("command", ["maximal", "fatou"])

@@ -16,8 +16,8 @@ from hypolib import numerics, spherical, transforms
 from hypolib.errors import HypolibError, NonConvergence
 from hypolib.geometry import RadialFrame, poisson_radial_profile
 from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
-from hypolib.numerics import _circle_means, integrate_circle, integrate_halfline_peak
-from hypolib.transforms import density_preset
+from hypolib.numerics import integrate_circle, integrate_halfline_peak
+from hypolib.transforms import Density, density_preset
 
 # --- the reference: one evaluation of the integrand per order ---------------
 
@@ -266,6 +266,8 @@ RADII = st.one_of(st.floats(1e-3, 0.999999), st.sampled_from([0.9, 0.905, 0.91, 
     angles=st.lists(ANGLE, min_size=1, max_size=6),
 )
 def test_circle_means_match_the_per_order_reference(lam, n, r, name, angles):
+    # the transform of a density without closed form: one circle mean of
+    # K_r(phi) g(phi + theta) per angle
     sp = make_spectral(lam)
     if sp.kind == FORBIDDEN:
         return
@@ -276,7 +278,8 @@ def test_circle_means_match_the_per_order_reference(lam, n, r, name, angles):
     def f(phi):
         return transforms._kernel_row(n, sp, r, phi)
 
-    values, errors = _circle_means(f, datum, angles, peak, datum.breakpoints)
+    plain = Density(datum.fn, datum.name, datum.breakpoints)
+    values, errors = transforms._density_values(n, sp, plain, r, angles)
     want_values, want_errors = ref_circle_means(f, datum, angles, peak, datum.breakpoints)
     assert sorted(errors) == sorted(want_errors)
     for i, v in enumerate(want_values):
@@ -317,14 +320,16 @@ def test_a_trapezoid_mean_that_never_stabilizes_fails_as_the_reference_does():
     _assert_same(got, _outcome(lambda: ref_integrate_circle(_sign)))
 
 
-def test_circle_means_past_the_kept_grid_fail_as_the_reference_does():
-    # four lanes outgrow the values a doubling keeps (one lane's grid at the
-    # cap) before n = 2^20, so the last steps evaluate their full grids
-    angles = [0.1, 0.2, -0.3, 2.0]
-    f = np.cos
-    values, errors = _circle_means(f, _sign, angles, 1.0, ())
-    want_values, want_errors = ref_circle_means(f, _sign, angles, 1.0, ())
-    assert sorted(errors) == sorted(want_errors) == [0, 1, 2, 3]
+def test_fallback_points_that_never_stabilize_fail_as_the_reference_does():
+    # an undeclared jump at 0 and at +-pi: at r = 0.01 each point takes the
+    # trapezoid rule up to n = 2^20 and fails there on its own
+    sp = make_spectral(0.0)
+    r, angles = 0.01, [0.1, -2.0]
+    values, errors = transforms._density_values(0, sp, Density(_sign, "sign"), r, angles)
+    want_values, want_errors = ref_circle_means(
+        lambda phi: transforms._kernel_row(0, sp, r, phi), _sign, angles, 1.0, ()
+    )
+    assert sorted(errors) == sorted(want_errors) == [0, 1]
     for i in errors:
         _assert_same(_error(errors[i]), _error(want_errors[i]))
 
@@ -378,24 +383,3 @@ def test_a_panel_mean_stable_at_order_32_evaluates_its_integrand_once():
     got = integrate_halfline_peak(g, 50.0)
     assert sizes == [(len(edges) - 1) * (16 + 32)]
     _assert_same(got, ref_halfline(lambda x: (1.0 + x * x) ** -1.5, 50.0))
-
-
-def test_a_circle_sweep_evaluates_its_shared_factor_once_per_doubling_step():
-    sp = make_spectral(0.0)
-    r = 0.99
-    peak = 1.0 / RadialFrame.from_r(r).tau
-    datum = _DATA["indicator:0.4:0.9"]
-    angles = [0.5, 1.0, -2.0]
-    calls = []
-
-    def f(phi):
-        calls.append(phi.size)
-        return transforms._kernel_row(0, sp, r, phi)
-
-    values, errors = _circle_means(f, datum, angles, peak, datum.breakpoints)
-    # orders 16 and 32 in one call (shared panels and split sub-panels
-    # together), then one call per further order
-    assert not errors and 1 <= len(calls) <= 2
-    want, _ = ref_circle_means(f, datum, angles, peak, datum.breakpoints)
-    for got, v in zip(values, want):
-        _assert_same(got, v)

@@ -1,18 +1,27 @@
-"""Every top-level definition in the library is reached from the CLI.
+"""Every top-level definition in the library is reached from the CLI, and
+every defaulted parameter is passed by some call.
 
 The public contract is the command line: its subcommands and the selftest
-criteria.  This walks names through the syntax tree, starting from every
+criteria.  The name walk goes through the syntax tree, starting from every
 definition in `cli.py` and `acceptance.py`, and fails on any top-level
 definition of `src/hypolib` that the walk does not reach and that
 ALLOWED does not name.  Tests and the export table in `__init__.py` do not
 count as callers.
+
+The parameter walk fails on any defaulted parameter of a function in
+`src/hypolib` that no call in `src`, `tests` or `perfbench` passes, by
+keyword or by position, unless UNPASSED names it: a default nobody
+overrides is a constant.  Calls are matched to functions by name alone,
+so a call of another function of the same name counts too.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypolib"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hypolib"
 ROOTS = ("cli", "acceptance")
+CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 # (module, name) -> why it stays although no subcommand or criterion reaches it
 ALLOWED = {
@@ -106,3 +115,66 @@ def test_every_definition_is_reached_from_the_cli():
 
 def test_the_allow_list_holds_only_unreached_definitions():
     assert set(ALLOWED) <= set(unreached(()))
+
+
+# (module, function, parameter) -> why it keeps a default that no call passes
+UNPASSED = {
+    ("acceptance", f"criterion_{i}", "seed"): "run_criterion passes it through acceptance._CRITERIA"
+    for i in (1, 3, 5, 11, 13)
+}
+
+
+def _defaulted(fn: ast.AST) -> list[tuple[str, int | None]]:
+    """(name, position or None if keyword-only) of each defaulted parameter
+    of fn; the position counts from the first parameter after self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or
+    through *args / **kwargs, which may carry it."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unpassed(allowed) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of every defaulted parameter of a
+    src/hypolib function that no call passes and `allowed` does not name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for top in CALLERS:
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                    if name is not None:
+                        calls.setdefault(name, []).append(node)
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, position in _defaulted(fn):
+                key = (path.stem, fn.name, name)
+                if key in allowed:
+                    continue
+                if not any(_passes(c, name, position) for c in calls.get(fn.name, ())):
+                    out.append(key)
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert unpassed(UNPASSED) == []
+
+
+def test_the_parameter_allow_list_holds_only_unpassed_parameters():
+    assert set(UNPASSED) <= set(unpassed({}))

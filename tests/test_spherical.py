@@ -303,6 +303,14 @@ def test_radial_zeros_require_the_forbidden_ray():
         radial_zeros(make_spectral(2.0), r_max=0.99, count=500)
 
 
+@pytest.mark.parametrize("lam", [0.0, 2.0, -0.25])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_real_lam_gives_a_real_closed_form(lam, n):
+    # real parameters give a real F, with no rounding noise in Im
+    rs = 1.0 - np.geomspace(0.95, 1e-5, 200)
+    assert np.all(closed_form_many(rs, make_spectral(lam), n).imag == 0.0)
+
+
 def test_zero_free_radius_and_abs_mean():
     sp = make_spectral(2.0)
     zf = zero_free_radius(0, sp)
@@ -323,7 +331,7 @@ def test_polyspherical_functions_are_positive_for_real_lam_above_the_critical_po
     sp = make_spectral(lam)
     vals = closed_form_many(rs, sp, n)
     assert np.all(vals.real > 0), (lam, n, vals)
-    assert np.all(np.abs(vals.imag) <= 1e-12 * vals.real), (lam, n, vals)
+    assert np.all(vals.imag == 0.0), (lam, n, vals)
     # Positivity rests on the vanishing odd log moments of P^{1/2}: the
     # means of P^s and P^{1-s} agree, so d^(2n+1)/ds^(2n+1) vanishes at 1/2.
     odd = ComplexPoly.monomial(2 * n + 1)

@@ -131,10 +131,16 @@ def test_atom_transform_is_a_kernel_evaluation():
     assert res.value == pytest.approx(want, rel=1e-12)
 
 
+def _plain(g):
+    """g without its closed-form modes and jumps: its transforms take the
+    circle quadrature, an oracle independent of the closed forms."""
+    return Density(g.fn, g.name, g.breakpoints)
+
+
 def test_fourier_datum_matches_density_transform():
     sp = make_spectral(0.0)
     fs = FourierSeq({1: 0.5, -1: 0.5})  # cos(phi)
-    g = density_preset("cos")
+    g = _plain(density_preset("cos"))
     z = 0.7 * cmath.exp(0.9j)
     a = poisson_transform(0, sp, fs, z).normalized
     b = poisson_transform(0, sp, g, z).normalized
@@ -276,7 +282,7 @@ def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
     rep = convergence_probe(n, sp, g, "weak-star", radii=radii)
     size = 512
     for r, row in zip(radii, rep["rows"]):
-        vals = [poisson_transform(n, sp, g, r * cmath.exp(2j * math.pi * j / size)).normalized
+        vals = [poisson_transform(n, sp, _plain(g), r * cmath.exp(2j * math.pi * j / size)).normalized
                 for j in range(size)]
         oracle = circle_fft(vals)
         for k, v in row["pairings"].items():
@@ -392,12 +398,13 @@ def test_a_sweep_is_its_one_point_calls(lam, n, radii, name, angles):
     assume(sp.kind != FORBIDDEN)
     datum = _SWEEP_DATA[name]
     zs = [r * cmath.exp(1j * a) for r in radii for a in angles]
+    points = [(abs(z), cmath.phase(z)) for z in zs]
     want, error = _one_point_calls(n, sp, datum, zs)
     if error is None:
-        assert _sweep(n, sp, datum, zs, normalize=False) == want
+        assert _sweep(n, sp, datum, points, normalize=False) == want
     else:
         with pytest.raises(error[0]) as exc:
-            _sweep(n, sp, datum, zs, normalize=False)
+            _sweep(n, sp, datum, points, normalize=False)
         assert str(exc.value) == error[1]
 
 
@@ -416,15 +423,6 @@ def test_probes_and_solvers_refuse_a_radius_outside_the_disk(radius):
             call()
 
 
-def _on_one_circle(r, count):
-    """count points spread over the circle whose |z| is one double (a
-    point's circle is its computed |z|, which can differ from r in the
-    last bit)."""
-    zs = [r * cmath.exp(1j * (0.1 + 2.0 * math.pi * j / (16 * count))) for j in range(16 * count)]
-    same = [z for z in zs if abs(z) == abs(zs[0])]
-    return same[:: max(1, len(same) // count)][:count]
-
-
 @pytest.mark.parametrize("preset", ["sawtooth", "indicator:0.3:0.7", "cos"])
 def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset, monkeypatch):
     calls = []
@@ -434,14 +432,54 @@ def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset,
     counts = {}
     for count in (1, 8, 64):
         calls.clear()
-        zs = _on_one_circle(0.99, count)
-        assert len(zs) == count
-        _sweep(1, sp, density_preset(preset), zs, normalize=False)
+        points = [(0.99, 0.1 + 2.0 * math.pi * j / count) for j in range(count)]
+        _sweep(1, sp, density_preset(preset), points, normalize=False)
         counts[count] = len(calls)
-    # one evaluation on the shared panels and one on the split sub-panels,
-    # per doubling order (16, 32, 64)
+    # one evaluation for the row's modes and one for its primitive, per
+    # doubling order (16, 32, 64)
     assert counts[64] <= 2 * 3
-    assert counts[1] <= counts[8] == counts[64]
+    assert counts[1] == counts[8] == counts[64]
+
+
+def _counting(monkeypatch, name):
+    """The radius of every call of transforms.<name>, as it is made."""
+    radii = []
+    real = getattr(transforms, name)
+
+    def counted(n, sp, r, *rest):
+        radii.append(r)
+        return real(n, sp, r, *rest)
+
+    monkeypatch.setattr(transforms, name, counted)
+    return radii
+
+
+@pytest.mark.parametrize("preset", ["cos2", "sawtooth", "indicator:0.3:0.7"])
+def test_a_sweep_takes_one_row_quadrature_per_circle(preset, monkeypatch):
+    # a table preset reads the row's modes once per circle, a jump preset
+    # its modes and its primitive once per circle, however many points
+    modes = _counting(monkeypatch, "_kernel_modes")
+    primitives = _counting(monkeypatch, "_row_primitive")
+    g = density_preset(preset)
+    radii = (0.5, 0.9, 0.99, 0.9999)
+    points = [(r, 2.0 * math.pi * j / 37 - 3.0) for j in range(37) for r in radii]
+    _sweep(1, make_spectral(2.0), g, points)
+    assert sorted(modes) == list(radii)
+    assert sorted(primitives) == (list(radii) if g.jumps else [])
+
+
+def test_a_probe_takes_one_row_quadrature_per_radius_the_caller_meant(monkeypatch):
+    # the probe's points r (cos a + i sin a) round to 2 or 3 moduli per
+    # radius; each radius takes one row quadrature per layer, and the
+    # normalized layer of one reads the same value at every angle
+    modes = _counting(monkeypatch, "_kernel_modes")
+    radii = [0.9, 0.99, 0.9999]
+    angles = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+    sol = riquier_solve(make_spectral(1 + 1j), (density_preset("cos"), density_preset("one")))
+    own = sol.verify(angles, radii)["own"]
+    assert sorted(modes) == sorted(radii * 2)
+    for r in radii:
+        assert len({row.value for row in own[len(own) // 2 :] if row.r == r}) == 1
 
 
 def test_a_point_that_does_not_stabilize_names_its_own_z():
@@ -454,12 +492,12 @@ def test_a_point_that_does_not_stabilize_names_its_own_z():
 
     g = Density(spike, "spike")
     sp = make_spectral(0.0)
-    zs = [0.99 * cmath.exp(1j * (c + 2.0 * math.pi * (j - 5) / 16)) for j in range(16)]
+    points = [(0.99, c + 2.0 * math.pi * (j - 5) / 16) for j in range(16)]
     with pytest.raises(NonConvergence) as exc:
-        _sweep(0, sp, g, zs)
-    assert f"z = {zs[5]}:" in str(exc.value)
+        _sweep(0, sp, g, points)
+    assert f"z = {cmath.rect(*points[5])}:" in str(exc.value)
     assert str(exc.value).startswith("order-0 transform at lam = 0j")
     assert len(exc.value.last_estimates) == 2
-    for j, z in enumerate(zs):
+    for j, (r, theta) in enumerate(points):
         if j != 5:
-            poisson_transform(0, sp, g, z)
+            _sweep(0, sp, g, [(r, theta)])
