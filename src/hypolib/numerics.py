@@ -6,7 +6,7 @@ integrands) and panelized Gauss-Legendre with dyadically refined panels
 accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
-transforms._kernel_modes takes many Fourier modes of one kernel row.
+spherical._kernel_modes takes many Fourier modes of one kernel row.
 The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
 per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
 integrand, and each later trapezoid doubling evaluates only the odd nodes
@@ -14,7 +14,7 @@ it adds; every estimate rounds as if its order were evaluated alone.
 Half-line integrals int_0^tau g(x) dx use log-spaced
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
 A cumulative panel rule (_cumulative_panels) integrates from the first
-edge to each of many points at once, each point with its own check.
+edge to each of many points at once, each point a lane of the same loop.
 
 The Gauss hypergeometric evaluator targets nonpositive real arguments only:
 the Pfaff transform x -> x/(x-1) maps (-inf, 0] onto y in [0, 1).  The
@@ -74,18 +74,6 @@ def _gl_nodes(orders: tuple[int, ...]):
     x, w = (np.concatenate(part) for part in zip(*rules))
     cuts = np.cumsum([0, *orders]).tolist()
     return x, w, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _stable(new: complex, old: complex) -> bool:
-    """Whether doubling left the estimate within tolerance.  An estimate
-    that does not fit in a double raises ResultOverflow, since no amount of
-    doubling repairs it."""
-    try:
-        if cmath.isfinite(new):
-            return abs(new - old) <= max(_ABS_TOL, _REL_TOL * abs(new))
-    except OverflowError:
-        pass
-    raise ResultOverflow(f"quadrature estimate {new!r} does not fit in a double")
 
 
 def _panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -149,40 +137,43 @@ def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Cal
     """Node doubling with a stability check per lane.
 
     estimate(orders, lanes) gives, for each order in orders, the estimates
-    of the lanes (a list of indices) at that order.  The first call asks
-    for the start order and its double together, so an estimator can take
-    both from one evaluation of the integrand; every later call asks for
-    one order.  A lane is done once a doubling leaves its estimate stable
-    (_stable).  A lane whose estimate does not fit in a double gets that
-    ResultOverflow, and one still unstable at order `cap` gets
-    failure(order, previous estimate, last estimate).  Returns the
+    of the lanes (an index array) at that order.  The first call asks for
+    the start order and its double together, so an estimator can take both
+    from one evaluation of the integrand; every later call asks for one
+    order, for the lanes still unstable.  A lane is done once a doubling
+    moves its estimate by at most max(_ABS_TOL, _REL_TOL |estimate|).  A
+    lane whose estimate does not fit in a double gets ResultOverflow, since
+    no amount of doubling repairs it, and one still unstable at order `cap`
+    gets failure(order, previous estimate, last estimate).  Returns the
     estimates and {lane: error}.
     """
-    values = [0j] * count
+    values = np.zeros(count, dtype=complex)
     errors: dict = {}
-    lanes = list(range(count))
-    if not lanes:
+    lanes = np.arange(count)
+    if not count:
         return values, errors
     prev, cur = estimate((order, 2 * order), lanes)
+    prev = np.asarray(prev, dtype=complex)
     order *= 2
     while True:
-        kept, last = [], []
-        for lane, old, new in zip(lanes, prev, cur):
-            new = complex(new)
-            try:
-                if _stable(new, complex(old)):
-                    values[lane] = new
-                    continue
-            except ResultOverflow as exc:
-                errors[lane] = exc
-                continue
-            if order < cap:
-                kept.append(lane)
-                last.append(new)
-            else:
-                errors[lane] = failure(order, complex(old), new)
-        lanes, prev = kept, last
-        if not lanes:
+        cur = np.asarray(cur, dtype=complex)
+        size = np.abs(cur)
+        finite = np.isfinite(size)
+        if not finite.all():
+            for i in np.flatnonzero(~finite):
+                errors[int(lanes[i])] = ResultOverflow(
+                    f"quadrature estimate {complex(cur[i])!r} does not fit in a double"
+                )
+            lanes, prev, cur, size = lanes[finite], prev[finite], cur[finite], size[finite]
+        gap = np.abs(cur - prev)
+        stable = (gap <= _ABS_TOL) | (gap <= _REL_TOL * size)
+        values[lanes[stable]] = cur[stable]
+        if order >= cap:
+            for i in np.flatnonzero(~stable):
+                errors[int(lanes[i])] = failure(order, complex(prev[i]), complex(cur[i]))
+            return values, errors
+        lanes, prev = lanes[~stable], cur[~stable]
+        if not lanes.size:
             return values, errors
         order *= 2
         (cur,) = estimate((order,), lanes)
@@ -193,7 +184,7 @@ def _settled(outcome) -> list:
     values, errors = outcome
     if errors:
         raise errors[min(errors)]
-    return values
+    return values.tolist()
 
 
 def _panel_failure(order: int, prev: complex, last: complex) -> NonConvergence:
@@ -220,11 +211,11 @@ def _cumulative_panels(f: Callable, edges: Sequence[float], points) -> np.ndarra
     composite Gauss-Legendre sums of the panels between the sorted edges up
     to the last edge e <= x, summed cumulatively, plus the sum of the panel
     [e, x].  Every panel's nodes are evaluated in one call of f.  Each
-    point doubles its nodes as _refine_panels does (the first two orders
-    from one evaluation of f) until its integral is stable by _stable's
-    tolerance, so its value does not depend on the other points.  Raises
-    ResultOverflow for an integral that does not fit in a double and
-    NonConvergence for one still unstable at the cap.
+    point is a lane of _doubling (the first two orders from one evaluation
+    of f), so its value does not depend on the other points.  Raises, for
+    the first point that fails, ResultOverflow where its integral does not
+    fit in a double and NonConvergence where it is still unstable at the
+    cap.
     """
     edges = np.asarray(edges, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -233,34 +224,18 @@ def _cumulative_panels(f: Callable, edges: Sequence[float], points) -> np.ndarra
     panels = np.stack([starts, ends], axis=-1)
     whole = edges.size - 1
 
-    def integrals(orders):
+    def integrals(orders, lanes):
         x, w, blocks = _gl_nodes(tuple(orders))
         nodes, weights = _panel_nodes(panels, x, w)
         vals = (np.asarray(f(nodes)) * weights).reshape(len(panels), -1)
         out = []
         for k in blocks:
             sums = vals[:, k].sum(axis=1)
-            out.append(np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])
+            out.append((np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])[lanes])
         return out
 
-    order = 2 * _PANEL_ORDER
-    prev, cur = integrals((_PANEL_ORDER, order))
-    values = np.zeros(points.shape, dtype=cur.dtype)
-    todo = np.ones(points.shape, dtype=bool)
-    while True:
-        if not np.all(np.isfinite(cur[todo])):
-            raise ResultOverflow("cumulative panel integral does not fit in a double")
-        gap = np.abs(cur - prev)
-        done = todo & (gap <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(cur)))
-        values[done] = cur[done]
-        todo &= ~done
-        if not todo.any():
-            return values
-        if order >= 4 * _PANEL_ORDER:
-            worst = int(np.argmax(np.where(todo, gap, -1.0)))
-            raise _panel_failure(order, complex(prev[worst]), complex(cur[worst]))
-        order *= 2
-        prev, (cur,) = cur, integrals((order,))
+    outcome = _doubling(integrals, _PANEL_ORDER, 4 * _PANEL_ORDER, points.size, _panel_failure)
+    return np.array(_settled(outcome), dtype=complex)
 
 
 def _trapezoid_grid(n: int, refine: bool) -> np.ndarray:
@@ -356,15 +331,6 @@ def _chunks(lanes: np.ndarray, per_lane: int) -> list[np.ndarray]:
     return [lanes[i : i + step] for i in range(0, lanes.size, step)]
 
 
-def _halfline_edges(tau: float, breakpoints) -> list[float]:
-    """Log-spaced panel edges on [0, tau] (see integrate_halfline_peak)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    edges = _dyadic_edges(min(0.5, tau), tau)
-    inner = [b for b in breakpoints if 0.0 < b < tau]
-    return sorted(set(edges).union(inner)) if inner else edges
-
-
 def integrate_halfline_peak(
     g: Callable,
     tau: float,
@@ -375,7 +341,13 @@ def integrate_halfline_peak(
     Suited to integrands like (1+x^2)^{-s} that vary on unit scale near 0 and
     decay algebraically; any kink locations go in `breakpoints`.
     """
-    return _refine_panels(_jointly(g), [_halfline_edges(tau, breakpoints)])[0]
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    edges = _dyadic_edges(min(0.5, tau), tau)
+    inner = [b for b in breakpoints if 0.0 < b < tau]
+    if inner:
+        edges = sorted(set(edges).union(inner))
+    return _refine_panels(_jointly(g), [edges])[0]
 
 
 # Degenerate band of the connection formula: s = c - a - b within _BAND of

@@ -35,14 +35,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RatioDiverging
+from .errors import NonConvergence, RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
+from .spherical import _kernel_modes
 from .transforms import (
     Density,
     Mixture,
     _density_values,
-    _kernel_modes,
     _located,
     _normalizer,
     _row_primitive,
@@ -171,10 +171,18 @@ def _grid_size(r: float) -> int:
 @lru_cache(maxsize=4)
 def _row_fft(n: int, lam: complex, r: float, top: int) -> np.ndarray:
     """The kernel row's modes R_0..R_top at one rung: R_0 = Phi_n(r), the
-    row's circle mean, in closed form, then R_1..R_top
-    (transforms._kernel_modes)."""
+    row's circle mean, as the normalization takes it, then R_1..R_top
+    (spherical._kernel_modes), whose NonConvergence names n, lam and r."""
     sp = make_spectral(lam)
-    out = np.concatenate([[_normalizer(n, sp, r)], _kernel_modes(n, sp, r, range(1, top + 1))])
+    phi = _normalizer(n, sp, r)
+    try:
+        rest = _kernel_modes(n, sp, r, range(1, top + 1))
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"order-{n} kernel row modes at lam = {sp.lam}, r = {r}: {exc}",
+            last_estimates=exc.last_estimates,
+        ) from exc
+    out = np.concatenate([[phi], rest])
     out.setflags(write=False)
     return out
 

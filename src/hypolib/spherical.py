@@ -7,21 +7,17 @@ The order-n polyspherical function is the circle mean
 with g_n from kernels.kernel_poly.  Phi_0(.|0) is identically 1, and for
 lam = 0, n = 1 the integrand is P log P.
 
-Evaluation strategy.  With tau = 2 sqrt(r)/(1-r), the integrand is peaked at
-phi = 0 with width ~ 1/tau.  For tau < 20 the periodic trapezoid rule
-converges spectrally.  Beyond that the substitution u = tau sin(phi/2) turns
-the peak into the half-line profile (1+u^2)^{-(mu+1/2)} integrated on
-log-spaced panels; the remaining arc [pi/2, pi] is a small smooth correction.
-Written in the substituted variable,
-
-    Phi_n(r) = (e^{(mu+1/2) R}/pi) [ int_0^{tau/sqrt2} g_n(R - log(1+u^2))
-                 (1+u^2)^{-(mu+1/2)} (2/tau) (1-(u/tau)^2)^{-1/2} du
-                 + int_{pi/2}^{pi} g_n(R - L) e^{-(mu+1/2) L} dphi ],
-
-L = log(1 + tau^2 sin^2(phi/2)).  Both pieces are lanes of one panel
-doubling and share one evaluation of the integrand per doubling step.
-Accuracy is uniform up to R ~ 30; past that 1-r itself is at the edge of
-double precision.
+Quadrature.  The integrand is the order-n kernel row K_r(phi)
+(_kernel_row), and Phi_n is its Fourier mode 0.  The row is even and
+peaked at phi = 0 with width ~ 1/tau, tau = 2 sqrt(r)/(1-r), so its modes
+R_k = (1/pi) int_0^pi K_r(t) cos(kt) dt are taken on Gauss-Legendre
+panels dyadic toward the peak (_row_panels), one lane per mode of one
+node doubling (_kernel_modes).  spherical_function takes mode 0 alone;
+the transforms take every mode of every row from the same engine, so a
+normalized transform is a quotient of two results of one quadrature.
+Where the integrand turns faster than the panels resolve (|lam| in the
+thousands next to the forbidden ray) the doubling does not stabilize by
+its cap, and Phi_n is refused with NonConvergence.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
@@ -56,15 +52,17 @@ from .errors import CancellationLoss, NonConvergence, ResultOverflow, ScanInconc
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
 from .numerics import (
-    _flat,
-    _halfline_edges,
+    _PANEL_ORDER,
+    _chunks,
+    _doubling,
+    _dyadic_edges,
+    _gl_nodes,
     _loggamma,
-    _refine_panels,
-    _unflat,
+    _panel_failure,
+    _panel_nodes,
+    _settled,
     gauss_2f1_many,
-    integrate_circle,
 )
-from .polynomials import ComplexPoly
 
 __all__ = [
     "spherical_function",
@@ -80,57 +78,73 @@ __all__ = [
     "scan_profile",
 ]
 
-_TAU_SWITCH = 20.0
 # highest order the closed form evaluates to 1e-12 relative (jet order 6 in
 # the critical regime)
 _MAX_ORDER = 3
 
 
-def _kernel_mean(poly: ComplexPoly, exponent: complex, r: float) -> complex:
-    """(1/2pi) int poly(log P_r) P_r^{exponent} dphi."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    c = complex(exponent)
-    if r == 0.0:
-        return poly.evaluate(0.0)
-    frame = RadialFrame.from_r(r)
-    tau, R = frame.tau, frame.R
+def _kernel_row(n, sp, r, phi):
+    """Order-n kernel at radius r against boundary angle offsets phi.
 
-    if tau >= _TAU_SWITCH:
-        halfline = _halfline_edges(tau / math.sqrt(2.0), ())
-        arc = (math.pi / 2, 3 * math.pi / 4, math.pi)
+    Real (and computed in real arithmetic) when the exponent and g_n are
+    real, which holds for every real lam off the forbidden ray.
+    """
+    logp = np.log(poisson_radial_profile(r, phi))
+    poly = kernel_poly(n, sp)
+    coeffs = np.array(poly.coeffs)
+    if sp.exponent.imag == 0.0 and not coeffs.imag.any():
+        return np.polynomial.polynomial.polyval(logp, coeffs.real) * np.exp(sp.exponent.real * logp)
+    return poly.evaluate(logp) * np.exp(sp.exponent * logp)
 
-        def pieces(lanes, blocks):
-            # X = u on the half-line (lane 0) and tau sin(phi/2) on the arc:
-            # one L = log(1 + X^2) for both, the Jacobian on the half-line only
-            X = _flat([u if lane == 0 else tau * np.sin(0.5 * u) for lane, u in zip(lanes, blocks)])
-            L = np.log(1.0 + X * X)
-            vals = _unflat(poly.evaluate(R - L) * np.exp(-c * L), blocks)
-            for i, (lane, u) in enumerate(zip(lanes, blocks)):
-                if lane == 0:
-                    vals[i] = vals[i] * ((2.0 / tau) / np.sqrt(1.0 - (u / tau) ** 2))
-            return [np.asarray(v, dtype=complex) for v in vals]
 
-        i_u, i_phi = _refine_panels(pieces, [halfline, arc])
-        return complex(np.exp(c * R) * (i_u + i_phi) / math.pi)
+def _row_panels(r: float, top: int = 0) -> list[float]:
+    """Panel edges on [0, pi] for the kernel row at radius r: dyadic toward
+    its peak at 0 (width ~ 1/tau), and at most pi / top wide, so that
+    cos(kt) turns at most half a period on a panel for k <= top."""
+    tau = RadialFrame.from_r(r).tau
+    peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
+    edges = _dyadic_edges(min(peak, math.pi / 4.0), math.pi)
+    if top < 2:
+        return edges  # 0 and pi, the cuts for top <= 1, are edges already
+    return sorted(set(edges).union(np.linspace(0.0, math.pi, top + 1).tolist()))
 
-    # moderate radius: no peak to resolve
-    def f_circle(phi):
-        logp = np.log(poisson_radial_profile(r, phi))
-        return poly.evaluate(logp) * np.exp(c * logp)
 
-    return integrate_circle(f_circle, min(1.0, 1.0 / tau if tau > 0 else 1.0))
+def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
+    """The kernel row's Fourier modes R_k = (1/2pi) int K_r(t) e^{-ikt} dt
+    at each k >= 0 of ks.  The row is even, so R_k is
+    (1/pi) int_0^pi K_r(t) cos(kt) dt: one panel quadrature with a lane
+    per mode, the row evaluated once per doubling step for every lane, the
+    lanes taken in chunks (numerics._chunks) to bound the memory."""
+    ks = np.array([int(k) for k in ks], dtype=float)
+    edges = np.asarray(_row_panels(r, int(ks.max(initial=0))))
+
+    def estimate(orders, lanes):
+        x, w, blocks = _gl_nodes(tuple(orders))
+        nodes, weights = _panel_nodes(edges, x, w)
+        row = _kernel_row(n, sp, r, nodes) * weights
+        sums = np.empty((len(blocks), lanes.size), dtype=complex)
+        for c in _chunks(np.arange(lanes.size), row.size):
+            k = ks[lanes[c]]
+            # cos(0 t) = 1: mode 0 alone is the row itself
+            vals = row[None] if not k.any() else np.cos(np.multiply.outer(k, nodes)) * row
+            sums[:, c] = [vals[..., b].sum(axis=(1, 2)) for b in blocks]
+        return sums
+
+    modes = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, ks.size, _panel_failure)
+    return np.array(_settled(modes), dtype=complex) / math.pi
 
 
 @lru_cache(maxsize=200_000)
 def _spherical_cached(n: int, lam: complex, r: float) -> complex:
-    """_kernel_mean of the order-n kernel.  Where the mean does not fit in a
+    """Phi_n(r), mode 0 of the order-n kernel row (_kernel_modes).  An
+    order whose kernel coefficient leaves double range is refused by
+    kernel_poly before any quadrature.  Where the mean does not fit in a
     double it raises ResultOverflow, and where the quadrature does not
     stabilize NonConvergence, each naming n, lam and r."""
     sp = make_spectral(lam)
-    poly = kernel_poly(n, sp)
+    kernel_poly(n, sp)
     try:
-        value = _kernel_mean(poly, sp.exponent, r)
+        value = complex(_kernel_modes(n, sp, r, [0])[0])
         if cmath.isfinite(value):
             return value
     except ResultOverflow:

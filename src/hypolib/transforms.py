@@ -12,13 +12,16 @@ atom of weight w at psi0 contributes nu_m = conj(w) e^{-i m psi0}.
 
 The order-n transform integrates the graded kernel against the datum;
 `normalized` divides by the circle mean of the kernel at |z|, the quantity
-that makes boundary limits meaningful.  Normalization refuses radii below
-the kernel's zero-free radius.
+that makes boundary limits meaningful.  That mean is Phi_n, mode 0 of the
+kernel row (spherical_function), so it comes from the same quadrature as
+the transform's own modes.  Normalization refuses radii below the
+kernel's zero-free radius.
 
 Transforms are computed one circle at a time: a sweep (_sweep) takes its
 points as (r, theta) and groups them by the radius r the caller gave.  On
 |z| = r the transform's mode k is R_|k| nu^_k, the kernel row's mode
-(_kernel_modes, one panel quadrature) times the datum's (_datum_modes).
+(spherical._kernel_modes, one panel quadrature) times the datum's
+(_datum_modes).
 Fourier data and the weak-star pairings of every datum are read off
 these, and so is every density with a closed form (_density_values): a
 trigonometric polynomial from the row's modes, a density with jumps from
@@ -40,27 +43,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
-from .geometry import RadialFrame, poisson_radial_profile
-from .kernels import (
-    FORBIDDEN,
-    SpectralParam,
-    kernel_poly,
-    make_spectral,
-    polyharmonic_kernel,
-)
-from .numerics import (
-    _PANEL_ORDER,
-    _chunks,
-    _cumulative_panels,
-    _doubling,
-    _dyadic_edges,
-    _gl_nodes,
-    _panel_failure,
-    _panel_nodes,
-    _settled,
-    integrate_circle,
-)
-from .spherical import spherical_function, zero_free_radius
+from .geometry import RadialFrame
+from .kernels import FORBIDDEN, SpectralParam, make_spectral, polyharmonic_kernel
+from .numerics import _cumulative_panels, integrate_circle
+from .spherical import _kernel_modes, _kernel_row, _row_panels, spherical_function, zero_free_radius
 
 __all__ = [
     "FourierSeq",
@@ -231,54 +217,6 @@ def _normalizer(n: int, sp: SpectralParam, r: float) -> complex:
     if abs(denom) < 1e-300:
         raise NormalizationUnavailable(f"kernel mean underflow at r = {r}")
     return denom
-
-
-def _kernel_row(n, sp, r, phi):
-    """Order-n kernel at radius r against boundary angle offsets phi.
-
-    Real (and computed in real arithmetic) when the exponent and g_n are
-    real, which holds for every real lam off the forbidden ray.
-    """
-    logp = np.log(poisson_radial_profile(r, phi))
-    poly = kernel_poly(n, sp)
-    coeffs = np.array(poly.coeffs)
-    if sp.exponent.imag == 0.0 and not coeffs.imag.any():
-        return np.polynomial.polynomial.polyval(logp, coeffs.real) * np.exp(sp.exponent.real * logp)
-    return poly.evaluate(logp) * np.exp(sp.exponent * logp)
-
-
-def _row_panels(r: float, top: int = 0) -> list[float]:
-    """Panel edges on [0, pi] for the kernel row at radius r: dyadic toward
-    its peak at 0 (width ~ 1/tau), and at most pi / top wide, so that
-    cos(kt) turns at most half a period on a panel for k <= top."""
-    tau = RadialFrame.from_r(r).tau
-    peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
-    edges = _dyadic_edges(min(peak, math.pi / 4.0), math.pi)
-    return sorted(set(edges).union(np.linspace(0.0, math.pi, top + 1).tolist()))
-
-
-def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
-    """The kernel row's Fourier modes R_k = (1/2pi) int K_r(t) e^{-ikt} dt
-    at each k >= 0 of ks.  The row is even, so R_k is
-    (1/pi) int_0^pi K_r(t) cos(kt) dt: one panel quadrature with a lane
-    per mode, the row evaluated once per doubling step for every lane, the
-    lanes taken in chunks (numerics._chunks) to bound the memory."""
-    ks = np.array([int(k) for k in ks], dtype=float)
-    edges = np.asarray(_row_panels(r, int(ks.max(initial=0))))
-
-    def estimate(orders, lanes):
-        x, w, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(edges, x, w)
-        row = _kernel_row(n, sp, r, nodes) * weights
-        lanes = np.asarray(lanes)
-        sums = np.empty((len(blocks), lanes.size), dtype=complex)
-        for c in _chunks(np.arange(lanes.size), row.size):
-            vals = np.cos(np.multiply.outer(ks[lanes[c]], nodes)) * row
-            sums[:, c] = [vals[..., k].sum(axis=(1, 2)) for k in blocks]
-        return sums
-
-    modes = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, ks.size, _panel_failure)
-    return np.array(_settled(modes), dtype=complex) / math.pi
 
 
 def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:

@@ -130,6 +130,13 @@ def test_unconverged_transform_names_its_inputs(capsys):
     assert err.startswith("NonConvergence: order-0 transform at lam = (-10000+1j), z = ")
 
 
+def test_an_unconverged_maximal_probe_names_its_inputs(capsys):
+    assert main(["maximal", "--lambda", "-3e3", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "lam = (-3000+1j)" in err and "r = " in err
+
+
 @pytest.mark.parametrize("command", ["maximal", "fatou"])
 def test_a_width_past_every_radius_admits_every_angle(command, capsys):
     assert main([command, "--lambda", "0", "0", "--width", "1e300"]) == 0

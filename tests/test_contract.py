@@ -7,7 +7,9 @@ numbers within 1e-12 relative (1e-300 absolute).  `exits.csv` holds every
 case's exit code; a case that exits nonzero prints nothing and has no CSV.
 
 A change that moves a cell past the tolerance regenerates the snapshot in
-the same commit, and says which cells moved and why:
+the same commit, and says which cells moved and why.  Before it rewrites
+the snapshot, this prints each cell that moves past the tolerance (case,
+row, column: old -> new) and each exit code that changes:
 
     PYTHONPATH=src python tests/test_contract.py
 """
@@ -109,13 +111,40 @@ def test_subcommand_output_matches_the_snapshot(name):
             assert _same(cell, cell_ref), (i, want[0][j], cell, cell_ref)
 
 
+def _moved(name: str, out: str) -> list[str]:
+    """The cells of case `name` that `out` moves past the tolerance against
+    its committed CSV, as "case, row, column: old -> new"."""
+    path = SNAPSHOT / f"{name}.csv"
+    if not path.exists():
+        return [f"{name}: new CSV"]
+    got = list(csv.reader(io.StringIO(out)))
+    want = list(csv.reader(io.StringIO(path.read_text())))
+    if got[:1] != want[:1] or len(got) != len(want):
+        return [f"{name}: header or row count changed ({len(want)} -> {len(got)} lines)"]
+    return [
+        f"{name}, row {i}, {column}: {cell_ref} -> {cell}"
+        for i, (row, ref) in enumerate(zip(got[1:], want[1:]), 1)
+        for column, cell, cell_ref in zip(want[0], row, ref)
+        if not _same(cell, cell_ref)
+    ]
+
+
 def _regenerate() -> None:
+    """Rewrite the snapshot, after printing what moves: each exit code that
+    changes and each cell past the tolerance."""
+    old = _exits() if (SNAPSHOT / "exits.csv").exists() else {}
+    runs = {name: _run(argv) for name, argv in sorted(CASES.items())}
+    for name, (code, out) in runs.items():
+        if old.get(name, code) != code:
+            print(f"{name}: exit {old[name]} -> {code}")
+        elif code == 0:
+            for line in _moved(name, out):
+                print(line)
     SNAPSHOT.mkdir(exist_ok=True)
     for stale in SNAPSHOT.glob("*.csv"):
         stale.unlink()
     exits = []
-    for name, argv in sorted(CASES.items()):
-        code, out = _run(argv)
+    for name, (code, out) in runs.items():
         if code == 0:
             (SNAPSHOT / f"{name}.csv").write_text(out)
         exits.append(f"{name},{code}\n")

@@ -7,15 +7,16 @@ evaluates the integrand afresh at every order and on every full grid; the
 library must give its values, errors and last estimates bit for bit.
 """
 
+import cmath
 import math
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from hypolib import numerics, spherical, transforms
-from hypolib.errors import HypolibError, NonConvergence
+from hypolib import numerics, transforms
+from hypolib.errors import HypolibError, NonConvergence, ResultOverflow
 from hypolib.geometry import RadialFrame, poisson_radial_profile
-from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
+from hypolib.kernels import FORBIDDEN, make_spectral
 from hypolib.numerics import integrate_circle, integrate_halfline_peak
 from hypolib.transforms import Density, density_preset
 
@@ -37,12 +38,23 @@ def ref_trapezoid(f, n):
     return complex(np.mean(np.asarray(f(phi), dtype=complex)))
 
 
+def ref_stable(new, old):
+    """Whether a doubling left the estimate within max(1e-12, 1e-11 |new|);
+    ResultOverflow for an estimate that does not fit in a double."""
+    try:
+        if cmath.isfinite(new):
+            return abs(new - old) <= max(1e-12, 1e-11 * abs(new))
+    except OverflowError:
+        pass
+    raise ResultOverflow(f"quadrature estimate {new!r} does not fit in a double")
+
+
 def ref_doubling(estimate, order, cap, failure):
     prev = estimate(order)
     while True:
         order *= 2
         new = estimate(order)
-        if numerics._stable(new, prev):
+        if ref_stable(new, prev):
             return new
         if order >= cap:
             raise failure(order, prev, new)
@@ -103,10 +115,17 @@ def ref_circle_means(f, g, angles, peak_scale, breakpoints):
     return values, errors
 
 
+# where ref_kernel_mean leaves the trapezoid rule for the half-line
+_TAU_SWITCH = 20.0
+
+
 def ref_kernel_mean(poly, exponent, r, use_abs=False):
-    """spherical._kernel_mean with its half-line and arc pieces integrated
-    one after the other, each at one order per evaluation.  With use_abs,
-    the mean of |poly(log P_r)| P_r^{Re exponent}: the scale other tests
+    """(1/2pi) int poly(log P_r) P_r^exponent dphi by a quadrature of its
+    own, the tests' oracle for circle means of the kernel: the periodic
+    trapezoid rule below tau = _TAU_SWITCH; past it the substitution
+    u = tau sin(phi/2), whose half-line and arc pieces are integrated one
+    after the other, each at one order per evaluation.  With use_abs, the
+    mean of |poly(log P_r)| P_r^{Re exponent}: the scale other tests
     measure a mean's error against, since it bounds the mean and does not
     vanish at its zeros (panels split at the kink where log P = 0)."""
     c = complex(exponent).real if use_abs else complex(exponent)
@@ -120,7 +139,7 @@ def ref_kernel_mean(poly, exponent, r, use_abs=False):
         v = poly.evaluate(w)
         return np.abs(v) if use_abs else v
 
-    if tau >= spherical._TAU_SWITCH:
+    if tau >= _TAU_SWITCH:
 
         def f_u(u):
             base = 1.0 + u * u
@@ -252,8 +271,8 @@ LAMS = st.one_of(
     st.sampled_from([-0.25, 0.0, 0.75, 2.0, 1.5 + 1.5j, -1.5 - 1.5j]),
     st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
 )
-# tau = 20, the switch between the trapezoid rule and the half-line panels,
-# is near r = 0.905
+# tau = 20, where integrate_circle leaves the trapezoid rule for panels, is
+# near r = 0.905
 RADII = st.one_of(st.floats(1e-3, 0.999999), st.sampled_from([0.9, 0.905, 0.91, 0.99]))
 
 
@@ -289,23 +308,6 @@ def test_circle_means_match_the_per_order_reference(lam, n, r, name, angles):
             _assert_same(values[i], v)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(lam=LAMS, n=st.integers(0, 3), r=RADII)
-# overflow on both sides of the switch, and a panel doubling that cannot
-# meet its tolerance far out on the forbidden ray
-@example(lam=1e6, n=0, r=0.9)
-@example(lam=1e6, n=0, r=0.999)
-@example(lam=-1e4, n=0, r=0.905)
-@example(lam=1.3 + 0.7j, n=1, r=math.tanh(15.0))
-def test_kernel_mean_matches_the_per_order_reference(lam, n, r):
-    sp = make_spectral(lam)
-    poly = kernel_poly(n, sp)
-    _assert_same(
-        _outcome(lambda: spherical._kernel_mean(poly, sp.exponent, r)),
-        _outcome(lambda: ref_kernel_mean(poly, sp.exponent, r)),
-    )
-
-
 # --- errors past the cap ----------------------------------------------------
 
 
@@ -335,28 +337,6 @@ def test_fallback_points_that_never_stabilize_fail_as_the_reference_does():
 
 
 # --- evaluation counts ------------------------------------------------------
-
-
-class _CountingPoly:
-    def __init__(self, poly):
-        self.poly, self.sizes = poly, []
-
-    def evaluate(self, w):
-        self.sizes.append(np.size(w))
-        return self.poly.evaluate(w)
-
-
-def test_a_far_path_mean_stable_at_order_32_evaluates_its_integrand_once():
-    sp = make_spectral(1.3 + 0.7j)
-    r = math.tanh(15.0)  # R = 30
-    assert RadialFrame.from_r(r).tau >= spherical._TAU_SWITCH
-    poly = _CountingPoly(kernel_poly(1, sp))
-    got = spherical._kernel_mean(poly, sp.exponent, r)
-    # the half-line and the arc, each at orders 16 and 32, in one array
-    assert len(poly.sizes) == 1
-    half = ref_dyadic_edges(0.5, RadialFrame.from_r(r).tau / math.sqrt(2.0))
-    assert poly.sizes[0] == (len(half) - 1 + 2) * (16 + 32)
-    _assert_same(got, ref_kernel_mean(kernel_poly(1, sp), sp.exponent, r))
 
 
 def test_a_trapezoid_mean_evaluates_only_the_nodes_each_doubling_adds():

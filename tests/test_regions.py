@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hypolib import transforms
+from hypolib import regions, transforms
 from hypolib.errors import NonConvergence
 from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
 from hypolib.regions import (
@@ -313,6 +313,22 @@ def test_an_unsettled_primitive_names_lam_n_and_r(monkeypatch):
     monkeypatch.setattr(transforms, "_cumulative_panels", unsettled)
     with pytest.raises(NonConvergence, match=r"^order-1 kernel row integral at lam = \(-0.25\+0j\), r = 0.99: ") as exc:
         _row_primitive(1, make_spectral(-0.25), 0.99, [0.1, -0.3])
+    assert exc.value.last_estimates == (1.0, 2.0)
+
+
+def test_unsettled_rung_modes_name_lam_n_and_r(monkeypatch):
+    # R_0 = Phi_n converges and R_1.. do not
+    real = regions._kernel_modes
+
+    def refuse_past_mode_0(n, sp, r, ks):
+        if max(ks, default=0) >= 1:
+            raise NonConvergence("panel quadrature did not stabilize at order 64", last_estimates=(1.0, 2.0))
+        return real(n, sp, r, ks)
+
+    monkeypatch.setattr(regions, "_kernel_modes", refuse_past_mode_0)
+    _row_fft.cache_clear()
+    with pytest.raises(NonConvergence, match=r"^order-1 kernel row modes at lam = \(2\+0j\), r = 0.9: ") as exc:
+        _row_fft(1, 2 + 0j, 0.9, 2)
     assert exc.value.last_estimates == (1.0, 2.0)
 
 

@@ -1,13 +1,14 @@
 """Radial circle means: closed form, asymptotics, small radii, zeros."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypolib import spherical
+from hypolib import numerics, spherical
 from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow
 from hypolib.kernels import CRITICAL, FORBIDDEN, kernel_poly, make_spectral
 from hypolib.polynomials import ComplexPoly
@@ -160,11 +161,44 @@ def test_quadrature_non_convergence_names_its_inputs():
         spherical_function(0, 0.905, make_spectral(-1e4))
 
 
+@pytest.mark.parametrize("r", [0.5, 0.99, 0.999999])
+def test_phi_n_is_mode_0_of_the_kernel_row(r, monkeypatch):
+    # tau = 2 sqrt(r)/(1-r) is 20 near r = 0.905: one engine on both sides
+    calls = []
+    real = spherical._kernel_modes
+
+    def counted(n, sp, r, ks):
+        calls.append(list(ks))
+        return real(n, sp, r, ks)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Phi_n took a second quadrature")
+
+    monkeypatch.setattr(spherical, "_kernel_modes", counted)
+    for name in ("integrate_circle", "_refine_panels"):
+        assert not hasattr(spherical, name)
+        monkeypatch.setattr(numerics, name, refuse)
+    spherical._spherical_cached.cache_clear()
+    sp = make_spectral(0.5 + 1.5j)
+    value = spherical_function(1, r, sp)
+    assert calls == [[0]]
+    assert value == real(1, sp, r, [0])[0]
+
+
+def test_far_out_next_to_the_forbidden_ray_phi_is_refused():
+    # mpmath gives Phi_0 = -1.682272788e-8 at this double r; the row turns
+    # faster than its panels resolve, so the quadrature must refuse rather
+    # than return a value such as 1.108e-7 - 2.500e-7i
+    r = math.tanh(15.0)
+    with pytest.raises(NonConvergence, match=rf"^Phi_0 at lam = \(-10000\+0j\) did not converge at r = {re.escape(repr(r))}: "):
+        spherical_function(0, r, make_spectral(-1e4))
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_scan_profile_agrees_with_quadrature(n, lam):
-    # the scan's closed-form profile against the checked quadrature, on
-    # both sides of the quadrature switch (tau = 20 near r = 0.99)
+    # the scan's closed-form profile against the row quadrature, from
+    # moderate radii out to tau ~ 2e6 (r = 1 - 1e-6)
     sp = make_spectral(lam)
     rs, vals = scan_profile(n, sp, count=300)
     assert rs[0] < 0.9 < 0.999 < rs[-1]
@@ -335,5 +369,5 @@ def test_polyspherical_functions_are_positive_for_real_lam_above_the_critical_po
     # Positivity rests on the vanishing odd log moments of P^{1/2}: the
     # means of P^s and P^{1-s} agree, so d^(2n+1)/ds^(2n+1) vanishes at 1/2.
     odd = ComplexPoly.monomial(2 * n + 1)
-    moment = spherical._kernel_mean(odd, 0.5, r)
+    moment = ref_kernel_mean(odd, 0.5, r)
     assert abs(moment) <= 1e-12 * ref_kernel_mean(odd, 0.5, r, use_abs=True).real

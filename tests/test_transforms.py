@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from hypolib import transforms
-from hypolib.errors import HypolibError, NonConvergence
+from hypolib import spherical, transforms
+from hypolib.errors import HypolibError, NonConvergence, NormalizationUnavailable
 from hypolib.geometry import RadialFrame, poisson_radial_profile
 from hypolib.kernels import CRITICAL, FORBIDDEN, kernel_poly, make_spectral, polyharmonic_kernel
 from hypolib.numerics import circle_fft
@@ -198,6 +198,33 @@ def test_normalized_kernel_has_unit_circle_mean(lam, n, r):
     phi = 2.0 * math.pi * np.arange(4096) / 4096
     mean = np.mean(polyharmonic_kernel(n, complex(r), phi, sp))
     assert mean / _normalizer(n, sp, r) == pytest.approx(1.0, rel=1e-10)
+
+
+# lam on a 1e-3 grid: real on [-1/4, 30], or complex with |Re|, |Im| <= 3
+OFF_RAY = st.one_of(
+    st.integers(-250, 30_000).map(lambda k: k / 1000),
+    st.builds(
+        complex,
+        st.integers(-3000, 3000).map(lambda k: k / 1000),
+        st.integers(-3000, 3000).filter(lambda k: k != 0).map(lambda k: k / 1000),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lam=OFF_RAY, n=st.integers(0, 3), r=st.floats(0.0, 1.0 - 1e-8))
+def test_the_normalized_transform_of_one_is_one(lam, n, r):
+    # the transform of 1 is the kernel row's mode 0, and so is Phi_n: one
+    # quadrature above and below the fraction
+    sp = make_spectral(lam)
+    try:
+        got = poisson_transform(n, sp, density_preset("one"), r).normalized
+    except NormalizationUnavailable:
+        reject()  # inside the zero-free radius, or Phi_n(r) ~ r^n underflows
+    if sp.lam.imag == 0.0:
+        assert got == 1.0, (lam, n, r, got)
+    else:
+        assert abs(got - 1.0) <= 2.3e-16, (lam, n, r, got)
 
 
 def test_dirichlet_recovery_sharpens_toward_boundary():
@@ -425,9 +452,11 @@ def test_probes_and_solvers_refuse_a_radius_outside_the_disk(radius):
 
 @pytest.mark.parametrize("preset", ["sawtooth", "indicator:0.3:0.7", "cos"])
 def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset, monkeypatch):
+    # the modes evaluate the row in spherical, the primitive in transforms
     calls = []
-    row = transforms._kernel_row
-    monkeypatch.setattr(transforms, "_kernel_row", lambda *a: calls.append(1) or row(*a))
+    row = spherical._kernel_row
+    for module in (spherical, transforms):
+        monkeypatch.setattr(module, "_kernel_row", lambda *a: calls.append(1) or row(*a))
     sp = make_spectral(0.0)
     counts = {}
     for count in (1, 8, 64):
