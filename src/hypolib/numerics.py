@@ -84,53 +84,31 @@ def _panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
     return 0.5 * (a + b) + half * x, half * w
 
 
-def _flat(blocks) -> np.ndarray:
-    """The blocks' entries in one flat array, block after block."""
-    return np.concatenate([np.ravel(b) for b in blocks])
+def _panel_estimator(f: Callable, edges: Sequence[float]) -> Callable:
+    """estimate(orders, lanes) for _doubling, with one lane: the composite
+    Gauss-Legendre sums of f over the panels between consecutive edges at
+    each order.
 
-
-def _unflat(values: np.ndarray, blocks) -> list[np.ndarray]:
-    """values (as _flat lays them out) cut back into arrays shaped like the blocks."""
-    out, at = [], 0
-    for b in blocks:
-        out.append(values[at : at + b.size].reshape(b.shape))
-        at += b.size
-    return out
-
-
-def _jointly(f: Callable) -> Callable:
-    """f as a _panel_estimator evaluation: one call of f on every block."""
-    return lambda lanes, blocks: _unflat(np.asarray(f(_flat(blocks)), dtype=complex), blocks)
-
-
-def _panel_estimator(evaluate: Callable, panels: Sequence) -> Callable:
-    """estimate(orders, lanes) for _doubling: the composite Gauss-Legendre
-    sums of each lane's panels (panels[lane], an edge list) at each order.
-
-    evaluate(lanes, blocks) gives the integrand on each lane's block of
-    nodes, (panels x every order's nodes), all in one call.  Each order's
-    values are then summed times its weights as their own
-    (panels x order) array, so a sum rounds as it would for that order
-    alone.
+    f is called once on every order's nodes (panels x every order's nodes,
+    flattened).  Each order's values are then summed times its weights as
+    their own (panels x order) array, so a sum rounds as it would for that
+    order alone.
     """
-    edges = [np.asarray(e, dtype=float) for e in panels]
+    edges = np.asarray(edges, dtype=float)
 
     def estimate(orders, lanes):
         x, w, blocks = _gl_nodes(tuple(orders))
-        rules = [_panel_nodes(edges[lane], x, w) for lane in lanes]
-        vals = evaluate(lanes, [nodes for nodes, _ in rules])
+        nodes, weights = _panel_nodes(edges, x, w)
+        vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
         # np.add.reduce is np.sum without its dispatch
-        return [
-            [complex(np.add.reduce(v[:, k] * wt[:, k], axis=None)) for v, (_, wt) in zip(vals, rules)]
-            for k in blocks
-        ]
+        return [[complex(np.add.reduce(vals[:, k] * weights[:, k], axis=None))] for k in blocks]
 
     return estimate
 
 
 def integrate_panels(f: Callable, edges: Sequence[float], order: int) -> complex:
     """Composite Gauss-Legendre integral of f over consecutive [edges] panels."""
-    return _panel_estimator(_jointly(f), [edges])((order,), [0])[0][0]
+    return _panel_estimator(f, edges)((order,), [0])[0][0]
 
 
 def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Callable):
@@ -197,13 +175,11 @@ def _trapezoid_failure(n: int, prev: complex, last: complex) -> NonConvergence:
     return NonConvergence(f"trapezoid rule did not stabilize by n = {n}", last_estimates=(last,))
 
 
-def _refine_panels(evaluate: Callable, panels: Sequence) -> list:
-    """Panel integrals of the lanes' panels (see _panel_estimator) with node
-    doubling until each is stable; two failed doublings abort, raising the
-    error of the first lane that failed."""
-    estimate = _panel_estimator(evaluate, panels)
-    outcome = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, len(panels), _panel_failure)
-    return _settled(outcome)
+def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
+    """The panel integral of f over the edges (see _panel_estimator) with
+    node doubling until it is stable; two failed doublings abort."""
+    estimate = _panel_estimator(f, edges)
+    return _settled(_doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure))[0]
 
 
 def _cumulative_panels(f: Callable, edges: Sequence[float], points) -> np.ndarray:
@@ -322,7 +298,7 @@ def integrate_circle(
         return _settled(_doubling(
             trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, 1, _trapezoid_failure
         ))[0]
-    return _refine_panels(_jointly(f), [_with_kinks(base, breakpoints)])[0] / (2.0 * math.pi)
+    return _refine_panels(f, _with_kinks(base, breakpoints)) / (2.0 * math.pi)
 
 
 def _chunks(lanes: np.ndarray, per_lane: int) -> list[np.ndarray]:
@@ -347,7 +323,7 @@ def integrate_halfline_peak(
     inner = [b for b in breakpoints if 0.0 < b < tau]
     if inner:
         edges = sorted(set(edges).union(inner))
-    return _refine_panels(_jointly(g), [edges])[0]
+    return _refine_panels(g, edges)
 
 
 # Degenerate band of the connection formula: s = c - a - b within _BAND of

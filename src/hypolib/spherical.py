@@ -15,9 +15,10 @@ panels dyadic toward the peak (_row_panels), one lane per mode of one
 node doubling (_kernel_modes).  spherical_function takes mode 0 alone;
 the transforms take every mode of every row from the same engine, so a
 normalized transform is a quotient of two results of one quadrature.
-Where the integrand turns faster than the panels resolve (|lam| in the
-thousands next to the forbidden ray) the doubling does not stabilize by
-its cap, and Phi_n is refused with NonConvergence.
+Next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on
+a dyadic panel, so the doubling runs to 128 nodes per panel (_ROW_CAP);
+past |lam| ~ 1.5e4 there it does not stabilize by that cap, and Phi_n is
+refused with NonConvergence.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
@@ -81,6 +82,11 @@ __all__ = [
 # highest order the closed form evaluates to 1e-12 relative (jet order 6 in
 # the critical regime)
 _MAX_ORDER = 3
+# Gauss-Legendre nodes per panel at which the row's doubling gives up, one
+# doubling past the other panel rules: next to the forbidden ray the row turns
+# about 2 log(2) |Im mu| radians on a dyadic panel, which 32 nodes resolve
+# up to |lam| ~ 2e3 and 64 nodes up to |lam| ~ 1.5e4
+_ROW_CAP = 8 * _PANEL_ORDER
 
 
 def _kernel_row(n, sp, r, phi):
@@ -130,7 +136,7 @@ def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
             sums[:, c] = [vals[..., b].sum(axis=(1, 2)) for b in blocks]
         return sums
 
-    modes = _doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, ks.size, _panel_failure)
+    modes = _doubling(estimate, _PANEL_ORDER, _ROW_CAP, ks.size, _panel_failure)
     return np.array(_settled(modes), dtype=complex) / math.pi
 
 

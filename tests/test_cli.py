@@ -124,10 +124,18 @@ def test_cancelling_closed_form_is_a_one_line_library_error(capsys):
 
 
 def test_unconverged_transform_names_its_inputs(capsys):
-    assert main(["riquier", "--lambda", "-1e4", "1"]) == 1
+    assert main(["riquier", "--lambda", "-1e5", "1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("NonConvergence: order-0 transform at lam = (-10000+1j), z = ")
+    assert err.startswith("NonConvergence: order-0 transform at lam = (-100000+1j), z = ")
+
+
+def test_the_boundary_law_next_to_the_forbidden_ray_is_tabulated(capsys):
+    # Phi_0 at lam = -3000+i on the default R grid, where the row turns
+    # ~ 76 radians per dyadic panel
+    assert main(["asymptotics", "--lambda", "-3000", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and len(out.splitlines()) > 2
 
 
 def test_an_unconverged_maximal_probe_names_its_inputs(capsys):

@@ -155,10 +155,11 @@ def test_quadrature_overflow_is_a_typed_error(r):
 
 
 def test_quadrature_non_convergence_names_its_inputs():
-    # far out on the forbidden ray the panel doubling cannot meet its tolerance
-    with pytest.raises(NonConvergence, match=r"Phi_0 at lam = \(-10000\+0j\) did not"
+    # far out on the forbidden ray (past |lam| ~ 1.5e4) the row's panel
+    # doubling cannot meet its tolerance by its cap
+    with pytest.raises(NonConvergence, match=r"Phi_0 at lam = \(-100000\+0j\) did not"
                                              r" converge at r = 0\.905: panel quadrature"):
-        spherical_function(0, 0.905, make_spectral(-1e4))
+        spherical_function(0, 0.905, make_spectral(-1e5))
 
 
 @pytest.mark.parametrize("r", [0.5, 0.99, 0.999999])
@@ -185,13 +186,18 @@ def test_phi_n_is_mode_0_of_the_kernel_row(r, monkeypatch):
     assert value == real(1, sp, r, [0])[0]
 
 
-def test_far_out_next_to_the_forbidden_ray_phi_is_refused():
-    # mpmath gives Phi_0 = -1.682272788e-8 at this double r; the row turns
-    # faster than its panels resolve, so the quadrature must refuse rather
-    # than return a value such as 1.108e-7 - 2.500e-7i
-    r = math.tanh(15.0)
-    with pytest.raises(NonConvergence, match=rf"^Phi_0 at lam = \(-10000\+0j\) did not converge at r = {re.escape(repr(r))}: "):
-        spherical_function(0, r, make_spectral(-1e4))
+@pytest.mark.parametrize(
+    "lam,r",
+    [(-1e4, 0.905), (-1e4, math.tanh(15.0))]
+    + [(-3000 + 1j, math.tanh(0.5 * R)) for R in (2.4, 5.0, 12.0, 18.5)],
+)
+def test_next_to_the_forbidden_ray_phi_matches_the_oracle(lam, r):
+    # the row turns ~ 2 log(2) |Im mu| radians per dyadic panel here; the
+    # tau = 20 split of older quadratures refused most of these points and
+    # returned 1.108e-7 - 2.500e-7i for -1.682e-8 at lam = -1e4, R = 30
+    sp = make_spectral(lam)
+    want = _oracle(r, sp.mu)
+    assert abs(spherical_function(0, r, sp) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
