@@ -192,9 +192,9 @@ def test_phi_n_is_mode_0_of_the_kernel_row(r, monkeypatch):
     + [(-3000 + 1j, math.tanh(0.5 * R)) for R in (2.4, 5.0, 12.0, 18.5)],
 )
 def test_next_to_the_forbidden_ray_phi_matches_the_oracle(lam, r):
-    # the row turns ~ 2 log(2) |Im mu| radians per dyadic panel here; the
-    # tau = 20 split of older quadratures refused most of these points and
-    # returned 1.108e-7 - 2.500e-7i for -1.682e-8 at lam = -1e4, R = 30
+    # the row turns ~ 2 log(2) |Im mu| radians per dyadic panel here, and at
+    # lam = -1e4, R = 30 a half-line quadrature passed its doubling test with
+    # 1.108e-7 - 2.500e-7i for -1.682e-8
     sp = make_spectral(lam)
     want = _oracle(r, sp.mu)
     assert abs(spherical_function(0, r, sp) - want) <= 1e-12 * abs(want)
