@@ -39,6 +39,17 @@ WITH_LAMBDA = {
     "maximal": [],
     "fatou": [],
 }
+# the jump densities, whose transforms read the kernel row's primitive
+JUMPS = {
+    f"{command}-{preset.split(':')[0]}": [command.split("-")[0], "--preset", preset, *mode]
+    for command, preset, mode in (
+        ("convergence-uniform", "sawtooth", ["--mode", "uniform"]),
+        ("convergence-weak-star", "sawtooth", ["--mode", "weak-star"]),
+        ("convergence-pointwise-ae", "indicator:0.3:0.7", ["--mode", "pointwise-ae"]),
+        ("convergence-weak-star", "indicator:0.3:0.7", ["--mode", "weak-star"]),
+        ("dirichlet", "sawtooth", []),
+    )
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -46,6 +57,9 @@ def _cases() -> dict[str, list[str]]:
     for name, extra in WITH_LAMBDA.items():
         for label, lam in LAMBDAS.items():
             cases[f"{name}-{label}"] = [name.split("-")[0], "--lambda", *lam, *extra]
+    for name, (command, *extra) in JUMPS.items():
+        for label in ("0", "i"):
+            cases[f"{name}-{label}"] = [command, "--lambda", *LAMBDAS[label], *extra]
     for label, lam in {"-1": ("-1", "0"), **LAMBDAS}.items():
         cases[f"zeros-{label}"] = ["zeros", "--lambda", *lam]
     for what in ("d", "growth", "associate"):
