@@ -47,13 +47,6 @@ class RadialFrame:
             raise ValueError(f"radius must lie in [0, 1), got {r}")
         return cls(r=r, R=math.log1p(r) - math.log1p(-r), tau=2.0 * math.sqrt(r) / (1.0 - r))
 
-    @classmethod
-    def from_R(cls, R: float) -> "RadialFrame":
-        if R < 0.0:
-            raise ValueError(f"R must be nonnegative, got {R}")
-        # r = tanh(R/2); stable at both ends
-        return cls.from_r(math.tanh(0.5 * R))
-
 
 def poisson_kernel(z: complex, xi):
     """P(z, xi) for a disk point z and boundary point(s) xi on the circle."""

@@ -6,15 +6,14 @@ integrands) and panelized Gauss-Legendre with dyadically refined panels
 accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
-spherical._kernel_modes takes many Fourier modes of one kernel row.
+spherical._kernel_modes takes many Fourier modes of one kernel row, or
+spherical._row_primitive its primitive at many offsets.
 The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
 per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
 integrand, and each later trapezoid doubling evaluates only the odd nodes
 it adds; every estimate rounds as if its order were evaluated alone.
 Half-line integrals int_0^tau g(x) dx use log-spaced
 panels over [0,1] u [1,tau]; callers supply extra breakpoints for kinks.
-A cumulative panel rule (_cumulative_panels) integrates from the first
-edge to each of many points at once, each point a lane of the same loop.
 
 The Gauss hypergeometric evaluator targets nonpositive real arguments only:
 the Pfaff transform x -> x/(x-1) maps (-inf, 0] onto y in [0, 1).  The
@@ -180,38 +179,6 @@ def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
     node doubling until it is stable; two failed doublings abort."""
     estimate = _panel_estimator(f, edges)
     return _settled(_doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure))[0]
-
-
-def _cumulative_panels(f: Callable, edges: Sequence[float], points) -> np.ndarray:
-    """int_{edges[0]}^{x} f(t) dt at each x of points (x >= edges[0]): the
-    composite Gauss-Legendre sums of the panels between the sorted edges up
-    to the last edge e <= x, summed cumulatively, plus the sum of the panel
-    [e, x].  Every panel's nodes are evaluated in one call of f.  Each
-    point is a lane of _doubling (the first two orders from one evaluation
-    of f), so its value does not depend on the other points.  Raises, for
-    the first point that fails, ResultOverflow where its integral does not
-    fit in a double and NonConvergence where it is still unstable at the
-    cap.
-    """
-    edges = np.asarray(edges, dtype=float)
-    points = np.asarray(points, dtype=float)
-    at = np.maximum(np.searchsorted(edges, points, side="right") - 1, 0)
-    starts, ends = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], points])
-    panels = np.stack([starts, ends], axis=-1)
-    whole = edges.size - 1
-
-    def integrals(orders, lanes):
-        x, w, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(panels, x, w)
-        vals = (np.asarray(f(nodes)) * weights).reshape(len(panels), -1)
-        out = []
-        for k in blocks:
-            sums = vals[:, k].sum(axis=1)
-            out.append((np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])[lanes])
-        return out
-
-    outcome = _doubling(integrals, _PANEL_ORDER, 4 * _PANEL_ORDER, points.size, _panel_failure)
-    return np.array(_settled(outcome), dtype=complex)
 
 
 def _trapezoid_grid(n: int, refine: bool) -> np.ndarray:

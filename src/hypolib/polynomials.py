@@ -39,13 +39,6 @@ class ComplexPoly:
             raise ValueError(f"degree must be >= 0, got {degree}")
         return cls.from_coeffs((0j,) * degree + (complex(coeff),))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0j,)
-
     def differentiate(self) -> "ComplexPoly":
         cs = self.coeffs
         if len(cs) == 1:

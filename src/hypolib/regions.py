@@ -22,13 +22,12 @@ transforms' density evaluator (transforms._density_values) over Phi_n(r):
 a trigonometric polynomial from the kernel row's Fourier modes R_k, and a
 density whose derivative is a constant plus jumps from the primitive of
 the row.  Each rung takes its modes once, and one cumulative quadrature
-gives the primitive at every offset of every jump; any other density
-takes a circle quadrature per cell.
+(spherical._row_primitive) gives the primitive at every offset of every
+jump.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,14 +37,12 @@ import numpy as np
 from .errors import NonConvergence, RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
-from .spherical import _kernel_modes
+from .spherical import _kernel_modes, _row_primitive
 from .transforms import (
     Density,
     Mixture,
     _density_values,
-    _located,
     _normalizer,
-    _row_primitive,
     _sweep,
     _wrapped,
     _zero_free_cached,
@@ -193,12 +190,8 @@ def _field_at_radius(
     """Normalized order-n transform of the real density g at the angles
     thetas on |z| = r: transforms._density_values from the rung's modes
     (_row_fft) and the row's primitive at the offsets of every jump
-    (_row_primitive), over Phi_n(r) = row[0]."""
-    values, errors = _density_values(n, sp, g, r, thetas, row, primitive)
-    if errors:
-        i = min(errors)
-        raise _located(n, sp, cmath.rect(r, thetas[i]), errors[i]) from errors[i]
-    return values / row[0]
+    (spherical._row_primitive), over Phi_n(r) = row[0]."""
+    return _density_values(n, sp, g, r, thetas, row, primitive) / row[0]
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:

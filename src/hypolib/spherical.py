@@ -14,11 +14,13 @@ R_k = (1/pi) int_0^pi K_r(t) cos(kt) dt are taken on Gauss-Legendre
 panels dyadic toward the peak (_row_panels), one lane per mode of one
 node doubling (_kernel_modes).  spherical_function takes mode 0 alone;
 the transforms take every mode of every row from the same engine, so a
-normalized transform is a quotient of two results of one quadrature.
+normalized transform is a quotient of two results of one quadrature.  A
+density with jumps also takes the row's primitive int_0^x K_r on the same
+panels, one lane per offset x of the same doubling (_row_primitive).
 Next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on
-a dyadic panel, so the doubling runs to 128 nodes per panel (_ROW_CAP);
-past |lam| ~ 1.5e4 there it does not stabilize by that cap, and Phi_n is
-refused with NonConvergence.
+a dyadic panel, so the doubling runs to 128 nodes per panel (_ROW_CAP),
+for the modes and the primitive alike; past |lam| ~ 1.5e4 there it does
+not stabilize by that cap, and Phi_n is refused with NonConvergence.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
@@ -46,6 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -82,10 +85,11 @@ __all__ = [
 # highest order the closed form evaluates to 1e-12 relative (jet order 6 in
 # the critical regime)
 _MAX_ORDER = 3
-# Gauss-Legendre nodes per panel at which the row's doubling gives up, one
-# doubling past the other panel rules: next to the forbidden ray the row turns
-# about 2 log(2) |Im mu| radians on a dyadic panel, which 32 nodes resolve
-# up to |lam| ~ 2e3 and 64 nodes up to |lam| ~ 1.5e4
+# Gauss-Legendre nodes per panel at which the row's doubling gives up, for its
+# modes and its primitive alike, one doubling past the other panel rules:
+# next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on a
+# dyadic panel, which 32 nodes resolve up to |lam| ~ 2e3 and 64 nodes up to
+# |lam| ~ 1.5e4
 _ROW_CAP = 8 * _PANEL_ORDER
 
 
@@ -138,6 +142,43 @@ def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
 
     modes = _doubling(estimate, _PANEL_ORDER, _ROW_CAP, ks.size, _panel_failure)
     return np.array(_settled(modes), dtype=complex) / math.pi
+
+
+def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
+    """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi); the
+    row is even, so the primitive is odd.  One cumulative quadrature: the
+    row's panels (_row_panels) summed up to the last edge e <= |x|, plus the
+    panel [e, |x|], all evaluated in one row call per doubling step.  Each
+    |x| is a lane of the doubling to _ROW_CAP, so its value does not depend
+    on the other offsets.  Raises, for the first offset that fails,
+    ResultOverflow, or NonConvergence naming n, lam and r.
+    """
+    xs = np.unique(np.abs(np.asarray(xs, dtype=float)))
+    edges = np.asarray(_row_panels(r))
+    at = np.maximum(np.searchsorted(edges, xs, side="right") - 1, 0)
+    starts, ends = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], xs])
+    panels = np.stack([starts, ends], axis=-1)
+    whole = edges.size - 1
+
+    def estimate(orders, lanes):
+        x, w, blocks = _gl_nodes(tuple(orders))
+        nodes, weights = _panel_nodes(panels, x, w)
+        vals = (_kernel_row(n, sp, r, nodes) * weights).reshape(len(panels), -1)
+        out = []
+        for b in blocks:
+            sums = vals[:, b].sum(axis=1)
+            out.append((np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])[lanes])
+        return out
+
+    outcome = _doubling(estimate, _PANEL_ORDER, _ROW_CAP, xs.size, _panel_failure)
+    try:
+        values = np.array(_settled(outcome), dtype=complex)
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}",
+            last_estimates=exc.last_estimates,
+        ) from exc
+    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
 
 
 @lru_cache(maxsize=200_000)

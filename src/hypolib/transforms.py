@@ -21,14 +21,14 @@ Transforms are computed one circle at a time: a sweep (_sweep) takes its
 points as (r, theta) and groups them by the radius r the caller gave.  On
 |z| = r the transform's mode k is R_|k| nu^_k, the kernel row's mode
 (spherical._kernel_modes, one panel quadrature) times the datum's
-(_datum_modes).
-Fourier data and the weak-star pairings of every datum are read off
-these, and so is every density with a closed form (_density_values): a
+(_datum_modes, exact for every datum: a Density carries its modes in
+closed form).  Fourier data and the weak-star pairings of every datum are
+read off these, and so is every density (_density_values): a
 trigonometric polynomial from the row's modes, a density with jumps from
-its mode 0 and its primitive (_row_primitive), so a circle of such a
-density takes one or two row quadratures however many points it has.  The
-maximal sweeps of regions take the same evaluator at each rung.  Any other
-density takes a circle quadrature per point.  poisson_transform is the
+its mode 0 and the row's primitive (spherical._row_primitive), so a
+circle of a density takes one or two row quadratures however many points
+it has.  The maximal sweeps of regions take the same evaluator at each
+rung.  Atoms take the kernel at each point.  poisson_transform is the
 one-point sweep.
 """
 
@@ -45,8 +45,7 @@ import numpy as np
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
 from .geometry import RadialFrame
 from .kernels import FORBIDDEN, SpectralParam, make_spectral, polyharmonic_kernel
-from .numerics import _cumulative_panels, integrate_circle
-from .spherical import _kernel_modes, _kernel_row, _row_panels, spherical_function, zero_free_radius
+from .spherical import _kernel_modes, _row_primitive, spherical_function, zero_free_radius
 
 __all__ = [
     "FourierSeq",
@@ -76,35 +75,30 @@ class FourierSeq:
             if not np.isfinite(complex(v)):
                 raise ValueError(f"coefficient at mode {m} is not finite")
 
-    def window(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
-
 
 @dataclass(frozen=True)
 class Density:
-    """Density against dphi/2pi; breakpoints list its kink angles.
+    """Real density against dphi/2pi, with its coefficients
+    c_k = (1/2pi) int rho e^{-ik psi} dpsi for k >= 0 (the negative modes
+    are their conjugates) in closed form, of one of two kinds:
 
-    modes, when known in closed form, gives the coefficients
-    c_k = (1/2pi) int rho e^{-ik psi} dpsi of a real density for k >= 0
-    (the negative modes are their conjugates): a table {k: c_k} of the
-    nonzero ones for a trigonometric polynomial, else a map from an integer
-    array k to c_k.
-
-    jumps, for a density whose derivative is a constant plus point masses,
-    lists the masses as (angle, size) pairs: then c_k is
-    sum_i J_i e^{-ik b_i} / (2 pi i k) for k != 0, and such a density also
-    carries its modes map, for c_0.
+    - a trigonometric polynomial: modes is a table {k: c_k} of the nonzero
+      ones, and jumps is empty;
+    - a density whose derivative is a constant plus point masses: jumps
+      lists the masses as (angle, size) pairs, so that c_k is
+      sum_i J_i e^{-ik b_i} / (2 pi i k) for k != 0, and modes is a map
+      from an integer array k to c_k, which gives c_0.
     """
 
     fn: Callable
     name: str
-    breakpoints: tuple = ()
-    modes: Union[dict, Callable, None] = field(default=None, compare=False)
+    modes: Union[dict, Callable] = field(compare=False)
     jumps: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.jumps and not callable(self.modes):
-            raise ValueError("a density with jumps needs its modes map, for its mean")
+        table = isinstance(self.modes, dict)
+        if not (table or callable(self.modes)) or table == bool(self.jumps):
+            raise ValueError("a density takes a modes table {k: c_k} and no jumps, or a modes map and its jumps")
 
     def __call__(self, phi):
         return self.fn(np.asarray(phi, dtype=float))
@@ -168,10 +162,7 @@ def density_preset(name: str) -> Density:
     if name == "cos2":
         return Density(lambda p: np.cos(2.0 * p), "cos2", modes={2: 0.5})
     if name == "sawtooth":
-        return Density(
-            _sawtooth, "sawtooth", breakpoints=(math.pi,), modes=_sawtooth_modes,
-            jumps=((math.pi, -2.0),),
-        )
+        return Density(_sawtooth, "sawtooth", modes=_sawtooth_modes, jumps=((math.pi, -2.0),))
     if name.startswith("indicator:"):
         parts = name.split(":")
         if len(parts) != 3:
@@ -184,10 +175,7 @@ def density_preset(name: str) -> Density:
             d = np.abs(np.remainder(phi - c + math.pi, 2.0 * math.pi) - math.pi)
             return (d <= w).astype(float)
 
-        return Density(
-            ind, name, breakpoints=(c - w, c + w), modes=_indicator_modes(c, w),
-            jumps=((c - w, 1.0), (c + w, -1.0)),
-        )
+        return Density(ind, name, modes=_indicator_modes(c, w), jumps=((c - w, 1.0), (c + w, -1.0)))
     raise ValueError(f"unknown density preset {name!r}")
 
 
@@ -219,22 +207,6 @@ def _normalizer(n: int, sp: SpectralParam, r: float) -> complex:
     return denom
 
 
-def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
-    """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi), from
-    one cumulative panel quadrature on panels dyadic toward the row's peak,
-    each |x| closing a panel of its own.  The row is even, so the
-    primitive is odd."""
-    xs = np.unique(np.abs(np.asarray(xs, dtype=float)))
-    try:
-        values = _cumulative_panels(lambda t: _kernel_row(n, sp, r, t), _row_panels(r), xs)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}",
-            last_estimates=exc.last_estimates,
-        ) from exc
-    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
-
-
 def _check_radii(radii) -> None:
     """ValueError naming the first radius outside [0, 1): a negative r
     would put r e^{i theta} on the antipodal circle."""
@@ -254,20 +226,12 @@ def _datum_modes(datum, ks) -> np.ndarray:
     """The datum's Fourier modes nu^_k = int e^{-ik psi} dnu(psi) at each
     integer k of ks, against which the transform's mode k is R_|k| nu^_k.
 
-    Exact for atoms, Fourier data (nu^_k = conj(nu_{-k}), see the module
-    docstring) and densities with closed-form modes (nu^_{-k} = conj(nu^_k)
-    for these real densities); any other density takes one circle
-    quadrature per mode, split at its breakpoints.
+    Exact for every datum: atoms, Fourier data (nu^_k = conj(nu_{-k}), see
+    the module docstring) and densities, from their closed-form modes
+    (nu^_{-k} = conj(nu^_k) for these real densities).
     """
     ks = np.array([int(k) for k in ks], dtype=int)
     if isinstance(datum, Density):
-        if datum.modes is None:
-            return np.array([
-                integrate_circle(
-                    lambda phi, k=k: datum(phi) * np.exp(-1j * k * phi), breakpoints=datum.breakpoints
-                )
-                for k in ks
-            ], dtype=complex)
         if isinstance(datum.modes, dict):
             out = np.array([complex(datum.modes.get(k, 0.0)) for k in np.abs(ks).tolist()], dtype=complex)
         else:
@@ -295,15 +259,14 @@ def _wrapped(thetas: np.ndarray, b: float) -> np.ndarray:
     return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
 
 
-def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=None):
+def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=None) -> np.ndarray:
     """Order-n transform of the real density g at the angles thetas on
-    |z| = r, with {index: error} for the points whose quadrature overflows
-    or does not stabilize.
+    |z| = r.
 
     row holds the kernel row's modes R_0, R_1, ... (_kernel_modes) and
     primitive the row's primitive at the offset of every jump from every
-    angle (_row_primitive); either is computed here when not given.  A
-    trigonometric polynomial {k >= 0: c_k} sums
+    angle (spherical._row_primitive); either is computed here when not
+    given.  A trigonometric polynomial {k >= 0: c_k} sums
     c_0 R_0 + sum_k R_k 2 Re(c_k e^{ik theta}): the row is even and g real,
     so mode -k pairs R_k with conj(c_k).  A density whose derivative is a
     constant plus jumps J_i at angles b_i, whose modes are therefore
@@ -311,27 +274,10 @@ def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=Non
 
         c_0 R_0 + sum_i (J_i / 2pi) (int_0^{x_i} K_r - R_0 x_i),
 
-    x_i = theta - b_i wrapped into [-pi, pi].  Any other density takes, at
-    each angle, the circle quadrature of K_r(phi) g(phi + theta) with g's
-    breakpoints shifted by theta.
+    x_i = theta - b_i wrapped into [-pi, pi].
     """
     thetas = np.asarray(thetas, dtype=float)
     table = g.modes if isinstance(g.modes, dict) else None
-    if table is None and not g.jumps:
-        tau = RadialFrame.from_r(r).tau
-        peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
-        values = np.zeros(thetas.size, dtype=complex)
-        errors: dict = {}
-        for i, t in enumerate(thetas.tolist()):
-            try:
-                values[i] = integrate_circle(
-                    lambda phi: _kernel_row(n, sp, r, phi) * g(phi + t),
-                    peak,
-                    [b - t for b in g.breakpoints],
-                )
-            except (ResultOverflow, NonConvergence) as exc:
-                errors[i] = exc
-        return values, errors
     if row is None:
         top = max(table, default=0) if table is not None else 0
         row = _kernel_modes(n, sp, r, range(top + 1))
@@ -340,26 +286,26 @@ def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=Non
         for k, c in table.items():
             if k:
                 acc += row[k] * (2.0 * (c * np.exp(1j * k * thetas)).real)
-        return acc, {}
+        return acc
     offsets = [_wrapped(thetas, b) for b, _ in g.jumps]
     if primitive is None:
         primitive = _row_primitive(n, sp, r, np.concatenate(offsets))
     acc = np.full(thetas.shape, complex(g.modes(np.zeros(1, dtype=int))[0]) * row[0])
     for (_, jump), x in zip(g.jumps, offsets):
         acc += jump / (2.0 * math.pi) * (primitive(x) - row[0] * x)
-    return acc, {}
+    return acc
 
 
 def _circle_values(n, sp, datum, r: float, thetas: list) -> tuple[np.ndarray, dict]:
     """Order-n transform of the datum at the points r e^{i theta}, theta in
-    thetas, with {index: error} for the points whose value does not fit in
-    a double or whose quadrature does not stabilize.
+    thetas, with {index: error} for the points where an atom's kernel does
+    not fit in a double; a row quadrature that fails raises for the circle.
 
     A density takes _density_values; Fourier data take the kernel row's
     modes they need once (_kernel_modes); atoms the kernel at each point.
     """
     if isinstance(datum, Density):
-        return _density_values(n, sp, datum, r, thetas)
+        return _density_values(n, sp, datum, r, thetas), {}
     values = np.zeros(len(thetas), dtype=complex)
     errors: dict = {}
     if isinstance(datum, Atoms):
@@ -468,9 +414,6 @@ class DirichletSolution:
     sp: SpectralParam
     g: Density
 
-    def field(self, z: complex) -> complex:
-        return poisson_transform(0, self.sp, self.g, z, normalize=False).value
-
     def verify(self, xi_angles, radii) -> list:
         """Boundary sweep rows: normalized field vs g at each (xi, r)."""
         _check_radii(radii)
@@ -540,7 +483,7 @@ def convergence_probe(
     """Empirical boundary-convergence report.
 
     uniform: sup over xi of |normalized - g| per radius (continuous g).
-    pointwise-ae: same rows but only at angles away from breakpoints.
+    pointwise-ae: same rows but only at angles away from the jumps.
     Lp: discrete L^p distance between the normalized field and g per radius.
     weak-star: pairings of the normalized field against e^{i k phi} per
     radius and |k| <= 3, R_|k| nu^_k / Phi_n(r) from the kernel row's modes
@@ -568,7 +511,7 @@ def convergence_probe(
     if mode == "pointwise-ae":
         xi_angles = [
             a for a in xi_angles
-            if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b in datum.breakpoints)
+            if all(abs(math.remainder(a - b, 2 * math.pi)) > 0.2 for b, _ in datum.jumps)
         ]
     swept = [v for _, v in _sweep(n, sp, datum, [(r, a) for r in radii for a in xi_angles])]
     targets = [datum.at(a) for a in xi_angles]

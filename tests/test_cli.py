@@ -139,10 +139,16 @@ def test_the_boundary_law_next_to_the_forbidden_ray_is_tabulated(capsys):
 
 
 def test_an_unconverged_maximal_probe_names_its_inputs(capsys):
-    assert main(["maximal", "--lambda", "-3e3", "1"]) == 1
+    assert main(["maximal", "--lambda", "-3e4", "1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "lam = (-3000+1j)" in err and "r = " in err
+    assert "lam = (-30000+1j)" in err and "r = " in err
+
+
+def test_the_jump_densities_reach_as_far_as_the_row_modes(capsys):
+    # their primitive doubles to the same cap as Phi_0 and the row's modes
+    assert main(["maximal", "--lambda", "-1e4", "1"]) == 0
+    assert "sawtooth," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["maximal", "fatou"])

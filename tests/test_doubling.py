@@ -4,27 +4,34 @@ Each circle-mean quadrature takes its first doubling step (orders 16 and
 32, or trapezoid n = 64 and 128) from one evaluation of its integrand, and
 refines a trapezoid grid on its new (odd) nodes only.  The reference below
 evaluates the integrand afresh at every order and on every full grid; the
-library must give its values, errors and last estimates bit for bit.
+library must give its values, errors and last estimates bit for bit.  The
+reference's circle means are also the other tests' per-point oracle for a
+density transform (ref_transform), independent of the closed-form modes.
 """
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from hypolib import numerics, transforms
+from hypolib import numerics
 from hypolib.errors import HypolibError, NonConvergence, ResultOverflow
 from hypolib.geometry import RadialFrame, poisson_radial_profile
-from hypolib.kernels import FORBIDDEN, make_spectral
 from hypolib.numerics import integrate_circle, integrate_halfline_peak
-from hypolib.transforms import Density, density_preset
+from hypolib.spherical import _kernel_row
 
 # --- the reference: one evaluation of the integrand per order ---------------
 
 
+# the Gauss-Legendre rule of each order, computed once (most of a
+# reference mean's time otherwise)
+ref_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def ref_panels(f, edges, order):
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = ref_leggauss(order)
     e = np.asarray(edges, dtype=float)
     a, b = e[:-1, None], e[1:, None]
     half = 0.5 * (b - a)
@@ -113,6 +120,17 @@ def ref_circle_means(f, g, angles, peak_scale, breakpoints):
             values.append(0j)
             errors[i] = exc
     return values, errors
+
+
+def ref_transform(n, sp, g, r, thetas, breakpoints=()):
+    """The order-n transform of the density g at r e^{i theta} for each
+    theta of thetas: one circle mean of K_r(phi) g(phi + theta) per angle
+    (ref_circle_means), its panels split at g's breakpoints."""
+    tau = RadialFrame.from_r(r).tau
+    peak = min(1.0, 1.0 / tau) if tau > 0 else 1.0
+    values, errors = ref_circle_means(lambda phi: _kernel_row(n, sp, r, phi), g, thetas, peak, breakpoints)
+    assert not errors, errors
+    return np.array(values)
 
 
 # where ref_kernel_mean leaves the trapezoid rule for the half-line
@@ -264,50 +282,6 @@ def test_integrate_halfline_peak_matches_the_per_order_reference(s, tau, kink, z
     )
 
 
-_DATA = {name: density_preset(name) for name in ("sawtooth", "indicator:0.4:0.9", "cos", "one")}
-# lam = -1/4 is the critical regime; lam = 0, 3/4 and 2 put 2 mu on an
-# integer, the closed form's degenerate band
-LAMS = st.one_of(
-    st.sampled_from([-0.25, 0.0, 0.75, 2.0, 1.5 + 1.5j, -1.5 - 1.5j]),
-    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
-)
-# tau = 20, where integrate_circle leaves the trapezoid rule for panels, is
-# near r = 0.905
-RADII = st.one_of(st.floats(1e-3, 0.999999), st.sampled_from([0.9, 0.905, 0.91, 0.99]))
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(
-    lam=LAMS,
-    n=st.integers(0, 2),
-    r=RADII,
-    name=st.sampled_from(sorted(_DATA)),
-    angles=st.lists(ANGLE, min_size=1, max_size=6),
-)
-def test_circle_means_match_the_per_order_reference(lam, n, r, name, angles):
-    # the transform of a density without closed form: one circle mean of
-    # K_r(phi) g(phi + theta) per angle
-    sp = make_spectral(lam)
-    if sp.kind == FORBIDDEN:
-        return
-    datum = _DATA[name]
-    tau = RadialFrame.from_r(r).tau
-    peak = min(1.0, 1.0 / tau)
-
-    def f(phi):
-        return transforms._kernel_row(n, sp, r, phi)
-
-    plain = Density(datum.fn, datum.name, datum.breakpoints)
-    values, errors = transforms._density_values(n, sp, plain, r, angles)
-    want_values, want_errors = ref_circle_means(f, datum, angles, peak, datum.breakpoints)
-    assert sorted(errors) == sorted(want_errors)
-    for i, v in enumerate(want_values):
-        if i in want_errors:
-            _assert_same(_error(errors[i]), _error(want_errors[i]))
-        else:
-            _assert_same(values[i], v)
-
-
 # --- errors past the cap ----------------------------------------------------
 
 
@@ -320,20 +294,6 @@ def test_a_trapezoid_mean_that_never_stabilizes_fails_as_the_reference_does():
     got = _outcome(lambda: integrate_circle(_sign))
     assert got[0] is NonConvergence and got[1].endswith("n = 1048576")
     _assert_same(got, _outcome(lambda: ref_integrate_circle(_sign)))
-
-
-def test_fallback_points_that_never_stabilize_fail_as_the_reference_does():
-    # an undeclared jump at 0 and at +-pi: at r = 0.01 each point takes the
-    # trapezoid rule up to n = 2^20 and fails there on its own
-    sp = make_spectral(0.0)
-    r, angles = 0.01, [0.1, -2.0]
-    values, errors = transforms._density_values(0, sp, Density(_sign, "sign"), r, angles)
-    want_values, want_errors = ref_circle_means(
-        lambda phi: transforms._kernel_row(0, sp, r, phi), _sign, angles, 1.0, ()
-    )
-    assert sorted(errors) == sorted(want_errors) == [0, 1]
-    for i in errors:
-        _assert_same(_error(errors[i]), _error(want_errors[i]))
 
 
 # --- evaluation counts ------------------------------------------------------

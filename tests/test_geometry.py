@@ -42,11 +42,10 @@ def test_radial_profile_matches_points_and_survives_tiny_angles():
 
 
 def test_radial_frame_round_trip():
-    fr = RadialFrame.from_R(3.0)
-    assert fr.r == pytest.approx(math.tanh(1.5), rel=1e-14)
+    # r = tanh(R/2)
+    fr = RadialFrame.from_r(math.tanh(1.5))
+    assert fr.R == pytest.approx(3.0, rel=1e-12)
     assert fr.tau == pytest.approx(2.0 * math.sqrt(fr.r) / (1.0 - fr.r), rel=1e-12)
-    back = RadialFrame.from_r(fr.r)
-    assert back.R == pytest.approx(3.0, rel=1e-12)
 
 
 def test_ensure_disk_rejects_boundary_and_outside():

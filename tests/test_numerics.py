@@ -11,6 +11,7 @@ import pytest
 
 from hypolib import numerics
 from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow, StencilOutOfDomain
+from hypolib.kernels import make_spectral
 from hypolib.numerics import (
     circle_fft,
     fd_laplacian,
@@ -20,6 +21,7 @@ from hypolib.numerics import (
     integrate_halfline_peak,
     integrate_panels,
 )
+from hypolib.spherical import _row_primitive
 
 
 def test_no_public_function_takes_a_quadrature_knob():
@@ -147,22 +149,25 @@ def test_integrate_halfline_peak_finite_window():
 
 
 def test_cumulative_panels_integrate_up_to_each_point():
-    # a Lorentzian of width 1e-4 on panels dyadic toward its peak
-    a = 1e-4
-    edges = numerics._dyadic_edges(a / 2, math.pi)
-    points = np.array([0.0, a / 3, a, 0.3, 1.7, math.pi])
-    got = numerics._cumulative_panels(lambda t: a / (a * a + t * t), edges, points)
-    assert np.max(np.abs(got - np.arctan(points / a))) <= 1e-14
+    # the kernel row's primitive (spherical._row_primitive) at lam = 0, n = 0:
+    # the Poisson kernel, of width 1e-4 at r = 0.9999, whose primitive is
+    # 2 atan((1 + r) tan(x/2) / (1 - r)), odd in x
+    r = 0.9999
+    points = np.array([0.0, (1 - r) / 3, 1 - r, 0.3, 1.7, math.pi, -0.3, -math.pi])
+    got = _row_primitive(0, make_spectral(0.0), r, points)(points)
+    want = 2.0 * np.arctan2((1 + r) * np.sin(points / 2), (1 - r) * np.cos(points / 2))
+    assert np.max(np.abs(got - want)) <= 1e-14
     # a point's value does not depend on the other points
     more = np.concatenate([points, np.linspace(0.0, 3.0, 17)])
-    assert numerics._cumulative_panels(lambda t: a / (a * a + t * t), edges, more)[:6].tolist() == got.tolist()
+    assert _row_primitive(0, make_spectral(0.0), r, more)(points).tolist() == got.tolist()
 
 
 def test_cumulative_panels_raise_typed_errors():
-    with pytest.raises(NonConvergence):
-        numerics._cumulative_panels(lambda t: np.sin(1e4 * t), [0.0, 1.0], [1.0])
+    # a row turning too fast for the cap, and a row past double range
+    with pytest.raises(NonConvergence, match=r"^order-0 kernel row integral at lam = \(-30000\+1j\), r = 0.9: "):
+        _row_primitive(0, make_spectral(-3e4 + 1j), 0.9, [1.0])
     with pytest.raises(ResultOverflow), np.errstate(over="ignore"):
-        numerics._cumulative_panels(lambda t: np.exp(800.0 + t), [0.0, 1.0], [0.5])
+        _row_primitive(0, make_spectral(1e6), 0.9999, [0.5])
 
 
 def test_fd_laplacian_eigenrelation_for_kernel_powers():

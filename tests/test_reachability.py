@@ -1,12 +1,15 @@
-"""Every top-level definition in the library is reached from the CLI, and
-every defaulted parameter is passed by some call.
+"""Every top-level definition and method in the library is reached from
+the CLI, and every defaulted parameter is passed by some call.
 
 The public contract is the command line: its subcommands and the selftest
 criteria.  The name walk goes through the syntax tree, starting from every
 definition in `cli.py` and `acceptance.py`, and fails on any top-level
 definition of `src/hypolib` that the walk does not reach and that
-ALLOWED does not name.  Tests and the export table in `__init__.py` do not
-count as callers.
+ALLOWED does not name.  A reached class reaches its body but not its
+methods: a method is reached when its name is read as an attribute in
+reached code, or when Python calls it itself (a dunder, which covers the
+dataclass hook __post_init__).  Tests and the export table in
+`__init__.py` do not count as callers.
 
 The parameter walk fails on any defaulted parameter of a function in
 `src/hypolib` that no call in `src`, `tests` or `perfbench` passes, by
@@ -25,6 +28,7 @@ CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 # (module, name) -> why it stays although no subcommand or criterion reaches it
 ALLOWED = {
+    ("numerics", "integrate_circle"): "perfbench/spans.py traces it",
     ("numerics", "gauss_2f1"): "perfbench/spans.py traces it; a one-lane gauss_2f1_many",
     ("numerics", "integrate_panels"): "perfbench/spans.py traces it; the panel doubling on fixed edges",
     ("numerics", "integrate_halfline_peak"): "perfbench/spans.py traces it; the peaked half-line quadrature",
@@ -68,6 +72,8 @@ def _aliases(tree: ast.Module, modules) -> dict[str, tuple]:
 
 
 def _references(node: ast.AST, module: str, defs, aliases) -> set[tuple[str, str]]:
+    """The library definitions node names, and the attributes it reads as
+    ("", attribute)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -76,15 +82,22 @@ def _references(node: ast.AST, module: str, defs, aliases) -> set[tuple[str, str
                 target = (module, sub.id)
             if target is not None and len(target) == 2:
                 out.add(target)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-            target = aliases[module].get(sub.value.id)
-            if target is not None and len(target) == 1:
-                out.add((target[0], sub.attr))
+        elif isinstance(sub, ast.Attribute):
+            out.add(("", sub.attr))
+            if isinstance(sub.value, ast.Name):
+                target = aliases[module].get(sub.value.id)
+                if target is not None and len(target) == 1:
+                    out.add((target[0], sub.attr))
     return out
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreached(allowed) -> list[tuple[str, str]]:
-    """Top-level definitions that neither the roots nor `allowed` reach."""
+    """Top-level definitions, and methods of reached classes as
+    "Class.method", that neither the roots nor `allowed` reach."""
     trees = {
         path.stem: ast.parse(path.read_text(), str(path))
         for path in PACKAGE.glob("*.py")
@@ -92,21 +105,50 @@ def unreached(allowed) -> list[tuple[str, str]]:
     }
     defs = {module: _definitions(tree) for module, tree in trees.items()}
     aliases = {module: _aliases(tree, trees) for module, tree in trees.items()}
+    # (module, "Class.method") -> ((module, "Class"), method name, its node)
+    methods = {
+        (module, f"{node.name}.{fn.name}"): ((module, node.name), fn.name, fn)
+        for module in defs
+        for node in defs[module].values()
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    nodes = {(m, name): node for m in defs for name, node in defs[m].items()}
+    nodes.update((key, fn) for key, (_, _, fn) in methods.items())
+    seen: set[tuple[str, str]] = set()
+    classes: set[tuple[str, str]] = set()
+    attrs: set[str] = set()
+    todo = [(m, name) for m in ROOTS for name in defs[m]] + list(allowed)
     # module-level statements that run on import reach what they name
-    seen = {(m, name) for m in ROOTS for name in defs[m]} | set(allowed)
-    todo = list(seen)
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (*_DEFS, ast.Assign, ast.AnnAssign, ast.Import, ast.ImportFrom)):
                 todo.extend(_references(node, module, defs, aliases))
     while todo:
         module, name = todo.pop()
-        seen.add((module, name))
-        node = defs.get(module, {}).get(name)
-        if node is None:
-            continue
-        todo.extend(ref for ref in _references(node, module, defs, aliases) if ref not in seen)
-    return sorted((m, name) for m in defs for name in defs[m] if (m, name) not in seen)
+        if not module:
+            attrs.add(name)
+        elif (module, name) not in seen:
+            seen.add((module, name))
+            node = nodes.get((module, name))
+            parts = [node] if node is not None else []
+            if isinstance(node, ast.ClassDef):
+                # its decorators, bases and fields; its methods only once called
+                classes.add((module, name))
+                parts = [*node.decorator_list, *node.bases, *node.keywords]
+                parts += [sub for sub in node.body if (module, f"{name}.{getattr(sub, 'name', '')}") not in methods]
+            for part in parts:
+                todo.extend(_references(part, module, defs, aliases))
+        if not todo:
+            todo.extend(
+                key for key, (owner, method, _) in methods.items()
+                if key not in seen and owner in classes and (_dunder(method) or method in attrs)
+            )
+    return sorted(
+        key for key in nodes
+        if key not in seen and (key not in methods or methods[key][0] in classes)
+    )
 
 
 def test_every_definition_is_reached_from_the_cli():

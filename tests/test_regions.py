@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hypolib import regions, transforms
+from hypolib import regions, spherical
 from hypolib.errors import NonConvergence
 from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
 from hypolib.regions import (
@@ -27,16 +27,9 @@ from hypolib.regions import (
     fatou_probe,
     maximal_inequality_probe,
 )
-from hypolib.spherical import spherical_function
-from hypolib.transforms import (
-    Atoms,
-    Density,
-    Mixture,
-    _row_primitive,
-    _zero_free_cached,
-    density_preset,
-    poisson_transform,
-)
+from hypolib.spherical import _row_primitive, spherical_function
+from hypolib.transforms import Atoms, Mixture, _zero_free_cached, density_preset
+from test_doubling import ref_transform
 
 
 def _rung_field(n, sp, g, r, cells, size):
@@ -48,17 +41,11 @@ def _rung_field(n, sp, g, r, cells, size):
     return _field_at_radius(n, sp, thetas, g, r, _row_fft(n, sp.lam, r, 2), primitive)
 
 
-def _plain(g):
-    """g without its closed-form modes and jumps: its transforms take the
-    circle quadrature, an oracle independent of the closed forms."""
-    return Density(g.fn, g.name, g.breakpoints)
-
-
 def _oracle(n, sp, g, r, cells, size):
-    return np.array([
-        poisson_transform(n, sp, _plain(g), r * cmath.exp(2j * math.pi * j / size)).normalized
-        for j in cells
-    ])
+    # the normalized transform at the grid cells, one circle quadrature per
+    # cell, independent of the closed-form modes
+    thetas = 2.0 * math.pi * np.asarray(cells) / size
+    return ref_transform(n, sp, g, r, thetas, [b for b, _ in g.jumps]) / spherical_function(n, r, sp)
 
 
 def _sup(n, sp, g, zeta, width=1.0, kind="tube", net=SampleNet()) -> float:
@@ -120,16 +107,6 @@ def test_tubular_maximal_is_the_one_region_case_of_the_suite_sups():
     assert min(alone) > 0
 
 
-def test_a_density_without_closed_form_takes_the_circle_quadrature():
-    # a plain cosine has neither a modes table nor jumps
-    sp = make_spectral(-0.25)
-    net = SampleNet(radial_rungs=3, angular_count=5)
-    plain = Density(np.cos, "plain cos")
-    for zeta in (0.3, 2.0):
-        got = _sup(1, sp, plain, zeta, net=net)
-        assert got == pytest.approx(_sup(1, sp, density_preset("cos"), zeta, net=net), rel=1e-12)
-
-
 @pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 0)])
 def test_sweep_field_matches_the_per_point_oracle_at_the_jumps(lam, n):
     # the field a maximal rung reads, on the grid cells nearest the kinks,
@@ -142,7 +119,7 @@ def test_sweep_field_matches_the_per_point_oracle_at_the_jumps(lam, n):
         for g in (density_preset(suite["sawtooth"]), density_preset(suite["indicator"])):
             near = [
                 j % size
-                for b in g.breakpoints
+                for b, _ in g.jumps
                 for j in range(round(b * size / (2.0 * math.pi)) - 40, round(b * size / (2.0 * math.pi)) + 41)
             ]
             coarse = np.arange(0, size, size // 512)
@@ -235,7 +212,7 @@ def test_region_sups_match_an_inverse_fft_of_every_density(lam, n, kind):
                     continue
                 zs = r * np.exp(2j * math.pi * cells / size)
                 for i, g in enumerate(densities):
-                    vals = [poisson_transform(n, sp, _plain(g), z).normalized for z in zs]
+                    vals = _oracle(n, sp, g, r, cells, size)
                     oracle[i, j] = max(oracle[i, j], np.max(np.abs(vals)))
                     if lam == 0.0 and n == 0:
                         exact[i, j] = max(exact[i, j], max(abs(_harmonic(g.name, z)) for z in zs))
@@ -261,7 +238,7 @@ def test_jump_field_matches_the_per_point_oracle(c, w, re, im, n, r):
     g = density_preset(f"indicator:{c!r}:{w!r}")
     size = _grid_size(r)
     cells = [
-        (round(b * size / (2.0 * math.pi)) + d) % size for b in g.breakpoints for d in (-3, 0, 1, 4)
+        (round(b * size / (2.0 * math.pi)) + d) % size for b, _ in g.jumps for d in (-3, 0, 1, 4)
     ] + [size // 7, size // 3, 5 * size // 8]
     field = _rung_field(n, sp, g, r, cells, size)
     assert np.max(np.abs(field - _oracle(n, sp, g, r, cells, size))) <= 1e-10 * np.max(np.abs(field))
@@ -307,10 +284,10 @@ def test_default_probe_stays_small():
 
 
 def test_an_unsettled_primitive_names_lam_n_and_r(monkeypatch):
-    def unsettled(f, edges, points):
-        raise NonConvergence("panel quadrature did not stabilize at order 64", last_estimates=(1.0, 2.0))
+    def unsettled(estimate, order, cap, count, failure):
+        return np.zeros(count, dtype=complex), {0: failure(cap, 1.0, 2.0)}
 
-    monkeypatch.setattr(transforms, "_cumulative_panels", unsettled)
+    monkeypatch.setattr(spherical, "_doubling", unsettled)
     with pytest.raises(NonConvergence, match=r"^order-1 kernel row integral at lam = \(-0.25\+0j\), r = 0.99: ") as exc:
         _row_primitive(1, make_spectral(-0.25), 0.99, [0.1, -0.3])
     assert exc.value.last_estimates == (1.0, 2.0)

@@ -200,6 +200,29 @@ def test_next_to_the_forbidden_ray_phi_matches_the_oracle(lam, r):
     assert abs(spherical_function(0, r, sp) - want) <= 1e-12 * abs(want)
 
 
+def test_next_to_the_forbidden_ray_the_row_primitive_matches_mpmath():
+    # the primitive int_0^x K_r of the order-0 row, which turns ~ 320 radians
+    # over [0, pi] here, against a 30-digit quadrature summed piece by piece
+    sp = make_spectral(-3000 + 1j)
+    r = 0.9
+    xs = [0.01, 0.05, 0.3, 1.0, 2.5, math.pi]
+    got = spherical._row_primitive(0, sp, r, xs)(np.array(xs))
+    with mp.workdps(30):
+        rr, s = mp.mpf(r), mp.mpc(sp.exponent)
+
+        def row(t):
+            return ((1 - rr**2) / ((1 - rr) ** 2 + 4 * rr * mp.sin(t / 2) ** 2)) ** s
+
+        want, acc, lo = [], mp.mpf(0), mp.mpf(0)
+        for x in xs:
+            hi = mp.mpf(x)
+            acc += mp.quad(row, mp.linspace(lo, hi, int(40 * (hi - lo)) + 2), method="gauss-legendre")
+            want.append(complex(acc))
+            lo = hi
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_scan_profile_agrees_with_quadrature(n, lam):

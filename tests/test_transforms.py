@@ -8,19 +8,17 @@ import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from hypolib import spherical, transforms
-from hypolib.errors import HypolibError, NonConvergence, NormalizationUnavailable
+from hypolib.errors import HypolibError, NormalizationUnavailable, ResultOverflow
 from hypolib.geometry import RadialFrame, poisson_radial_profile
 from hypolib.kernels import CRITICAL, FORBIDDEN, kernel_poly, make_spectral, polyharmonic_kernel
 from hypolib.numerics import circle_fft
-from hypolib.spherical import spherical_function
+from hypolib.spherical import _kernel_modes, _kernel_row, spherical_function
 from hypolib.transforms import (
     Atoms,
     Density,
     FourierSeq,
     Mixture,
     _datum_modes,
-    _kernel_modes,
-    _kernel_row,
     _normalizer,
     _sweep,
     _zero_free_cached,
@@ -30,6 +28,7 @@ from hypolib.transforms import (
     poisson_transform,
     riquier_solve,
 )
+from test_doubling import ref_transform
 
 
 def test_density_presets_evaluate():
@@ -41,7 +40,7 @@ def test_density_presets_evaluate():
     ind = density_preset("indicator:0.5:0.2")
     assert ind(np.array([0.5]))[0] == pytest.approx(1.0)
     assert ind(np.array([0.8]))[0] == pytest.approx(0.0)
-    assert ind.breakpoints == pytest.approx((0.3, 0.7))
+    assert [b for b, _ in ind.jumps] == pytest.approx([0.3, 0.7])
 
 
 def test_density_preset_rejects_unknown():
@@ -64,8 +63,7 @@ def test_preset_modes_match_the_sampled_coefficients():
 
 
 def test_datum_modes_of_every_kind_of_datum():
-    # atoms and Fourier data exactly, a mixture as the sum of its parts, and
-    # a density without closed-form modes by quadrature
+    # atoms and Fourier data exactly, and a mixture as the sum of its parts
     ks = [-3, -1, 0, 3, 5]
     atoms = Atoms(((0.7, 1.0 - 0.5j), (-2.0, 0.25)))
     want = [sum(complex(w) * cmath.exp(-1j * k * a) for a, w in atoms.points) for k in ks]
@@ -75,8 +73,6 @@ def test_datum_modes_of_every_kind_of_datum():
     saw = density_preset("sawtooth")
     mix = Mixture(saw, atoms)
     assert np.array_equal(_datum_modes(mix, ks), _datum_modes(saw, ks) + _datum_modes(atoms, ks))
-    kinked = Density(saw.fn, "sawtooth without modes", breakpoints=saw.breakpoints)
-    assert np.max(np.abs(_datum_modes(kinked, ks) - _datum_modes(saw, ks))) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["sawtooth", "indicator:0.3:0.7", "indicator:-2.9:1.1"])
@@ -86,12 +82,20 @@ def test_preset_jumps_give_the_preset_modes(name):
     k = np.arange(1, 40)
     want = sum(jump * np.exp(-1j * k * b) for b, jump in g.jumps) / (2j * math.pi * k)
     assert np.max(np.abs(g.modes(k) - want)) < 1e-15
-    assert sorted(b for b, _ in g.jumps) == sorted(g.breakpoints)
 
 
 def test_a_density_with_jumps_needs_its_modes():
+    # a density is a modes table without jumps, or a modes map with them
+    saw = density_preset("sawtooth")
+    steps = ((0.0, 2.0), (math.pi, -2.0))
     with pytest.raises(ValueError):
-        Density(np.sign, "step", breakpoints=(0.0, math.pi), jumps=((0.0, 2.0), (math.pi, -2.0)))
+        Density(np.sign, "step", modes={0: 0.0}, jumps=steps)  # a table with jumps
+    with pytest.raises(ValueError):
+        Density(saw.fn, "sawtooth", modes=saw.modes)  # a map without its jumps
+    with pytest.raises(ValueError):
+        Density(np.sign, "step", modes=None, jumps=steps)
+    with pytest.raises(TypeError):
+        Density(np.cos, "cos")  # no modes at all
 
 
 def test_sawtooth_is_odd_and_breaks_at_pi():
@@ -99,7 +103,7 @@ def test_sawtooth_is_odd_and_breaks_at_pi():
     phi = np.array([0.4, -0.4])
     v = saw(phi)
     assert v[0] == pytest.approx(-v[1])
-    assert len(saw.breakpoints) >= 1
+    assert saw.jumps == ((math.pi, -2.0),)
 
 
 def test_harmonic_extension_of_cosine():
@@ -131,38 +135,32 @@ def test_atom_transform_is_a_kernel_evaluation():
     assert res.value == pytest.approx(want, rel=1e-12)
 
 
-def _plain(g):
-    """g without its closed-form modes and jumps: its transforms take the
-    circle quadrature, an oracle independent of the closed forms."""
-    return Density(g.fn, g.name, g.breakpoints)
-
-
 def test_fourier_datum_matches_density_transform():
+    # against a circle quadrature of the cosine density at the point
     sp = make_spectral(0.0)
     fs = FourierSeq({1: 0.5, -1: 0.5})  # cos(phi)
-    g = _plain(density_preset("cos"))
     z = 0.7 * cmath.exp(0.9j)
     a = poisson_transform(0, sp, fs, z).normalized
-    b = poisson_transform(0, sp, g, z).normalized
+    (b,) = ref_transform(0, sp, np.cos, 0.7, [0.9]) / spherical_function(0, 0.7, sp)
     assert a == pytest.approx(b, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam,n", [(0.0, 0), (-0.25, 1), (1 + 1j, 2)])
 def test_fourier_datum_takes_the_row_modes_it_needs(lam, n):
-    # against the per-point transform of the density sum_m conj(nu_m) e^{-im psi}
-    # that the functional pairs like, and at lam = 0 against the exact
-    # sum_m r^|m| e^{-im theta} conj(nu_m)
+    # against a circle quadrature, at each point, of the density
+    # sum_m conj(nu_m) e^{-im psi} that the functional pairs like, and at
+    # lam = 0 against the exact sum_m r^|m| e^{-im theta} conj(nu_m)
     sp = make_spectral(lam)
     nu = FourierSeq({0: 0.3, 1: 0.5 - 0.2j, -1: 0.25j, 3: -1.0, -4: 0.7 + 0.1j})
-    density = Density(
-        lambda p: sum(complex(v).conjugate() * np.exp(-1j * m * p) for m, v in nu.coeffs.items()),
-        "trigonometric polynomial",
-    )
+
+    def density(p):
+        return sum(complex(v).conjugate() * np.exp(-1j * m * p) for m, v in nu.coeffs.items())
+
     for r in (0.3, 0.9, 0.99):
         for theta in (0.0, 1.1, -2.5):
             z = r * cmath.exp(1j * theta)
             got = poisson_transform(n, sp, nu, z, normalize=False).value
-            want = poisson_transform(n, sp, density, z, normalize=False).value
+            (want,) = ref_transform(n, sp, density, r, [theta])
             scale = sum(abs(v) for v in nu.coeffs.values()) * abs(spherical_function(n, r, sp))
             assert abs(got - want) <= 1e-12 * scale
             if lam == 0.0:
@@ -301,7 +299,7 @@ def test_weak_star_pairings_of_kinked_presets_are_exact(name, modes):
 
 @pytest.mark.parametrize("lam,n", [(2.0, 0), (1 + 1j, 1), (-0.25, 1)])
 def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
-    # pairings read off the circle engine against 512 adaptive per-point
+    # pairings read off the row's modes against 512 adaptive per-point
     # transforms and their FFT
     sp = make_spectral(lam)
     g = density_preset("cos")
@@ -309,9 +307,8 @@ def test_weak_star_pairings_match_the_per_point_oracle(lam, n):
     rep = convergence_probe(n, sp, g, "weak-star", radii=radii)
     size = 512
     for r, row in zip(radii, rep["rows"]):
-        vals = [poisson_transform(n, sp, _plain(g), r * cmath.exp(2j * math.pi * j / size)).normalized
-                for j in range(size)]
-        oracle = circle_fft(vals)
+        vals = ref_transform(n, sp, g, r, 2.0 * math.pi * np.arange(size) / size)
+        oracle = circle_fft(vals / spherical_function(n, r, sp))
         for k, v in row["pairings"].items():
             assert abs(v - oracle[k % size]) < 1e-12
 
@@ -320,12 +317,10 @@ def test_weak_star_probe_takes_no_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weak-star probe called an FFT")
 
-    plain = Density(np.cos, "plain cos")  # no modes, no jumps
     data = [
         Atoms(((0.7, 1.0),)),
         density_preset("cos"),
         density_preset("indicator:0.3:0.7"),
-        plain,
         FourierSeq({1: 0.5, -2: 0.25j}),
         Mixture(density_preset("sawtooth"), Atoms(((0.0, 1.0),))),
     ]
@@ -416,7 +411,7 @@ def _one_point_calls(n, sp, datum, zs):
     name=st.sampled_from(sorted(_SWEEP_DATA)),
     angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5),
 )
-# cos on the trapezoid rule (r = 0.5) and on the panels (r = 0.99)
+# cos on two circles, one of them near the boundary
 @example(lam=1.5, n=1, radii=[0.5, 0.99], name="cos", angles=[-2.0, 0.0, 0.7, 3.0])
 def test_a_sweep_is_its_one_point_calls(lam, n, radii, name, angles):
     # the points of every circle share one quadrature pass; each keeps the
@@ -452,11 +447,10 @@ def test_probes_and_solvers_refuse_a_radius_outside_the_disk(radius):
 
 @pytest.mark.parametrize("preset", ["sawtooth", "indicator:0.3:0.7", "cos"])
 def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset, monkeypatch):
-    # the modes evaluate the row in spherical, the primitive in transforms
+    # the modes and the primitive evaluate the row in spherical
     calls = []
     row = spherical._kernel_row
-    for module in (spherical, transforms):
-        monkeypatch.setattr(module, "_kernel_row", lambda *a: calls.append(1) or row(*a))
+    monkeypatch.setattr(spherical, "_kernel_row", lambda *a: calls.append(1) or row(*a))
     sp = make_spectral(0.0)
     counts = {}
     for count in (1, 8, 64):
@@ -511,22 +505,17 @@ def test_a_probe_takes_one_row_quadrature_per_radius_the_caller_meant(monkeypatc
         assert len({row.value for row in own[len(own) // 2 :] if row.r == r}) == 1
 
 
-def test_a_point_that_does_not_stabilize_names_its_own_z():
-    # a narrow undeclared spike at angle 1: the panels at the kernel's peak
-    # see it only for the point at that angle
+def test_a_point_whose_value_overflows_names_its_own_z():
+    # an atom at angle 1 with mu ~ 100: P^{mu + 1/2} overflows at the point
+    # facing the atom, and at no other point of the circle
     c = 1.0
-
-    def spike(phi):
-        return 1.0 + 1e-8 * (np.abs(np.remainder(phi - c + math.pi, 2 * math.pi) - math.pi) < 1e-3)
-
-    g = Density(spike, "spike")
-    sp = make_spectral(0.0)
-    points = [(0.99, c + 2.0 * math.pi * (j - 5) / 16) for j in range(16)]
-    with pytest.raises(NonConvergence) as exc:
-        _sweep(0, sp, g, points)
+    atoms = Atoms(((c, 1.0),))
+    sp = make_spectral(1e4)
+    points = [(0.9999, c + 2.0 * math.pi * (j - 5) / 16) for j in range(16)]
+    with pytest.raises(ResultOverflow) as exc:
+        _sweep(0, sp, atoms, points, normalize=False)
     assert f"z = {cmath.rect(*points[5])}:" in str(exc.value)
-    assert str(exc.value).startswith("order-0 transform at lam = 0j")
-    assert len(exc.value.last_estimates) == 2
+    assert str(exc.value).startswith("order-0 transform at lam = (10000+0j)")
     for j, (r, theta) in enumerate(points):
         if j != 5:
-            _sweep(0, sp, g, [(r, theta)])
+            _sweep(0, sp, atoms, [(r, theta)], normalize=False)
