@@ -66,18 +66,21 @@ def _harmonic_number(n: int) -> float:
     return math.log(n) + _EULER + 0.5 * inv - inv * inv / 12.0
 
 
-_CHUNK = 1 << 20
+# Nodes per block of the gap-series kernels: radial_log_weight's sums and
+# lacunary_circle_sup's walk over its period run this many at a time, so
+# neither holds a whole series or grid.
+_CHUNK = 1 << 16
 
 
-def _tail_direct(n: int, x: float, terms: int) -> float:
-    total = 0.0
-    start = 1
-    while start <= terms:
-        stop = min(start + _CHUNK, terms + 1)
-        k = np.arange(start, stop, dtype=float)
-        total += float(np.sum(x**k / (k + n)))
-        start = stop
-    return total
+def _blocks(start: int, stop: int, dtype):
+    """The integers of [start, stop) as arrays of dtype, _CHUNK at a time."""
+    for lo in range(start, stop, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, stop), dtype=dtype)
+
+
+def _power_sum(x: float, shift: int, terms: int) -> float:
+    """sum_{k=1}^{terms} x^k / (k + shift), one _CHUNK block at a time."""
+    return sum(float(np.sum(x**k / (k + shift))) for k in _blocks(1, terms + 1, float))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -103,12 +106,10 @@ def radial_log_weight(n: int, r: float) -> float:
     log_x = math.log(x)
     if x <= 0.9:
         terms = int(math.ceil((37.0 + big_l) / -log_x)) + 1
-        return h_n + _tail_direct(n, x, terms)
+        return h_n + _power_sum(x, n, terms)
     if n * log_x >= -0.7 and n <= (1 << 21):
         # x^{-n} <= 2, so the subtraction amplifies nothing
-        m = np.arange(1, n + 1, dtype=float)
-        partial = float(np.sum(x**m / m))
-        return h_n + (big_l - partial) * x ** float(-n)
+        return h_n + (big_l - _power_sum(x, 0, n)) * x ** float(-n)
     k_star = 1.0 / (1.0 - x)
     if n >= 1000.0 * k_star:
         # 1/(k+n) expanded to four powers of 1/n; error ~ (k*/n)^4
@@ -119,7 +120,7 @@ def radial_log_weight(n: int, r: float) -> float:
         inv = 1.0 / n
         return h_n + inv * (s0 - inv * (s1 - inv * (s2 - inv * s3)))
     terms = int(math.ceil((37.0 + big_l) / -log_x)) + 1
-    return h_n + _tail_direct(n, x, terms)
+    return h_n + _power_sum(x, n, terms)
 
 
 def _power_at(log_r: float, theta: float, exponent: int) -> complex:
@@ -404,10 +405,13 @@ def lacunary_circle_sup(N: int, gap: LacunarySpec, grid_size: int = 1 << 20) -> 
     The angle of z^(2^(k!)) at grid node i sits exactly at node
     (stride_k i) mod grid_size, stride_k = 2^(k!) mod grid_size, so term k
     repeats with period P_k = grid_size / gcd(stride_k, grid_size) and the
-    sum with the lcm P of the P_k (2^19 on the default grid).  Each term is
-    evaluated on its own P_k nodes and added, repeated, into one period of
-    the sum; every node adds the same values in the same order as a
-    full-grid sum, so the sup over that period is the grid's, bit for bit.
+    sum with the lcm P of the P_k (2^19 on the default grid).  The sup runs
+    over one period of the sum, _CHUNK nodes at a time: into each block
+    every term is added in order of k, read from a table of its P_k values
+    when P_k <= 4 _CHUNK (built once, a block at a time) and evaluated at
+    the block's own nodes otherwise.  Every node adds the same values in
+    the same order as a full-grid sum, so the sup is the grid's, bit for
+    bit, and the working set stays a few MB whatever grid_size is.
     """
     expo = _circle_exponent(N)
     if grid_size < 1:
@@ -415,19 +419,33 @@ def lacunary_circle_sup(N: int, gap: LacunarySpec, grid_size: int = 1 << 20) -> 
     radius = 1.0 - 2.0 ** (-expo)
     log_r = math.log1p(-(2.0 ** (-expo)))
     denom = expo * math.log(2.0)
+
+    def term(k, mod, stride, nodes):
+        ang = 2.0 * math.pi * ((stride * nodes) % grid_size) / grid_size
+        return math.factorial(k) * gap.poly.evaluate(mod * np.exp(1j * ang))
+
     terms = []
     for k in range(1, gap.k_max + 1):
         bits = math.factorial(k)
         mod = math.exp(math.ldexp(log_r, bits))
         if mod != 0.0:
             stride = pow(2, bits, grid_size)
-            terms.append((k, mod, stride, grid_size // math.gcd(stride, grid_size)))
-    acc = np.zeros(math.lcm(*(term[3] for term in terms)), dtype=complex)
-    for k, mod, stride, period in terms:
-        ang = 2.0 * math.pi * ((stride * np.arange(period, dtype=np.int64)) % grid_size) / grid_size
-        w = mod * np.exp(1j * ang)
-        acc.reshape(-1, period)[...] += math.factorial(k) * gap.poly.evaluate(w)
-    return CircleSup(N=N, radius=radius, value=float(np.max(np.abs(acc))) / denom)
+            period = grid_size // math.gcd(stride, grid_size)
+            table = None
+            # a table of up to 4 _CHUNK values (4 MB) spares the default grid's
+            # 2^18-node term a second evaluation in each period of the sum
+            if period <= 4 * _CHUNK:
+                table = np.empty(period, dtype=complex)
+                for nodes in _blocks(0, period, np.int64):
+                    table[nodes] = term(k, mod, stride, nodes)
+            terms.append((k, mod, stride, period, table))
+    peak = 0.0
+    for nodes in _blocks(0, math.lcm(*(t[3] for t in terms)), np.int64):
+        acc = np.zeros(nodes.size, dtype=complex)
+        for k, mod, stride, period, table in terms:
+            acc += term(k, mod, stride, nodes) if table is None else table[nodes % period]
+        peak = max(peak, float(np.max(np.abs(acc))))
+    return CircleSup(N=N, radius=radius, value=peak / denom)
 
 
 @dataclass(frozen=True)

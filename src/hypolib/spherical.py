@@ -144,6 +144,15 @@ def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
     return np.array(_settled(modes), dtype=complex) / math.pi
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of values: np.unique without the
+    numpy.ma import its first call pays."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
     """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi); the
     row is even, so the primitive is odd.  One cumulative quadrature: the
@@ -153,7 +162,7 @@ def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
     on the other offsets.  Raises, for the first offset that fails,
     ResultOverflow, or NonConvergence naming n, lam and r.
     """
-    xs = np.unique(np.abs(np.asarray(xs, dtype=float)))
+    xs = _distinct(np.abs(np.asarray(xs, dtype=float)))
     edges = np.asarray(_row_panels(r))
     at = np.maximum(np.searchsorted(edges, xs, side="right") - 1, 0)
     starts, ends = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], xs])

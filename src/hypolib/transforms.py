@@ -45,7 +45,7 @@ import numpy as np
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
 from .geometry import RadialFrame
 from .kernels import FORBIDDEN, SpectralParam, make_spectral, polyharmonic_kernel
-from .spherical import _kernel_modes, _row_primitive, spherical_function, zero_free_radius
+from .spherical import _distinct, _kernel_modes, _row_primitive, spherical_function, zero_free_radius
 
 __all__ = [
     "FourierSeq",
@@ -218,7 +218,7 @@ def _check_radii(radii) -> None:
 def _row_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
     """R_|k| for each integer k of ks, from one _kernel_modes call."""
     ks = np.abs(np.asarray(ks, dtype=int))
-    top = np.unique(ks)
+    top = _distinct(ks)
     return _kernel_modes(n, sp, r, top)[np.searchsorted(top, ks)]
 
 

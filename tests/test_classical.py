@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hypolib import classical
 from hypolib.classical import (
     _CIRCLE_N_MAX,
     LacunarySpec,
@@ -60,6 +61,19 @@ def test_weight_closed_forms():
 )
 def test_weight_matches_direct_summation(n, r):
     assert radial_log_weight(n, r) == pytest.approx(brute_weight(n, r), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "n,r", [(100_000, 0.99999), (30_000, 0.99999), (70_000, 0.999999), (1 << 21, 1 - 1e-7)]
+)
+def test_block_sums_match_the_lerch_transcendent(n, r):
+    # sum_{k>=1} x^k/(k+n) = x Phi(x, 1, n+1), taken at the double x = r*r the
+    # code sums over; the direct tail and the partial sum here run over up to
+    # 2.4e6 and 2^21 terms, in many blocks
+    mp.mp.dps = 40
+    x = mp.mpf(r * r)
+    want = mp.harmonic(n) + x * mp.lerchphi(x, 1, n + 1)
+    assert radial_log_weight(n, r) == pytest.approx(float(want), rel=1e-14)
 
 
 def test_weight_mode_expansion_via_fft():
@@ -158,15 +172,47 @@ def test_circle_sup_over_one_period_is_bit_identical(spec, grid_size):
         )
 
 
-def test_circle_sup_peak_memory():
-    spec = demo_lacunary_spec()
+@pytest.mark.parametrize("grid_size", [4096, 4095])
+@pytest.mark.parametrize("spec", [demo_lacunary_spec(), _TWISTED_SPEC], ids=["demo", "twisted"])
+def test_circle_sup_in_small_blocks_is_bit_identical(monkeypatch, spec, grid_size):
+    # with 64-node blocks, 4096 nodes give term periods 2048 and 1024
+    # (evaluated per block), 64 (tabulated) and, at N = 4, 1; every period
+    # of the odd 4095 is 4095, so each term is evaluated in 64 blocks
+    monkeypatch.setattr(classical, "_CHUNK", 64)
+    periods = [grid_size // math.gcd(pow(2, math.factorial(k), grid_size), grid_size) for k in range(1, 5)]
+    assert periods == ([2048, 1024, 64, 1] if grid_size == 4096 else [4095] * 4)
+    for N in (1, 2, 3, 4):
+        assert lacunary_circle_sup(N, spec, grid_size=grid_size).value == full_grid_circle_sup(
+            N, spec, grid_size
+        )
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory tracemalloc traces (numpy buffers included) while fn runs."""
     tracemalloc.start()
     try:
-        lacunary_circle_sup(3, spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20
+
+
+def test_circle_sup_peak_memory():
+    # the working set does not grow with the grid: one period of the sum
+    # alone would take 8 MB at 2^20 nodes and 64 MB at 2^22 - 1
+    for grid_size in (1 << 20, (1 << 22) - 1):
+        for N in (2, 3):
+            assert traced_peak_mb(lambda: lacunary_circle_sup(N, demo_lacunary_spec(), grid_size)) <= 12
+
+
+@pytest.mark.parametrize(
+    "n,r",
+    [(100_000, 0.99999), (30_000, 0.99999), (1 << 21, 1 - 1e-7)],
+    ids=["direct-tail", "partial-sum", "partial-sum-2^21"],
+)
+def test_weight_sums_run_in_blocks(n, r):
+    # the direct tail sums 2.4e6 terms; one array of them would take 19 MB
+    assert traced_peak_mb(lambda: radial_log_weight.__wrapped__(n, r)) <= 4
 
 
 def test_circle_sup_refuses_bad_input():

@@ -477,6 +477,19 @@ def test_runtime_never_imports_mpmath():
     assert "mpmath" not in loaded
 
 
+def test_the_kernel_row_paths_never_import_numpy_ma():
+    # np.unique's first call imports numpy.ma (10-25 ms cold); the row's
+    # modes and primitive take their distinct values without it
+    loaded = _loaded_after(
+        "import contextlib, io, hypolib.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hypolib.cli.main(['maximal', '--lambda', '0', '0']) == 0\n"
+        "    assert hypolib.cli.main(['convergence', '--lambda', '0', '0', '--preset', 'sawtooth']) == 0"
+    )
+    assert "hypolib.transforms" in loaded
+    assert "numpy.ma" not in loaded
+
+
 # Installs the benchmark tracer (perfbench/spans.py) on a fresh interpreter
 # that has loaded only what `import hypolib.cli` loads, as a traced CLI run
 # does, so the tracer's own imports pull in the other modules while it is

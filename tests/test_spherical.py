@@ -200,6 +200,17 @@ def test_next_to_the_forbidden_ray_phi_matches_the_oracle(lam, r):
     assert abs(spherical_function(0, r, sp) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], [0.0], [3.0, -0.0, 0.0, 3.0, 1.5, 3.0], np.abs(np.linspace(-2.0, 2.0, 41)), [4, 0, 4, 2, 0]],
+)
+def test_distinct_values_are_np_unique(values):
+    values = np.asarray(values)
+    got, want = spherical._distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_next_to_the_forbidden_ray_the_row_primitive_matches_mpmath():
     # the primitive int_0^x K_r of the order-0 row, which turns ~ 320 radians
     # over [0, pi] here, against a 30-digit quadrature summed piece by piece
