@@ -104,21 +104,19 @@ def radial_log_weight(n: int, r: float) -> float:
     if n == 0:
         return big_l
     log_x = math.log(x)
-    if x <= 0.9:
-        terms = int(math.ceil((37.0 + big_l) / -log_x)) + 1
-        return h_n + _power_sum(x, n, terms)
-    if n * log_x >= -0.7 and n <= (1 << 21):
-        # x^{-n} <= 2, so the subtraction amplifies nothing
-        return h_n + (big_l - _power_sum(x, 0, n)) * x ** float(-n)
-    k_star = 1.0 / (1.0 - x)
-    if n >= 1000.0 * k_star:
-        # 1/(k+n) expanded to four powers of 1/n; error ~ (k*/n)^4
-        s0 = x / (1.0 - x)
-        s1 = x / (1.0 - x) ** 2
-        s2 = x * (1.0 + x) / (1.0 - x) ** 3
-        s3 = x * (1.0 + 4.0 * x + x * x) / (1.0 - x) ** 4
-        inv = 1.0 / n
-        return h_n + inv * (s0 - inv * (s1 - inv * (s2 - inv * s3)))
+    if x > 0.9:
+        if n * log_x >= -0.7 and n <= (1 << 21):
+            # x^{-n} <= 2, so the subtraction amplifies nothing
+            return h_n + (big_l - _power_sum(x, 0, n)) * x ** float(-n)
+        k_star = 1.0 / (1.0 - x)
+        if n >= 1000.0 * k_star:
+            # 1/(k+n) expanded to four powers of 1/n; error ~ (k*/n)^4
+            s0 = x / (1.0 - x)
+            s1 = x / (1.0 - x) ** 2
+            s2 = x * (1.0 + x) / (1.0 - x) ** 3
+            s3 = x * (1.0 + 4.0 * x + x * x) / (1.0 - x) ** 4
+            inv = 1.0 / n
+            return h_n + inv * (s0 - inv * (s1 - inv * (s2 - inv * s3)))
     terms = int(math.ceil((37.0 + big_l) / -log_x)) + 1
     return h_n + _power_sum(x, n, terms)
 

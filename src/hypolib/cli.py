@@ -4,7 +4,10 @@ Exit codes: 0 all checks passed, 1 a check failed or a computation
 refused (domain errors from the library), 2 usage errors.
 
 Each subcommand imports the library modules it calls, so one process
-loads only what its subcommand runs.
+loads only what its subcommand runs.  `main` builds the spectral value
+from --lambda (args.sp) before the subcommand reads any other flag value,
+so an invalid lam is the error reported; each subcommand returns its CSV
+header and rows (selftest also its exit status), and `main` writes them.
 """
 
 from __future__ import annotations
@@ -131,10 +134,6 @@ def _ints(what: str, low: float = -math.inf):
     return parse
 
 
-def _lam(args) -> complex:
-    return complex(args.lam[0], args.lam[1])
-
-
 def _datum(args):
     from .transforms import Atoms, Mixture, density_preset
 
@@ -155,219 +154,131 @@ def _datum(args):
     raise ValueError("no boundary datum given: pass --preset and/or --atoms")
 
 
-def _cmd_kernel(args) -> int:
-    from .kernels import make_spectral, polyharmonic_kernel
+def _cmd_kernel(args):
+    from .kernels import polyharmonic_kernel
 
-    sp = make_spectral(_lam(args))
     z = args.z_r * complex(math.cos(args.z_angle), math.sin(args.z_angle))
     rows = []
     for ang in args.xi:
-        val = complex(polyharmonic_kernel(args.n, z, ang, sp))
+        val = complex(polyharmonic_kernel(args.n, z, ang, args.sp))
         rows.append([ang, val.real, val.imag])
-    _emit(args.out, ["xi_angle", "value_re", "value_im"], rows)
-    return 0
+    return ["xi_angle", "value_re", "value_im"], rows
 
 
-def _cmd_spherical(args) -> int:
-    from .kernels import make_spectral
+def _cmd_spherical(args):
     from .spherical import _MAX_ORDER, closed_form_many, spherical_function
 
-    sp = make_spectral(_lam(args))
     rs = [float(r) for r in args.r_grid]
-    closed = closed_form_many(rs, sp, args.n) if 0 <= args.n <= _MAX_ORDER else None
+    closed = closed_form_many(rs, args.sp, args.n) if 0 <= args.n <= _MAX_ORDER else None
     rows = []
     for i, r in enumerate(rs):
-        v = spherical_function(args.n, r, sp)
+        v = spherical_function(args.n, r, args.sp)
         closed_re = closed_im = diff = ""
         if closed is not None:
             cf = complex(closed[i])
             closed_re, closed_im, diff = cf.real, cf.imag, abs(cf - v)
         rows.append([r, v.real, v.imag, closed_re, closed_im, diff])
-    _emit(
-        args.out,
-        ["r", "phi_re", "phi_im", "closed_form_re", "closed_form_im", "diff"],
-        rows,
-    )
-    return 0
+    return ["r", "phi_re", "phi_im", "closed_form_re", "closed_form_im", "diff"], rows
 
 
-def _cmd_asymptotics(args) -> int:
-    from .kernels import make_spectral
+def _cmd_asymptotics(args):
     from .spherical import asymptotic_law, spherical_function
 
-    sp = make_spectral(_lam(args))
-    law = asymptotic_law(args.n, sp)
+    law = asymptotic_law(args.n, args.sp)
     rows = []
     for R in args.R:
         r = math.tanh(R / 2.0)
-        phi = spherical_function(args.n, r, sp)
+        phi = spherical_function(args.n, r, args.sp)
         lv = complex(law.evaluate(R))
         ratio = phi / lv
         rows.append([R, phi.real, phi.imag, lv.real, lv.imag, ratio.real, ratio.imag])
-    _emit(
-        args.out,
-        ["R", "phi_re", "phi_im", "law_re", "law_im", "ratio_re", "ratio_im"],
-        rows,
-    )
-    return 0
+    return ["R", "phi_re", "phi_im", "law_re", "law_im", "ratio_re", "ratio_im"], rows
 
 
-def _cmd_zeros(args) -> int:
-    from .kernels import make_spectral
+def _cmd_zeros(args):
     from .spherical import radial_zeros
 
-    sp = make_spectral(_lam(args))
-    zs = radial_zeros(sp, r_max=args.r_max, count=args.count)
+    zs = radial_zeros(args.sp, r_max=args.r_max, count=args.count)
     rows = []
     prev = None
     for i, z in enumerate(zs):
         rows.append([i, z, "" if prev is None else z - prev])
         prev = z
-    _emit(args.out, ["index", "r", "gap_from_previous"], rows)
-    return 0
+    return ["index", "r", "gap_from_previous"], rows
 
 
-def _cmd_dirichlet(args) -> int:
-    from .kernels import make_spectral
+# columns of a boundary sweep row (transforms.SweepRow)
+_SWEEP = ["xi_angle", "r", "value_re", "value_im", "target_re", "target_im", "error"]
+
+
+def _sweep_row(row) -> list:
+    return [row.xi_angle, row.r, row.value.real, row.value.imag, row.target.real, row.target.imag, row.error]
+
+
+def _cmd_dirichlet(args):
     from .transforms import density_preset, dirichlet_solve
 
-    sp = make_spectral(_lam(args))
-    sol = dirichlet_solve(sp, density_preset(args.preset))
+    sol = dirichlet_solve(args.sp, density_preset(args.preset))
     angles = np.linspace(-math.pi, math.pi, args.angles, endpoint=False)
-    rows = []
-    for row in sol.verify(angles, args.radii):
-        rows.append(
-            [
-                row.xi_angle,
-                row.r,
-                row.value.real,
-                row.value.imag,
-                row.target.real,
-                row.target.imag,
-                row.error,
-            ]
-        )
-    _emit(
-        args.out,
-        ["xi_angle", "r", "value_re", "value_im", "target_re", "target_im", "error"],
-        rows,
-    )
-    return 0
+    return _SWEEP, [_sweep_row(row) for row in sol.verify(angles, args.radii)]
 
 
-def _cmd_riquier(args) -> int:
-    from .kernels import make_spectral
+def _cmd_riquier(args):
     from .transforms import density_preset, riquier_solve
 
-    sp = make_spectral(_lam(args))
-    gs = [density_preset(p) for p in args.presets.split(",")]
-    sol = riquier_solve(sp, gs)
+    sol = riquier_solve(args.sp, [density_preset(p) for p in args.presets.split(",")])
     angles = np.linspace(-math.pi, math.pi, args.angles, endpoint=False)
     report = sol.verify(angles, [args.r])
-    rows = []
-    for part in ("own", "cross"):
-        for row in report[part]:
-            rows.append(
-                [
-                    part,
-                    row.xi_angle,
-                    row.r,
-                    row.value.real,
-                    row.value.imag,
-                    row.target.real,
-                    row.target.imag,
-                    row.error,
-                ]
-            )
-    _emit(
-        args.out,
-        ["part", "xi_angle", "r", "value_re", "value_im", "target_re", "target_im", "error"],
-        rows,
-    )
-    return 0
+    rows = [[part, *_sweep_row(row)] for part in ("own", "cross") for row in report[part]]
+    return ["part", *_SWEEP], rows
 
 
-def _cmd_convergence(args) -> int:
-    from .kernels import make_spectral
+def _cmd_convergence(args):
     from .transforms import convergence_probe
 
-    sp = make_spectral(_lam(args))
-    datum = _datum(args)
-    report = convergence_probe(args.n, sp, datum, args.mode, radii=args.radii)
-    rows = []
+    report = convergence_probe(args.n, args.sp, _datum(args), args.mode, radii=args.radii)
     if args.mode in ("uniform", "pointwise-ae"):
-        header = ["r", "sup_error"]
-        for row in report["rows"]:
-            rows.append([row["r"], row["sup_error"]])
-    elif args.mode == "Lp":
-        header = ["r", "lp_error"]
-        for row in report["rows"]:
-            rows.append([row["r"], row["lp_error"]])
-    else:
-        header = ["r", "mode", "pairing_re", "pairing_im"]
-        for row in report["rows"]:
-            for k in sorted(row["pairings"]):
-                v = row["pairings"][k]
-                rows.append([row["r"], k, v.real, v.imag])
-    _emit(args.out, header, rows)
-    return 0
+        return ["r", "sup_error"], [[row["r"], row["sup_error"]] for row in report["rows"]]
+    if args.mode == "Lp":
+        return ["r", "lp_error"], [[row["r"], row["lp_error"]] for row in report["rows"]]
+    rows = []
+    for row in report["rows"]:
+        for k in sorted(row["pairings"]):
+            v = row["pairings"][k]
+            rows.append([row["r"], k, v.real, v.imag])
+    return ["r", "mode", "pairing_re", "pairing_im"], rows
 
 
-def _cmd_maximal(args) -> int:
-    from .kernels import make_spectral
+def _cmd_maximal(args):
     from .regions import maximal_inequality_probe
 
-    sp = make_spectral(_lam(args))
-    rep = maximal_inequality_probe(args.n, sp, width=args.width, kind=args.kind)
+    rep = maximal_inequality_probe(args.n, args.sp, width=args.width, kind=args.kind)
     rows = [[tid, ratio] for tid, ratio in rep.ratios]
     rows.append(["overall", rep.fitted_C])
     rows.append(["overall_refined", rep.refined_C])
-    _emit(args.out, ["test_id", "fitted_C"], rows)
-    return 0
+    return ["test_id", "fitted_C"], rows
 
 
-def _cmd_fatou(args) -> int:
-    from .kernels import make_spectral
+def _cmd_fatou(args):
     from .regions import fatou_probe
     from .transforms import Atoms, Mixture
 
-    sp = make_spectral(_lam(args))
     datum = _datum(args)
     if not isinstance(datum, Mixture):
         datum = Mixture(
             density=datum if not isinstance(datum, Atoms) else None,
             atoms=datum if isinstance(datum, Atoms) else None,
         )
-    rows = []
-    for row in fatou_probe(args.n, sp, datum, args.width, args.zeta, kind=args.kind):
-        rows.append(
-            [
-                row.zeta_angle,
-                row.r,
-                row.alpha_offset,
-                row.value.real,
-                row.value.imag,
-                row.normalized.real,
-                row.normalized.imag,
-            ]
-        )
-    _emit(
-        args.out,
-        [
-            "zeta_angle",
-            "r",
-            "alpha_offset",
-            "value_re",
-            "value_im",
-            "normalized_re",
-            "normalized_im",
-        ],
-        rows,
-    )
-    return 0
+    rows = [
+        [row.zeta_angle, row.r, row.alpha_offset, row.value.real, row.value.imag,
+         row.normalized.real, row.normalized.imag]
+        for row in fatou_probe(args.n, args.sp, datum, args.width, args.zeta, kind=args.kind)
+    ]
+    header = ["zeta_angle", "r", "alpha_offset", "value_re", "value_im", "normalized_re", "normalized_im"]
+    return header, rows
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args):
     from .classical import (
         demo_lacunary_spec,
         lacunary_associate_probe,
@@ -381,24 +292,21 @@ def _cmd_examples(args) -> int:
             for n in range(args.n_max + 1)
             for r in args.r_grid
         ]
-        _emit(args.out, ["n", "r", "value"], rows)
-        return 0
+        return ["n", "r", "value"], rows
     spec = demo_lacunary_spec()
     if args.what == "growth":
         rep = lacunary_growth_probe(spec, args.radii)
         rows = [[row["r"], row["angle"], row["ratio"], row["envelope"]] for row in rep["rows"]]
-        _emit(args.out, ["r", "angle", "ratio", "envelope"], rows)
-        return 0
+        return ["r", "angle", "ratio", "envelope"], rows
     rep = lacunary_associate_probe(spec, args.radii)
     rows = [
         [row["r"], row["angle"], row["scaled"], row["deviation"], row["deviation_bound"]]
         for row in rep["rows"]
     ]
-    _emit(args.out, ["r", "angle", "scaled_field", "deviation", "bound"], rows)
-    return 0
+    return ["r", "angle", "scaled_field", "deviation", "bound"], rows
 
 
-def _cmd_lacunary(args) -> int:
+def _cmd_lacunary(args):
     from .classical import _circle_exponent, demo_lacunary_spec, lacunary_circle_sup
 
     for N in args.N:  # refuse a bad N before the first sup is computed
@@ -408,23 +316,21 @@ def _cmd_lacunary(args) -> int:
     for N in args.N:
         sup = lacunary_circle_sup(N, spec, grid_size=args.grid_size)
         rows.append([N, sup.radius, sup.value])
-    _emit(args.out, ["N", "circle_radius", "sup_value"], rows)
-    return 0
+    return ["N", "circle_radius", "sup_value"], rows
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from . import acceptance
 
     seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
     results = acceptance.run_all(args.criteria, seed=seed)
-    rows = [[res.index, res.name, "pass" if res.passed else "fail", res.details] for res in results]
-    _emit(args.out, ["criterion", "name", "status", "details"], rows)
     for res in results:
         sys.stderr.write(
             f"[{res.index:2d}] {'pass' if res.passed else 'FAIL'}  "
             f"{res.name} ({res.elapsed:.1f}s)\n"
         )
-    return 0 if all(res.passed for res in results) else 1
+    rows = [[res.index, res.name, "pass" if res.passed else "fail", res.details] for res in results]
+    return ["criterion", "name", "status", "details"], rows, 0 if all(res.passed for res in results) else 1
 
 
 # A negative number, or a comma list that starts with one, is a flag value
@@ -585,7 +491,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return args.fn(args)
+            if hasattr(args, "lam"):
+                from .kernels import make_spectral
+
+                # before any other flag value is read, so a bad lam is the error reported
+                args.sp = make_spectral(complex(*args.lam))
+            header, rows, *status = args.fn(args)
+            _emit(args.out, header, rows)
+            return status[0] if status else 0
     except HypolibError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

@@ -87,6 +87,19 @@ def _xi_point(xi):
     return cmath.exp(1j * float(arr))
 
 
+def _in_double_range(what: str, n: int, sp: SpectralParam, value, zero_ok: bool = False):
+    """value(), refused with ResultOverflow naming n and lam where it leaves
+    double range: a factorial too large for a float, an infinite or NaN
+    result, or (unless zero_ok) a nonzero result that underflowed to 0."""
+    try:
+        out = value()
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if not cmath.isfinite(out) or (out == 0 and not zero_ok):
+        raise ResultOverflow(f"the order-{n} {what} at lam = {sp.lam} does not fit in a double")
+    return out
+
+
 def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:
     """The log-Poisson polynomial g_n attached to the order-n kernel.
 
@@ -98,43 +111,48 @@ def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:
     if n == 0:
         return ComplexPoly.from_coeffs((1.0,))
     critical = sp.kind == CRITICAL
-    try:
-        if critical:
-            coeff = 1.0 / math.factorial(2 * n)
-        else:
-            coeff = 1.0 / (math.factorial(n) * (2.0 * sp.mu) ** n)
-    except (OverflowError, ZeroDivisionError):
-        coeff = 0.0
-    if coeff == 0.0 or not cmath.isfinite(coeff):
-        raise ResultOverflow(
-            f"the order-{n} kernel coefficient at lam = {sp.lam} does not fit in a double"
-        )
+    coeff = _in_double_range(
+        "kernel coefficient", n, sp,
+        lambda: 1.0 / (math.factorial(2 * n) if critical else math.factorial(n) * (2.0 * sp.mu) ** n),
+    )
     return ComplexPoly.monomial(2 * n if critical else n, coeff)
+
+
+def _graded_values(g: ComplexPoly, sp: SpectralParam, p):
+    """g(log P) P^{mu+1/2} at the Poisson values p (an array or a float):
+    the graded kernel with log-Poisson polynomial g.
+
+    Real, and computed in real arithmetic, where the exponent and g are
+    real, which holds for every real lam off the forbidden ray.  A value
+    past double range comes out infinite or NaN.
+    """
+    logp = np.log(p)
+    coeffs, exponent = g.coeffs, sp.exponent
+    if exponent.imag == 0.0 and not any(c.imag for c in coeffs):
+        coeffs, exponent = [c.real for c in coeffs], exponent.real
+    value = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        value = value * logp + c
+    return value * np.exp(exponent * logp)
 
 
 def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
     """Order-n member of the graded kernel family at spectral parameter sp.
 
     Equals g_n(log P) P^{mu+1/2} with g_n from kernel_poly; order 0 is the
-    base eigenkernel itself.  xi is an angle or angle array.  Raises
-    ResultOverflow where a value does not fit in a double.
+    base eigenkernel itself.  xi is an angle, giving a complex value, or an
+    angle array, giving an array that is real where the kernel is
+    (_graded_values).  Raises ResultOverflow where a value does not fit in
+    a double.
     """
     p = poisson_kernel(z, _xi_point(xi))
-    g = kernel_poly(n, sp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _graded_values(kernel_poly(n, sp), sp, p)
     if isinstance(p, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            logp = np.log(p)
-            value = g.evaluate(logp) * np.exp(sp.exponent * logp)
         if np.isfinite(value).all():
             return value
-    else:
-        logp = math.log(p)
-        try:
-            value = g.evaluate(logp) * cmath.exp(sp.exponent * logp)
-            if cmath.isfinite(value):
-                return value
-        except OverflowError:
-            pass
+    elif cmath.isfinite(value):
+        return complex(value)
     raise ResultOverflow(
         f"the order-{n} kernel at lam = {sp.lam} does not fit in a double at z = {complex(z)}"
     )
@@ -191,7 +209,8 @@ def fd_verify_kernel(
     kernel, g = reduce_step(f), and Lam_h is the 5-point discrete Laplacian.
 
     Expected O(h^2) for interior z; order 0 reduces to the eigen-equation
-    residual |Lam_h K - lam K|.
+    residual |Lam_h K - lam K|.  Raises ResultOverflow where the kernel on
+    the stencil does not fit in a double.
     """
     ensure_disk(z, "z")
     f = kernel_poly(n, sp)
@@ -199,14 +218,13 @@ def fd_verify_kernel(
     pt = cmath.exp(1j * float(xi))
 
     def q(poly: ComplexPoly):
-        def field(w: complex):
-            p = poisson_kernel(w, pt)
-            logp = math.log(p)
-            return poly.evaluate(logp) * cmath.exp(sp.exponent * logp)
+        return lambda w: _graded_values(poly, sp, (1.0 - np.abs(w) ** 2) / np.abs(pt - w) ** 2)
 
-        return field
-
-    qf = q(f)
-    qg = q(g)
-    lap = fd_laplacian(qf, z, h)
-    return abs(lap - sp.lam * qf(z) - qg(z))
+    lap = fd_laplacian(q(f), z, h)
+    # lam Q_f + Q_g is the kernel of the one polynomial lam f + g
+    residual = abs(lap - q(f.scale(sp.lam).add(g))(np.array([z]))[0])
+    if not math.isfinite(residual):
+        raise ResultOverflow(
+            f"the order-{n} kernel at lam = {sp.lam} does not fit in a double near z = {complex(z)}"
+        )
+    return residual

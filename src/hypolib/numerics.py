@@ -757,7 +757,9 @@ def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:
 
         ((1-|z|^2)^2 / 4) * (f(z+h)+f(z-h)+f(z+ih)+f(z-ih)-4 f(z)) / h^2.
 
-    Default step h = 1e-4 (1-|z|) keeps the stencil inside the disk.
+    f takes the five stencil points as one array, z last, and returns
+    their values.  Default step h = 1e-4 (1-|z|) keeps the stencil inside
+    the disk.
     """
     z = ensure_disk(z, "z")
     if h is None:
@@ -768,7 +770,8 @@ def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:
     for p in pts:
         if abs(p) >= 1.0:
             raise StencilOutOfDomain(f"stencil point {p} left the unit disk")
-    flat = (f(pts[0]) + f(pts[1]) + f(pts[2]) + f(pts[3]) - 4.0 * f(z)) / (h * h)
+    v = f(np.array([*pts, z]))
+    flat = (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
     return 0.25 * (1.0 - abs(z) ** 2) ** 2 * flat
 
 

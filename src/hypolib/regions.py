@@ -90,17 +90,17 @@ class AdmissibleRegion:
             return -math.inf
         return self.width + math.log(big_r)
 
-
-def _front_window(r: float, b: float) -> float:
-    """Max |sin alpha| admitted at radius r for effective width b: 1, every
-    angle, once b >= R, where sinh(b) / sinh(R) >= 1 (and sinh(b) may
-    overflow)."""
-    if b < 0.0 or r <= 0.0:
-        return -1.0
-    big_r = math.log((1.0 + r) / (1.0 - r))
-    if b >= big_r:
-        return 1.0
-    return math.sinh(b) / math.sinh(big_r)
+    def window(self, r: float) -> float | None:
+        """Largest |sin alpha| admitted at radius r, or None where the slice
+        is empty: 1, every angle, once the effective width b reaches R
+        (where sinh(b) may overflow), else sinh(b) / sinh(R)."""
+        big_r = math.log((1.0 + r) / (1.0 - r))
+        b = self.effective_width(big_r)
+        if b < 0.0:
+            return None
+        if b >= big_r:
+            return 1.0
+        return math.sinh(b) / math.sinh(big_r)
 
 
 def _hl_maxima(samples, zeta_angles) -> np.ndarray:
@@ -195,11 +195,9 @@ def _field_at_radius(
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
-    big_r = math.log((1.0 + r) / (1.0 - r))
-    b = region.effective_width(big_r)
-    if b < 0.0:
+    window = region.window(r)
+    if window is None:
         return np.empty(0)
-    window = min(1.0, _front_window(r, b))
     return np.arcsin(window * np.linspace(-1.0, 1.0, count))
 
 
@@ -362,13 +360,11 @@ def fatou_probe(
         target = density.at(float(ang)) if density else 0.0j
         for k in depths:
             r = 1.0 - 10.0 ** (-k)
-            big_r = math.log((1.0 + r) / (1.0 - r))
-            b = region.effective_width(big_r)
-            if b < 0.0:
+            window = region.window(r)
+            if window is None:
                 continue
-            window = math.asin(min(1.0, _front_window(r, b)))
             for frac in (0.0, 0.9):
-                alpha = frac * window
+                alpha = frac * math.asin(window)
                 points.append((float(ang), r, alpha, target))
     polar = [(r, ang + alpha) for ang, r, alpha, _ in points]
     results = _sweep(n, sp, datum, polar)

@@ -55,6 +55,7 @@ import numpy as np
 from .errors import CancellationLoss, NonConvergence, ResultOverflow, ScanInconclusive
 from .geometry import RadialFrame, poisson_radial_profile
 from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, make_spectral
+from .kernels import _graded_values, _in_double_range
 from .numerics import (
     _PANEL_ORDER,
     _chunks,
@@ -94,17 +95,9 @@ _ROW_CAP = 8 * _PANEL_ORDER
 
 
 def _kernel_row(n, sp, r, phi):
-    """Order-n kernel at radius r against boundary angle offsets phi.
-
-    Real (and computed in real arithmetic) when the exponent and g_n are
-    real, which holds for every real lam off the forbidden ray.
-    """
-    logp = np.log(poisson_radial_profile(r, phi))
-    poly = kernel_poly(n, sp)
-    coeffs = np.array(poly.coeffs)
-    if sp.exponent.imag == 0.0 and not coeffs.imag.any():
-        return np.polynomial.polynomial.polyval(logp, coeffs.real) * np.exp(sp.exponent.real * logp)
-    return poly.evaluate(logp) * np.exp(sp.exponent * logp)
+    """Order-n kernel at radius r against boundary angle offsets phi
+    (kernels._graded_values: real where the kernel is)."""
+    return _graded_values(kernel_poly(n, sp), sp, poisson_radial_profile(r, phi))
 
 
 def _row_panels(r: float, top: int = 0) -> list[float]:
@@ -290,19 +283,6 @@ class AsymptoticLaw:
 
     def evaluate(self, R: float) -> complex:
         return self.prefactor * R**self.R_power * np.exp(self.exp_rate * R)
-
-
-def _in_double_range(what: str, n: int, sp: SpectralParam, value, zero_ok: bool = False):
-    """value(), refused with ResultOverflow naming n and lam where it leaves
-    double range: a factorial too large for a float, an infinite or NaN
-    result, or (unless zero_ok) a nonzero result that underflowed to 0."""
-    try:
-        out = value()
-    except (OverflowError, ZeroDivisionError):
-        out = math.inf
-    if not cmath.isfinite(out) or (out == 0 and not zero_ok):
-        raise ResultOverflow(f"the order-{n} {what} at lam = {sp.lam} does not fit in a double")
-    return out
 
 
 def asymptotic_law(

@@ -449,7 +449,7 @@ class RiquierSolution:
         for k, g in enumerate(self.gs):
             layers.append([v for v, _ in _sweep(k, self.sp, g, points, normalize=False)])
             for p, (r, ang) in enumerate(points):
-                phi_k = spherical_function(k, r, self.sp)
+                phi_k = _normalizer(k, self.sp, r)
                 vk = layers[k][p] / phi_k
                 tgt = g.at(ang)
                 own.append(SweepRow(ang, r, vk, tgt, abs(vk - tgt)))

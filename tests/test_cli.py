@@ -190,6 +190,41 @@ def test_kernel_overflow_is_a_one_line_library_error(argv, start, capsys):
     assert err.startswith(start)
 
 
+def test_riquier_refuses_a_radius_inside_the_zero_free_radius(capsys):
+    # like every other normalized value: the order-1 layer divides by Phi_1
+    assert main(["riquier", "--lambda", "0", "1", "--r", "0.01"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "NormalizationUnavailable: |z| = 0.010000 below the zero-free radius 0.050000 for order 1\n"
+    )
+
+
+# the subcommands that take --lambda, at their defaults, against spectral
+# values from the edges of the double range and of the regimes
+_LAMBDA_COMMANDS = [
+    ["kernel"], ["spherical"], ["asymptotics"], ["zeros"], ["dirichlet"], ["riquier"],
+    ["convergence", "--preset", "cos"], ["maximal"], ["fatou"],
+]
+_EDGE_LAMBDAS = [
+    ("nan", "0"), ("0", "inf"), ("1e308", "1e308"), ("1e6", "0"), ("1e3", "1e3"),
+    ("-0.25", "0"), ("0", "0"), ("0", "1"), ("-100", "0"), ("1e-300", "0"),
+]
+
+
+@pytest.mark.parametrize("lam", _EDGE_LAMBDAS, ids=["+".join(lam) for lam in _EDGE_LAMBDAS])
+@pytest.mark.parametrize("command", _LAMBDA_COMMANDS, ids=[argv[0] for argv in _LAMBDA_COMMANDS])
+def test_every_lambda_gives_rows_or_a_typed_exit(command, lam, capsys):
+    try:
+        code = main([*command, "--lambda", *lam])
+    except SystemExit as exc:  # argparse's usage exit, the one exception allowed out
+        code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        cells = [cell.lower() for row in csv.reader(capsys.readouterr().out.splitlines()) for cell in row]
+        assert not [cell for cell in cells if "nan" in cell or "inf" in cell]
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["spherical", "--lambda", "2"])

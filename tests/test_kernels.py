@@ -86,6 +86,13 @@ def test_kernel_overflow_is_a_typed_error():
             polyharmonic_kernel(0, 0.5, xi, sp)
 
 
+def test_fd_residual_overflow_is_a_typed_error():
+    with pytest.raises(
+        ResultOverflow, match=r"order-0 kernel at lam = \(1000000\+0j\).* near z = \(0\.5\+0j\)$"
+    ):
+        fd_verify_kernel(0, 0.5, 0.0, make_spectral(1e6), 1e-3)
+
+
 def test_polyharmonic_kernel_matches_manual_formula():
     xi_angle = 0.7
     xi = cmath.exp(1j * xi_angle)

@@ -160,10 +160,7 @@ def test_the_allow_list_holds_only_unreached_definitions():
 
 
 # (module, function, parameter) -> why it keeps a default that no call passes
-UNPASSED = {
-    ("acceptance", f"criterion_{i}", "seed"): "run_criterion passes it through acceptance._CRITERIA"
-    for i in (1, 3, 5, 11, 13)
-}
+UNPASSED: dict[tuple[str, str, str], str] = {}
 
 
 def _defaulted(fn: ast.AST) -> list[tuple[str, int | None]]:

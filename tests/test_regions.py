@@ -18,7 +18,6 @@ from hypolib.regions import (
     SampleNet,
     _angular_offsets,
     _field_at_radius,
-    _front_window,
     _grid_size,
     _hl_maxima,
     _region_sups,
@@ -61,9 +60,8 @@ def test_enlarged_region_contains_the_tube():
     assert tube.effective_width(12.0) == pytest.approx(tube.effective_width(4.0))
     # past R = 1 (r > 0.47) the enlarged window admits every tube angle
     for r in (0.5, 0.7, 0.9, 0.99, 0.9999):
-        big_r = math.log((1 + r) / (1 - r))
-        window = _front_window(r, tube.effective_width(big_r))
-        assert 0.0 < window <= _front_window(r, wide.effective_width(big_r))
+        window = tube.window(r)
+        assert 0.0 < window <= wide.window(r)
 
 
 def test_region_rejects_unknown_kind():
