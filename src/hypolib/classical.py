@@ -237,8 +237,7 @@ class LacunarySpec:
     """Fitted spiral polynomial plus the gap-series truncation depth."""
 
     poly: ComplexPoly
-    k_max: int = 4
-    note: str = "k >= 5 terms underflow to exact zero for double radii"
+    k_max: int = 4  # terms k >= 5 underflow to exact zero at double radii
 
     def __post_init__(self) -> None:
         if abs(self.poly.evaluate(0.0)) != 0.0:
@@ -302,7 +301,7 @@ def demo_lacunary_spec() -> LacunarySpec:
     runge_spiral_fit's docstring explains why nothing representable does.
     """
     poly = ComplexPoly.from_coeffs((0.0j, 7.0 + 0.0j, 0.0j, 1.0 + 0.0j))
-    return LacunarySpec(poly=poly, note="demo polynomial; spiral band unattainable at representable degrees")
+    return LacunarySpec(poly=poly)
 
 
 # Fractional bits of the fixed-point 2 pi that _reduce_angle reduces

@@ -13,8 +13,8 @@ header and rows (selftest also its exit status), and `main` writes them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -42,17 +42,11 @@ def _fmt(value) -> str:
 
 
 def _emit(path: str | None, header: list[str], rows: list[list]) -> None:
-    sink = open(path, "w", newline="") if path else io.StringIO()
-    try:
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-        if path is None:
-            sys.stdout.write(sink.getvalue())
-    finally:
-        if path:
-            sink.close()
 
 
 def _finite(text: str) -> float:
@@ -261,18 +255,11 @@ def _cmd_maximal(args):
 
 def _cmd_fatou(args):
     from .regions import fatou_probe
-    from .transforms import Atoms, Mixture
 
-    datum = _datum(args)
-    if not isinstance(datum, Mixture):
-        datum = Mixture(
-            density=datum if not isinstance(datum, Atoms) else None,
-            atoms=datum if isinstance(datum, Atoms) else None,
-        )
     rows = [
         [row.zeta_angle, row.r, row.alpha_offset, row.value.real, row.value.imag,
          row.normalized.real, row.normalized.imag]
-        for row in fatou_probe(args.n, args.sp, datum, args.width, args.zeta, kind=args.kind)
+        for row in fatou_probe(args.n, args.sp, _datum(args), args.width, args.zeta, kind=args.kind)
     ]
     header = ["zeta_angle", "r", "alpha_offset", "value_re", "value_im", "normalized_re", "normalized_im"]
     return header, rows

@@ -124,16 +124,18 @@ def _graded_values(g: ComplexPoly, sp: SpectralParam, p):
 
     Real, and computed in real arithmetic, where the exponent and g are
     real, which holds for every real lam off the forbidden ray.  A value
-    past double range comes out infinite or NaN.
+    past double range comes out infinite or NaN, without a warning: each
+    caller refuses it with a typed error.
     """
-    logp = np.log(p)
     coeffs, exponent = g.coeffs, sp.exponent
     if exponent.imag == 0.0 and not any(c.imag for c in coeffs):
         coeffs, exponent = [c.real for c in coeffs], exponent.real
-    value = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        value = value * logp + c
-    return value * np.exp(exponent * logp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp = np.log(p)
+        value = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            value = value * logp + c
+        return value * np.exp(exponent * logp)
 
 
 def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
@@ -146,8 +148,7 @@ def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
     a double.
     """
     p = poisson_kernel(z, _xi_point(xi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _graded_values(kernel_poly(n, sp), sp, p)
+    value = _graded_values(kernel_poly(n, sp), sp, p)
     if isinstance(p, np.ndarray):
         if np.isfinite(value).all():
             return value
@@ -202,11 +203,10 @@ def verify_reduce_chain(n: int, sp: SpectralParam, tol: float = 1e-12) -> Reduce
     return ReduceChainReport(n=n, kind=sp.kind, final_residual=resid, step_residuals=tuple(steps))
 
 
-def fd_verify_kernel(
-    n: int, z: complex, xi: float, sp: SpectralParam, h: float | None = None
-) -> float:
+def fd_verify_kernel(n: int, z: complex, xi: float, sp: SpectralParam, h: float) -> float:
     """Residual |Lam_h Q_f - lam Q_f - Q_g| at z, where Q_f is the order-n
-    kernel, g = reduce_step(f), and Lam_h is the 5-point discrete Laplacian.
+    kernel, g = reduce_step(f), and Lam_h is the 5-point discrete Laplacian
+    of step h.
 
     Expected O(h^2) for interior z; order 0 reduces to the eigen-equation
     residual |Lam_h K - lam K|.  Raises ResultOverflow where the kernel on

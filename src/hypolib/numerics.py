@@ -752,18 +752,15 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     return out.reshape(out.shape[:-1] + xs.shape)
 
 
-def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:
-    """Hyperbolic Laplacian via 5-point stencil:
+def fd_laplacian(f: Callable, z: complex, h: float) -> complex:
+    """Hyperbolic Laplacian via 5-point stencil of step h:
 
         ((1-|z|^2)^2 / 4) * (f(z+h)+f(z-h)+f(z+ih)+f(z-ih)-4 f(z)) / h^2.
 
     f takes the five stencil points as one array, z last, and returns
-    their values.  Default step h = 1e-4 (1-|z|) keeps the stencil inside
-    the disk.
+    their values.  Every stencil point must lie inside the disk.
     """
     z = ensure_disk(z, "z")
-    if h is None:
-        h = 1e-4 * (1.0 - abs(z))
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     pts = (z + h, z - h, z + 1j * h, z - 1j * h)
@@ -771,7 +768,9 @@ def fd_laplacian(f: Callable, z: complex, h: float | None = None) -> complex:
         if abs(p) >= 1.0:
             raise StencilOutOfDomain(f"stencil point {p} left the unit disk")
     v = f(np.array([*pts, z]))
-    flat = (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
+    # values past double range give inf or NaN quietly: the caller refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
     return 0.25 * (1.0 - abs(z) ** 2) ** 2 * flat
 
 

@@ -39,6 +39,8 @@ from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
 from .spherical import _kernel_modes, _row_primitive
 from .transforms import (
+    Atoms,
+    BoundaryDatum,
     Density,
     Mixture,
     _density_values,
@@ -339,7 +341,7 @@ class FatouRow:
 def fatou_probe(
     n: int,
     sp: SpectralParam,
-    datum: Mixture,
+    datum: BoundaryDatum,
     width: float,
     zeta_angles,
     kind: str = _TUBE,
@@ -349,11 +351,13 @@ def fatou_probe(
 
     Per rung two points are taken: the radial one and one pushed to 90%
     of the angular window, so the sweep exercises the full region and
-    not only the radius.  The atomic part of the datum is transformed
-    separately; its normalized magnitude lands in atom_part.
+    not only the radius.  The datum's Density part gives each anchor's
+    target; its Atoms part is transformed separately, and its normalized
+    magnitude lands in atom_part.
     """
-    density = datum.density if isinstance(datum, Mixture) else datum
-    atoms = datum.atoms if isinstance(datum, Mixture) else None
+    parts = (datum.density, datum.atoms) if isinstance(datum, Mixture) else (datum,)
+    density = next((part for part in parts if isinstance(part, Density)), None)
+    atoms = next((part for part in parts if isinstance(part, Atoms)), None)
     points = []
     for ang in zeta_angles:
         region = AdmissibleRegion(float(ang), width, kind)

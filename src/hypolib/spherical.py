@@ -35,11 +35,12 @@ and in the critical regime Phi_n = [eps^2n] at s0 = 1/2.  gauss_2f1_many
 carries these coefficients as truncated Taylor series in eps, so an order-n
 profile costs about n+1 times an order-0 one; orders above _MAX_ORDER can
 lose more than 1e-12 to cancellation and are left to quadrature.  The scans
-(scan_profile, zero_free_radius, radial_zeros) evaluate all their radii in
-one closed-form call, and take the quadrature profile
-only where the closed form reports CancellationLoss (large |lam| near the
-forbidden ray).  spherical_function itself stays on quadrature, the
-closed form's independent check.
+(scan_profile, zero_free_radius, radial_zeros) take one evaluator,
+_profile: all their radii in one closed-form call, and quadrature radius
+by radius only where the closed form reports CancellationLoss (large |lam|
+near the forbidden ray).  radial_zeros bisects all its brackets together,
+one _profile call per round.  spherical_function itself stays on
+quadrature, the closed form's independent check.
 """
 
 from __future__ import annotations
@@ -382,64 +383,29 @@ def radial_zeros(
     """Zeros of Phi(.|lam) in (0, r_max] for lam on the forbidden ray.
 
     Phi is real there (the function is even in mu); sign changes on a
-    geometric grid are refined by bisection in log(1-r).  On the closed
-    form, each bracket's next _LOOKAHEAD bisection points are evaluated
-    together, all brackets in one call; where the closed form lost its
-    digits to cancellation on the grid, scan and bisection use quadrature,
-    one point at a time.  Returns the sorted zeros; consecutive gaps shrink
-    as zeros accumulate at the boundary.
+    geometric grid are refined by bisection in log(1-r), every bracket's
+    midpoint in one _profile call per round, for at most 60 rounds; a
+    bracket retires once it is narrower than 1e-13.  Returns the sorted
+    zeros; consecutive gaps shrink as zeros accumulate at the boundary.
     """
     if sp.kind != FORBIDDEN:
         raise ValueError("zeros accumulate only for real lam < -1/4")
     rs = _scan_radii(_SCAN_LO, r_max, count)
-    try:
-        sign = np.sign(closed_form_many(rs, sp).real)
-        depth = _LOOKAHEAD
-    except CancellationLoss:
-        sign = np.sign([spherical_function(0, float(r), sp).real for r in rs])
-        depth = 1  # quadrature pays per point: evaluate only what bisection visits
-
-    def f(s: list) -> np.ndarray:
-        return _profile(0, sp, [1.0 - math.exp(v) for v in s]).real
-
-    # per bracket: [lo, hi, Phi(lo), bisection steps left]
-    live = [
-        [math.log(1.0 - rs[i]), math.log(1.0 - rs[i + 1]), 0.0, 60]
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    ]
-    for br, flo in zip(live, f([br[0] for br in live])):
-        br[2] = flo
-    brackets = list(live)
-    while live:
-        ahead = [m for lo, hi, _, _ in live for m in _bisection_points(lo, hi, depth)]
-        value = dict(zip(ahead, f(ahead)))
-        for br in live:
-            for _ in range(depth):
-                lo, hi, flo, left = br
-                mid = 0.5 * (lo + hi)
-                fm = value[mid]
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                br[:] = lo, hi, flo, left - 1
-                if abs(hi - lo) < 1e-13 or left == 1:
-                    br[3] = 0
-                    break
-        live = [br for br in live if br[3] > 0]
-    return sorted(1.0 - math.exp(0.5 * (lo + hi)) for lo, hi, _, _ in brackets)
-
-
-# bisection steps radial_zeros evaluates per closed-form call
-_LOOKAHEAD = 4
-
-
-def _bisection_points(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint bisection of [lo, hi] can visit in its next depth steps."""
-    mid = 0.5 * (lo + hi)
-    if depth == 1:
-        return [mid]
-    return [mid, *_bisection_points(lo, mid, depth - 1), *_bisection_points(mid, hi, depth - 1)]
+    sign = np.sign(_profile(0, sp, rs).real)
+    at = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    lo = np.array([math.log(1.0 - rs[i]) for i in at])
+    hi = np.array([math.log(1.0 - rs[i + 1]) for i in at])
+    live = np.arange(at.size)
+    for _ in range(60):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        # Phi keeps at lo the sign it has at the bracket's lower grid radius
+        same = sign[at[live]] * _profile(0, sp, [1.0 - math.exp(m) for m in mid]).real > 0
+        lo[live[same]] = mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[np.abs(hi[live] - lo[live]) >= 1e-13]
+    return [1.0 - math.exp(0.5 * (a + b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ atom of weight w at psi0 contributes nu_m = conj(w) e^{-i m psi0}.
 The order-n transform integrates the graded kernel against the datum;
 `normalized` divides by the circle mean of the kernel at |z|, the quantity
 that makes boundary limits meaningful.  That mean is Phi_n, mode 0 of the
-kernel row (spherical_function), so it comes from the same quadrature as
-the transform's own modes.  Normalization refuses radii below the
-kernel's zero-free radius.
+kernel row (spherical_function): the same quadrature engine as the
+transform's own modes (spherical._kernel_modes), in a call of its own, and
+on other panels once the transform's top mode is 2 or more.  Normalization
+refuses radii below the kernel's zero-free radius.
 
 Transforms are computed one circle at a time: a sweep (_sweep) takes its
 points as (r, theta) and groups them by the radius r the caller gave.  On
@@ -43,7 +44,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
-from .geometry import RadialFrame
 from .kernels import FORBIDDEN, SpectralParam, make_spectral, polyharmonic_kernel
 from .spherical import _distinct, _kernel_modes, _row_primitive, spherical_function, zero_free_radius
 
@@ -183,7 +183,6 @@ def density_preset(name: str) -> Density:
 class TransformResult:
     value: complex
     normalized: Optional[complex]
-    frame: RadialFrame
 
 
 @lru_cache(maxsize=4096)
@@ -397,7 +396,7 @@ def poisson_transform(
     if r >= 1.0:
         raise ValueError(f"z must lie in the open disk, got |z| = {r}")
     ((value, normalized),) = _sweep(n, sp, datum, [(r, cmath.phase(z))], normalize)
-    return TransformResult(value=value, normalized=normalized, frame=RadialFrame.from_r(r))
+    return TransformResult(value=value, normalized=normalized)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,14 @@ JUMPS = {
         ("dirichlet", "sawtooth", []),
     )
 }
+# point masses, alone and beside a density
+ATOMS = {
+    "fatou-atoms-0": ["fatou", "--lambda", "0", "0", "--atoms", "0:1:0"],
+    "fatou-sawtooth-atoms-i": [
+        "fatou", "--lambda", "0", "1", "--preset", "sawtooth", "--atoms", "0.5:1:-2"],
+    "convergence-weak-star-atoms-0": [
+        "convergence", "--lambda", "0", "0", "--mode", "weak-star", "--atoms", "0:1:0"],
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -60,8 +68,11 @@ def _cases() -> dict[str, list[str]]:
     for name, (command, *extra) in JUMPS.items():
         for label in ("0", "i"):
             cases[f"{name}-{label}"] = [command, "--lambda", *LAMBDAS[label], *extra]
-    for label, lam in {"-1": ("-1", "0"), **LAMBDAS}.items():
+    # -100 scans by quadrature, where the closed form loses its digits
+    forbidden = {label: (label, "0") for label in ("-1", "-10", "-30", "-100")}
+    for label, lam in {**forbidden, **LAMBDAS}.items():
         cases[f"zeros-{label}"] = ["zeros", "--lambda", *lam]
+    cases.update(ATOMS)
     for what in ("d", "growth", "associate"):
         cases[f"examples-{what}"] = ["examples", "--what", what]
     cases["lacunary"] = ["lacunary"]
@@ -155,8 +166,8 @@ def _regenerate() -> None:
             for line in _moved(name, out):
                 print(line)
     SNAPSHOT.mkdir(exist_ok=True)
-    for stale in SNAPSHOT.glob("*.csv"):
-        stale.unlink()
+    for stale in {*old, *runs}:  # the case CSVs only: the selftest CSV stays
+        (SNAPSHOT / f"{stale}.csv").unlink(missing_ok=True)
     exits = []
     for name, (code, out) in runs.items():
         if code == 0:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypolib import numerics, spherical
-from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow
+from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow, ScanInconclusive
 from hypolib.kernels import CRITICAL, FORBIDDEN, kernel_poly, make_spectral
 from hypolib.polynomials import ComplexPoly
 from hypolib.spherical import (
@@ -372,6 +372,23 @@ def test_radial_zeros_are_sign_changes_to_bisection_accuracy():
         assert below * above < 0
 
 
+def test_radial_zeros_bisect_every_bracket_in_one_call_per_round(monkeypatch):
+    sizes = []
+    profile = spherical._profile
+
+    def counted(n, sp, rs):
+        sizes.append(len(rs))
+        return profile(n, sp, rs)
+
+    monkeypatch.setattr(spherical, "_profile", counted)
+    zs = radial_zeros(make_spectral(-10.0))
+    # the grid scan, then one call per round on the live brackets' midpoints
+    assert sizes[0] == 2000
+    assert 1 < len(sizes) <= 61
+    assert sizes[1] == len(zs) == 10
+    assert sizes[1:] == sorted(sizes[1:], reverse=True)
+
+
 def test_radial_zeros_require_the_forbidden_ray():
     with pytest.raises(ValueError):
         radial_zeros(make_spectral(2.0), r_max=0.99, count=500)
@@ -391,6 +408,34 @@ def test_zero_free_radius_and_abs_mean():
     assert 0.0 <= zf.r_min < 0.5
     # the kernel is positive, so the mean of |kernel| is |Phi_0|
     assert _abs_mean(0, 0.6, sp) == pytest.approx(abs(spherical_function(0, 0.6, sp)), rel=1e-12)
+
+
+def _dips_at(monkeypatch, n, sp, dips) -> np.ndarray:
+    """Substitute a scan_profile that follows |Phi_n|'s absolute boundary
+    law except for a dip a million times below it at each index of dips;
+    returns the scan's radii."""
+    rs = spherical._scan_radii(spherical._SCAN_LO, spherical._SCAN_HI, spherical._SCAN_COUNT)
+    vals = asymptotic_law(n, sp, absolute=True).evaluate(np.log1p(rs) - np.log1p(-rs))
+    vals[dips] *= 1e-7
+    monkeypatch.setattr(spherical, "scan_profile", lambda n, sp: (rs, vals))
+    return rs
+
+
+@pytest.mark.parametrize("dips", [[0], [10, 700], [1898]])
+def test_zero_free_radius_starts_past_the_last_dip(dips, monkeypatch):
+    sp = make_spectral(1j)
+    rs = _dips_at(monkeypatch, 1, sp, dips)
+    zf = zero_free_radius(1, sp)
+    assert (zf.r_min, zf.method) == (rs[dips[-1] + 1], "scan")
+
+
+@pytest.mark.parametrize("dips", [[1899], [10, 1999]])
+def test_a_dip_in_the_last_twentieth_of_the_scan_is_inconclusive(dips, monkeypatch):
+    # int(0.95 * 2000) - 1 = 1899 is the first index too close to the boundary
+    sp = make_spectral(1j)
+    rs = _dips_at(monkeypatch, 1, sp, dips)
+    with pytest.raises(ScanInconclusive, match=f"r = {rs[dips[-1]]:.6f}"):
+        zero_free_radius(1, sp)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
