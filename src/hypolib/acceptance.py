@@ -18,7 +18,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -448,9 +447,7 @@ CRITERIA = tuple((index, name) for index, (name, _) in sorted(_CHECKS.items()))
 
 def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
     name, check = _CHECKS[index]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _guard(index, name, lambda: check(seed))
+    return _guard(index, name, lambda: check(seed))
 
 
 def run_all(indices=None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:

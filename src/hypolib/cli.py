@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-import warnings
 
 # One BLAS thread per process, set before numpy loads: a subcommand makes
 # few small BLAS calls, and starting OpenBLAS's thread pool costs each
@@ -476,16 +475,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if hasattr(args, "lam"):
-                from .kernels import make_spectral
+        if hasattr(args, "lam"):
+            from .kernels import make_spectral
 
-                # before any other flag value is read, so a bad lam is the error reported
-                args.sp = make_spectral(complex(*args.lam))
-            header, rows, *status = args.fn(args)
-            _emit(args.out, header, rows)
-            return status[0] if status else 0
+            # before any other flag value is read, so a bad lam is the error reported
+            args.sp = make_spectral(complex(*args.lam))
+        header, rows, *status = args.fn(args)
+        _emit(args.out, header, rows)
+        return status[0] if status else 0
     except HypolibError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

@@ -7,7 +7,8 @@ accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
 spherical._kernel_modes takes many Fourier modes of one kernel row, or
-spherical._row_primitive its primitive at many offsets.
+spherical._row_primitives the primitives of many rows at many offsets,
+read off each panel's Legendre interpolant (_legendre_map).
 The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
 per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
 integrand, and each later trapezoid doubling evaluates only the odd nodes
@@ -73,6 +74,39 @@ def _gl_nodes(orders: tuple[int, ...]):
     x, w = (np.concatenate(part) for part in zip(*rules))
     cuts = np.cumsum([0, *orders]).tolist()
     return x, w, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+@lru_cache(maxsize=16)
+def _legendre_map(order: int) -> np.ndarray:
+    """The (order x order) map from a function's values f(x_i) at the
+    order-node Gauss-Legendre nodes of [-1, 1] to d_j = c_j / (2j + 1),
+    c_j the Legendre coefficients of its interpolant:
+    d_j = (1/2) sum_i w_i P_j(x_i) f(x_i), exact for polynomials of degree
+    below order."""
+    x, w, _ = _gl_nodes((order,))
+    return 0.5 * (np.polynomial.legendre.legvander(x, order - 1) * w[:, None]).T
+
+
+def _legendre_integrals(tables, rows: np.ndarray, t: np.ndarray) -> list:
+    """For each table d of tables (_legendre_map's d_j, a row per panel),
+    the interpolant's integral sum_j c_j int_{-1}^t P_j at each t, from the
+    panel of rows: d_0 (t + 1) + sum_{j >= 1} d_j (P_{j+1} - P_{j-1})(t).
+    One pass of the Legendre recurrence serves every table, a degree at a
+    time, so the work is t.size times the order and the arrays stay of
+    t's size."""
+    tables = [np.ascontiguousarray(d.T) for d in tables]
+    sums = [d[0][rows] * (t + 1.0) for d in tables]
+    p_prev, p = np.ones_like(t), t
+    for j in range(1, max(d.shape[0] for d in tables)):
+        p_next = t * p
+        p_next *= (2 * j + 1) / (j + 1)
+        p_next -= j / (j + 1) * p_prev
+        step = p_next - p_prev
+        for d, acc in zip(tables, sums):
+            if j < d.shape[0]:
+                acc += d[j][rows] * step
+        p_prev, p = p, p_next
+    return sums
 
 
 def _panel_nodes(edges: np.ndarray, x: np.ndarray, w: np.ndarray):

@@ -21,9 +21,9 @@ fixed rung each density is evaluated at the fan cells alone, by the
 transforms' density evaluator (transforms._density_values) over Phi_n(r):
 a trigonometric polynomial from the kernel row's Fourier modes R_k, and a
 density whose derivative is a constant plus jumps from the primitive of
-the row.  Each rung takes its modes once, and one cumulative quadrature
-(spherical._row_primitive) gives the primitive at every offset of every
-jump.
+the row.  Each rung takes its modes once, and one quadrature over the
+whole ladder (spherical._row_primitives) gives every rung's primitive at
+every offset of every jump, from each rung's row on its own panels.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergence, RatioDiverging
+from .errors import HypolibError, NonConvergence, RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
-from .spherical import _kernel_modes, _row_primitive
+from .spherical import _kernel_modes, _row_primitives
 from .transforms import (
     Atoms,
     BoundaryDatum,
@@ -192,7 +192,7 @@ def _field_at_radius(
     """Normalized order-n transform of the real density g at the angles
     thetas on |z| = r: transforms._density_values from the rung's modes
     (_row_fft) and the row's primitive at the offsets of every jump
-    (spherical._row_primitive), over Phi_n(r) = row[0]."""
+    (spherical._row_primitives), over Phi_n(r) = row[0]."""
     return _density_values(n, sp, g, r, thetas, row, primitive) / row[0]
 
 
@@ -208,12 +208,17 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     and region (columns).
 
     Each rung radius takes its kernel data once (_row_fft, the modes up to
-    the highest of the trigonometric densities) and one primitive of the
-    row at the offsets of every density's jumps from every fan cell, then
-    evaluates each density at the fan cells of every net and region; a
-    radius that several nets share (the ends of the ladder, for a net and
-    its doubling) is computed once, and rungs inside the zero-free radius
-    are skipped.  Regions of one width and kind share their fan offsets.
+    the highest of the trigonometric densities), then evaluates each
+    density at the fan cells of every net and region; a radius that several
+    nets share (the ends of the ladder, for a net and its doubling) is
+    computed once, and rungs inside the zero-free radius are skipped.
+    Regions of one width and kind share their fan offsets.  The row's
+    primitive at the offsets of every density's jumps from every fan cell
+    comes for every rung from one ladder quadrature
+    (spherical._row_primitives).  The rungs raise in ladder order, a rung's
+    modes before its primitive, so the first refusal is the one a rung by
+    rung sweep meets; the ladder takes only the rungs below the first whose
+    modes are refused.
     """
     r_floor = _zero_free_cached(n, sp.lam)
     shared: dict[float, list[int]] = {}
@@ -228,22 +233,36 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
         groups.setdefault((reg.width, reg.kind), []).append(j)
     anchors = np.array([reg.anchor_angle for reg in regions])
 
-    def rung(job) -> np.ndarray:
-        r, ks = job
+    def fan(r, ks):
+        # (net position, member regions, their cells: a row per region), and the cells' angles
         size = _grid_size(r)
-        # (net position, member regions, their cells: a row per region)
         fans = []
         for c, k in enumerate(ks):
             for members in groups.values():
                 offs = _angular_offsets(regions[members[0]], r, nets[k].angular_count)
                 idx = np.round((anchors[members, None] + offs) / (2.0 * math.pi / size)).astype(int)
                 fans.append((c, members, idx % size))
-        thetas = 2.0 * math.pi * np.concatenate([idx.ravel() for *_, idx in fans]) / size
-        row = _row_fft(n, sp.lam, r, top)
-        primitive = None
-        if jumps:
-            xs = np.concatenate([_wrapped(thetas, b) for b in jumps])
-            primitive = _row_primitive(n, sp, r, xs)
+        return fans, 2.0 * math.pi * np.concatenate([idx.ravel() for *_, idx in fans]) / size
+
+    # every rung's modes in ladder order, up to the first that is refused
+    rungs, refused = [], None
+    for r, ks in shared.items():
+        try:
+            row = _row_fft(n, sp.lam, r, top)
+        except HypolibError as exc:
+            refused = exc
+            break
+        rungs.append((r, ks, row, *fan(r, ks)))
+    primitives = [None] * len(rungs)
+    if jumps:
+        primitives = _row_primitives(
+            n, sp, [(r, np.concatenate([_wrapped(thetas, b) for b in jumps])) for r, *_, thetas in rungs]
+        )
+
+    def rung(job) -> np.ndarray:
+        (r, ks, row, fans, thetas), primitive = job
+        if isinstance(primitive, Exception):
+            raise primitive
         vals = np.abs([_field_at_radius(n, sp, thetas, g, r, row, primitive) for g in densities])
         sups = np.zeros((len(ks), len(densities), len(regions)))
         at = 0
@@ -254,11 +273,12 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
             at += idx.size
         return sups
 
-    rungs = list(shared.items())
     out = [np.zeros((len(densities), len(regions))) for _ in nets]
-    for (_, ks), sups in zip(rungs, parallel_map(rung, rungs)):
+    for (_, ks, *_), sups in zip(rungs, parallel_map(rung, list(zip(rungs, primitives)))):
         for k, sup in zip(ks, sups):
             out[k] = np.maximum(out[k], sup)
+    if refused is not None:
+        raise refused
     return out
 
 

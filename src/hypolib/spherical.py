@@ -15,12 +15,16 @@ panels dyadic toward the peak (_row_panels), one lane per mode of one
 node doubling (_kernel_modes).  spherical_function takes mode 0 alone;
 the transforms take every mode of every row from the same engine, so a
 normalized transform is a quotient of two results of one quadrature.  A
-density with jumps also takes the row's primitive int_0^x K_r on the same
-panels, one lane per offset x of the same doubling (_row_primitive).
+density with jumps also takes the row's primitive int_0^x K_r, one lane
+per offset x, from the row on its own panels alone: the whole panels
+below x plus the integral of the row's Legendre interpolant on the panel
+that holds x (_row_primitives).  A maximal ladder takes every rung's
+offsets in one doubling, one row evaluation per step for all its rungs.
 Next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on
-a dyadic panel, so the doubling runs to 128 nodes per panel (_ROW_CAP),
-for the modes and the primitive alike; past |lam| ~ 1.5e4 there it does
-not stabilize by that cap, and Phi_n is refused with NonConvergence.
+a dyadic panel, so the modes' doubling runs to 128 nodes per panel
+(_ROW_CAP), and the primitive's, whose interpolant needs about twice the
+nodes, to 256 (_PRIMITIVE_CAP); past |lam| ~ 1.5e4 there they do not
+stabilize by those caps, and Phi_n is refused with NonConvergence.
 
 Closed form.  Phi(r) = F(mu+1/2, 1/2-mu; 1; -r^2/(1-r^2)); after the Pfaff
 transform the series argument is exactly y = r^2.  numerics.gauss_2f1_many
@@ -59,10 +63,13 @@ from .kernels import CRITICAL, FORBIDDEN, GENERIC, SpectralParam, kernel_poly, m
 from .kernels import _graded_values, _in_double_range
 from .numerics import (
     _PANEL_ORDER,
+    _SWEEP_ELEMENTS,
     _chunks,
     _doubling,
     _dyadic_edges,
     _gl_nodes,
+    _legendre_integrals,
+    _legendre_map,
     _loggamma,
     _panel_failure,
     _panel_nodes,
@@ -87,12 +94,15 @@ __all__ = [
 # highest order the closed form evaluates to 1e-12 relative (jet order 6 in
 # the critical regime)
 _MAX_ORDER = 3
-# Gauss-Legendre nodes per panel at which the row's doubling gives up, for its
-# modes and its primitive alike, one doubling past the other panel rules:
+# Gauss-Legendre nodes per panel at which the doubling of the row's modes
+# gives up, one doubling past the other panel rules:
 # next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on a
 # dyadic panel, which 32 nodes resolve up to |lam| ~ 2e3 and 64 nodes up to
 # |lam| ~ 1.5e4
 _ROW_CAP = 8 * _PANEL_ORDER
+# the same for the row's primitive, read off the Legendre interpolant of the
+# row on each panel, which needs about twice the nodes of the Gauss rule
+_PRIMITIVE_CAP = 2 * _ROW_CAP
 
 
 def _kernel_row(n, sp, r, phi):
@@ -125,7 +135,9 @@ def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
     def estimate(orders, lanes):
         x, w, blocks = _gl_nodes(tuple(orders))
         nodes, weights = _panel_nodes(edges, x, w)
-        row = _kernel_row(n, sp, r, nodes) * weights
+        # a non-finite row makes non-finite modes, which _doubling refuses
+        with np.errstate(invalid="ignore"):
+            row = _kernel_row(n, sp, r, nodes) * weights
         sums = np.empty((len(blocks), lanes.size), dtype=complex)
         for c in _chunks(np.arange(lanes.size), row.size):
             k = ks[lanes[c]]
@@ -148,40 +160,132 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
-    """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi); the
-    row is even, so the primitive is odd.  One cumulative quadrature: the
-    row's panels (_row_panels) summed up to the last edge e <= |x|, plus the
-    panel [e, |x|], all evaluated in one row call per doubling step.  Each
-    |x| is a lane of the doubling to _ROW_CAP, so its value does not depend
-    on the other offsets.  Raises, for the first offset that fails,
-    ResultOverflow, or NonConvergence naming n, lam and r.
+    """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi):
+    _row_primitives at the one rung, whose error it raises."""
+    (primitive,) = _row_primitives(n, sp, [(r, xs)])
+    if isinstance(primitive, Exception):
+        raise primitive
+    return primitive
+
+
+def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
+    """For each (r, xs) of rungs, x -> int_0^x K_r(t) dt for the offsets x
+    among xs (|x| <= pi), or the error that refused the rung at its first
+    failed offset: ResultOverflow or NonConvergence, naming n, lam and r.
+    The row is even, so the primitive is odd.  Each |x| is a lane of one
+    doubling (_primitive_lanes).  The rungs are taken in runs, one doubling
+    per run, whose offsets times the 33 Legendre degrees of the first
+    doubling step stay under numerics._SWEEP_ELEMENTS (or a run of one
+    rung), which bounds each run's arrays.
     """
-    xs = _distinct(np.abs(np.asarray(xs, dtype=float)))
-    edges = np.asarray(_row_panels(r))
-    at = np.maximum(np.searchsorted(edges, xs, side="right") - 1, 0)
-    starts, ends = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], xs])
-    panels = np.stack([starts, ends], axis=-1)
-    whole = edges.size - 1
+    xss = [_distinct(np.abs(np.asarray(xs, dtype=float))) for _, xs in rungs]
+    budget = _SWEEP_ELEMENTS // (2 * _PANEL_ORDER + 1)
+    out: list = []
+    start = 0
+    while start < len(rungs):
+        stop, width = start + 1, xss[start].size
+        while stop < len(rungs) and width + xss[stop].size <= budget:
+            width += xss[stop].size
+            stop += 1
+        out += _primitive_lanes(n, sp, [float(r) for r, _ in rungs[start:stop]], xss[start:stop])
+        start = stop
+    return out
+
+
+def _odd_lookup(xs: np.ndarray, values: np.ndarray) -> Callable:
+    """x -> sign(x) times the value at |x|, for |x| among xs."""
+    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
+
+
+def _primitive_lanes(n: int, sp: SpectralParam, rs: list, xss: list) -> list:
+    """_row_primitives for the rows at the radii rs, at the sorted, distinct
+    offsets 0 <= x <= pi of xss, from one doubling with a lane per offset.
+
+    The rows are evaluated on their own panels (_row_panels) alone, every
+    rung's in one _kernel_row call per doubling step.  The primitive at x
+    is the sum of the whole panels below x, plus the integral up to x of
+    the row's Legendre interpolant on the panel [a, b] that holds x: with
+    t the image of x in [-1, 1], (b - a)/2 sum_j c_j int_{-1}^t P_j
+    (numerics._legendre_map, and numerics._legendre_integrals, one pass for
+    every order of a doubling step).  An x on a panel edge, pi among them,
+    takes the sums alone.  A degree m-1 interpolant needs about twice the
+    nodes the m-node Gauss rule needs on a turning row, so the lanes
+    double up to _PRIMITIVE_CAP.  Each lane is judged against its rung's
+    min(1, int_0^pi |K_r|), rounded down to a power of two that divides
+    the estimates exactly, and its value depends on no other offset and
+    no other rung.
+    """
+    edges = [np.asarray(_row_panels(r)) for r in rs]
+    counts = np.array([e.size - 1 for e in edges])
+    first = np.concatenate([[0], np.cumsum(counts)])  # each rung's first panel
+    panels = np.concatenate([np.stack([e[:-1], e[1:]], axis=-1) for e in edges])
+    radii = np.repeat(rs, counts)
+    sizes = [xs.size for xs in xss]
+    rung = np.repeat(np.arange(len(rs)), sizes)
+    x = np.concatenate(xss)
+    # the last edge at or below each offset, and the panel that holds it
+    at = [np.searchsorted(e, xs, side="right") - 1 for e, xs in zip(edges, xss)]
+    inside = np.concatenate([e[a] != xs for e, a, xs in zip(edges, at, xss)])
+    at = np.concatenate(at)
+    panel = first[rung] + np.minimum(at, counts[rung] - 1)
+    a, b = panels[panel, 0], panels[panel, 1]
+    t = ((x - a) - (b - x)) / (b - a)
+    half = 0.5 * (b - a)
+    # each lane's entry among the rungs' partial sums, one entry more per rung than panels
+    partial = first[rung] + rung + at
+    scale = np.ones(len(rs))
+    unset = np.ones(len(rs), dtype=bool)
 
     def estimate(orders, lanes):
-        x, w, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(panels, x, w)
-        vals = (_kernel_row(n, sp, r, nodes) * weights).reshape(len(panels), -1)
+        live = _distinct(rung[lanes]).tolist()
+        sel = np.concatenate([np.arange(first[i], first[i + 1]) for i in live])
+        gl_x, gl_w, blocks = _gl_nodes(tuple(orders))
+        nodes, weights = _panel_nodes(panels[sel], gl_x, gl_w)
+        vals = _kernel_row(n, sp, radii[sel, None, None], nodes).reshape(sel.size, -1)
+        weights = weights.reshape(sel.size, -1)
         out = []
-        for b in blocks:
-            sums = vals[:, b].sum(axis=1)
-            out.append((np.concatenate([[0.0], np.cumsum(sums[:whole])])[at] + sums[whole:])[lanes])
+        # a row past double range leaves its lanes non-finite, and _doubling refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables, sums = [], []
+            for order, blk in zip(orders, blocks):
+                f, fw = vals[:, blk], vals[:, blk] * weights[:, blk]
+                to_coef = _legendre_map(order).T
+                coef = np.zeros((first[-1], order), dtype=f.dtype)
+                cum = np.zeros(first[-1] + len(rs), dtype=f.dtype)
+                start = 0
+                for i in live:
+                    rows, start = slice(start, start + counts[i]), start + counts[i]
+                    coef[first[i] : first[i + 1]] = f[rows] @ to_coef
+                    cum[first[i] + i + 1 : first[i + 1] + i + 1] = np.cumsum(fw[rows].sum(axis=1))
+                    if unset[i]:
+                        mass = float(np.sum(np.abs(fw[rows])))  # int_0^pi |K_r|
+                        mass = min(1.0, mass) if 0.0 < mass < math.inf else 1.0
+                        scale[i], unset[i] = math.ldexp(1.0, math.frexp(mass)[1] - 1), False
+                tables.append(coef)
+                sums.append(cum[partial[lanes]])
+            terms = _legendre_integrals(tables, panel[lanes], t[lanes])
+            inner, width = inside[lanes], half[lanes]
+            for base, term in zip(sums, terms):
+                out.append(np.where(inner, base + width * term, base) / scale[rung[lanes]])
         return out
 
-    outcome = _doubling(estimate, _PANEL_ORDER, _ROW_CAP, xs.size, _panel_failure)
-    try:
-        values = np.array(_settled(outcome), dtype=complex)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}",
-            last_estimates=exc.last_estimates,
-        ) from exc
-    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
+    values, errors = _doubling(estimate, _PANEL_ORDER, _PRIMITIVE_CAP, x.size, _panel_failure)
+    values = values * scale[rung]
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    out = []
+    for i, r in enumerate(rs):
+        failed = [lane for lane in errors if bounds[i] <= lane < bounds[i + 1]]
+        if not failed:
+            out.append(_odd_lookup(xss[i], values[bounds[i] : bounds[i + 1]]))
+            continue
+        exc = errors[min(failed)]
+        where = f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}"
+        if isinstance(exc, NonConvergence):
+            estimates = tuple(v * scale[i] for v in exc.last_estimates)
+            out.append(NonConvergence(where, last_estimates=estimates))
+        else:
+            out.append(ResultOverflow(where))
+    return out
 
 
 @lru_cache(maxsize=200_000)

@@ -26,11 +26,12 @@ points as (r, theta) and groups them by the radius r the caller gave.  On
 closed form).  Fourier data and the weak-star pairings of every datum are
 read off these, and so is every density (_density_values): a
 trigonometric polynomial from the row's modes, a density with jumps from
-its mode 0 and the row's primitive (spherical._row_primitive), so a
-circle of a density takes one or two row quadratures however many points
-it has.  The maximal sweeps of regions take the same evaluator at each
-rung.  Atoms take the kernel at each point.  poisson_transform is the
-one-point sweep.
+its mode 0 and the row's primitive (spherical._row_primitive, the
+ladder quadrature of spherical._row_primitives at one rung), so a circle
+of a density takes one or two row quadratures however many points it
+has.  The maximal sweeps of regions take the same evaluator at each rung,
+with every rung's primitive from one ladder.  Atoms take the kernel at
+each point.  poisson_transform is the one-point sweep.
 """
 
 from __future__ import annotations

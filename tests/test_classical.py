@@ -76,6 +76,18 @@ def test_block_sums_match_the_lerch_transcendent(n, r):
     assert radial_log_weight(n, r) == pytest.approx(float(want), rel=1e-14)
 
 
+@pytest.mark.parametrize("n,r", [(20_000, 0.96), (10**6, 0.95), (10**7, 0.99)])
+def test_the_large_mode_expansion_matches_the_lerch_transcendent(n, r):
+    # n >= 1000 / (1 - r^2) with r^2 > 0.9: the tail's four-term expansion in
+    # 1/n, within about 1e-16 of the 40-digit value; scaling its fourth term
+    # by 1.5 moves the first case by 4e-14
+    with mp.workdps(40):
+        x = mp.mpf(r * r)
+        want = float(mp.harmonic(n) + x * mp.lerchphi(x, 1, n + 1))
+    # pytest.approx would add its default absolute 1e-12, which passes that mutant
+    assert abs(radial_log_weight(n, r) - want) <= 1e-14 * want
+
+
 def test_weight_mode_expansion_via_fft():
     # log(1/|1 - z e^{-i phi}|^2) has cosine coefficients r^m/m; the
     # transform weights follow from termwise integration

@@ -146,7 +146,8 @@ def test_an_unconverged_maximal_probe_names_its_inputs(capsys):
 
 
 def test_the_jump_densities_reach_as_far_as_the_row_modes(capsys):
-    # their primitive doubles to the same cap as Phi_0 and the row's modes
+    # their primitive, read off each panel's Legendre interpolant, doubles to
+    # twice the cap of Phi_0 and the row's modes, which reaches as far
     assert main(["maximal", "--lambda", "-1e4", "1"]) == 0
     assert "sawtooth," in capsys.readouterr().out
 

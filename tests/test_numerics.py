@@ -21,7 +21,7 @@ from hypolib.numerics import (
     integrate_halfline_peak,
     integrate_panels,
 )
-from hypolib.spherical import _row_primitive
+from hypolib.spherical import _row_primitive, _row_primitives
 
 
 def test_no_public_function_takes_a_quadrature_knob():
@@ -168,6 +168,18 @@ def test_cumulative_panels_raise_typed_errors():
         _row_primitive(0, make_spectral(-3e4 + 1j), 0.9, [1.0])
     with pytest.raises(ResultOverflow), np.errstate(over="ignore"):
         _row_primitive(0, make_spectral(1e6), 0.9999, [0.5])
+
+
+def test_a_refused_rung_leaves_the_other_rungs_of_its_ladder():
+    # at lam = -3e4 + i the row turns too fast for the cap at r = 0.9, not at
+    # r = 0.3 or 0.5: only the middle rung of the ladder is refused
+    sp = make_spectral(-3e4 + 1j)
+    xs = np.array([0.5, 1.0, 3.0])
+    out = _row_primitives(0, sp, [(0.3, xs), (0.9, xs), (0.5, xs)])
+    assert isinstance(out[1], NonConvergence)
+    assert str(out[1]).startswith("order-0 kernel row integral at lam = (-30000+1j), r = 0.9: ")
+    for r, primitive in ((0.3, out[0]), (0.5, out[2])):
+        assert primitive(xs).tolist() == _row_primitive(0, sp, r, xs)(xs).tolist()
 
 
 def test_fd_laplacian_eigenrelation_for_kernel_powers():

@@ -319,6 +319,23 @@ def test_probe_takes_each_rung_row_once():
     assert _row_fft.cache_info().misses == 22
 
 
+def test_a_default_probe_evaluates_a_tenth_of_the_row_values_it_did(monkeypatch):
+    # every rung's jump primitives are read off the row's own panels: a
+    # Gauss panel per offset took 681,168 row values here, the ladder 37,632
+    nodes = []
+    real = spherical._graded_values
+
+    def counted(g, sp, p):
+        nodes.append(np.size(p))
+        return real(g, sp, p)
+
+    monkeypatch.setattr(spherical, "_graded_values", counted)
+    spherical._spherical_cached.cache_clear()
+    _row_fft.cache_clear()
+    maximal_inequality_probe(0, make_spectral(0.0), 1.0)
+    assert 0 < sum(nodes) <= 681_168 // 10
+
+
 def test_maximal_probe_is_stable_under_refinement():
     sp = make_spectral(0.0)
     rep = maximal_inequality_probe(

@@ -234,6 +234,96 @@ def test_next_to_the_forbidden_ray_the_row_primitive_matches_mpmath():
         assert abs(g - w) <= 1e-12 * abs(w), (g, w)
 
 
+def _mp_primitive(n, sp, r, xs, dps=30):
+    # int_0^x K_r at each x of the increasing xs, at dps digits, summed piece
+    # by piece on pieces of width 1/40
+    coeffs = [mp.mpc(complex(c)) for c in kernel_poly(n, sp).coeffs]
+    with mp.workdps(dps):
+        rr, s = mp.mpf(r), mp.mpc(sp.exponent)
+
+        def row(t):
+            p = (1 - rr**2) / ((1 - rr) ** 2 + 4 * rr * mp.sin(t / 2) ** 2)
+            return sum(c * mp.log(p) ** j for j, c in enumerate(coeffs)) * p**s
+
+        want, acc, lo = [], mp.mpf(0), mp.mpf(0)
+        for x in xs:
+            hi = mp.mpf(x)
+            acc += mp.quad(row, mp.linspace(lo, hi, int(40 * (hi - lo)) + 2), method="gauss-legendre")
+            want.append(complex(acc))
+            lo = hi
+    return want
+
+
+def test_a_small_turning_row_primitive_matches_mpmath():
+    # the order-3 row at lam = -1e4 + i is about 1e-9 at r = 0.3, so an
+    # absolute tolerance of 1e-12 alone would settle its lanes early
+    sp = make_spectral(-1e4 + 1j)
+    xs = [0.05, 0.3, 1.3951645397425372, 2.840247886278447, 3.0]
+    got = spherical._row_primitive(3, sp, 0.3, xs)(np.array(xs))
+    for g, w in zip(got, _mp_primitive(3, sp, 0.3, xs)):
+        assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+
+
+def _ref_primitive(n, sp, r, xs):
+    """int_0^x K_r at each x >= 0 of xs, an offset at a time: the row's
+    panels below x and the panel [e, x] from the last edge e below x, each
+    a Gauss-Legendre sum from 16 nodes up, doubled until a lane moves by at
+    most max(1e-12, 1e-11 |value|), to 128 nodes; None where a lane does
+    not settle."""
+    edges = np.asarray(spherical._row_panels(r))
+    at = np.maximum(np.searchsorted(edges, xs, side="right") - 1, 0)
+    lo, hi = np.concatenate([edges[:-1], edges[at]]), np.concatenate([edges[1:], xs])
+    half, mid = 0.5 * (hi - lo)[:, None], 0.5 * (lo + hi)[:, None]
+    value = np.zeros(xs.size, dtype=complex)
+    done = np.zeros(xs.size, dtype=bool)
+    prev = None
+    for order in (16, 32, 64, 128):
+        x, w = np.polynomial.legendre.leggauss(order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (spherical._kernel_row(n, sp, r, mid + half * x) * (half * w)).sum(axis=1)
+            cur = np.concatenate([[0.0], np.cumsum(sums[: edges.size - 1])])[at] + sums[edges.size - 1 :]
+        if prev is not None:
+            gap = np.abs(cur - prev)
+            settled = ~done & np.isfinite(cur) & ((gap <= 1e-12) | (gap <= 1e-11 * np.abs(cur)))
+            value[settled] = cur[settled]
+            done |= settled
+        if done.all():
+            return value
+        prev = cur
+    return None
+
+
+@pytest.mark.parametrize("lam", [0, 2, -0.25, 1 + 1j, -1 + 0.5j, 0.3 - 2j, 5, -3000 + 1j, -1e4 + 1j, 1e3 + 1e3j])
+def test_the_row_primitive_matches_a_per_offset_quadrature(lam):
+    # 303 seeded offsets, among them 0, a small one and pi, at every order
+    # n <= 3 and radius: the same values within 1e-12 of the largest, and a
+    # refusal exactly where the reference refuses
+    rng = np.random.default_rng(27)
+    xs = np.sort(np.concatenate([rng.uniform(0.0, math.pi, 300), [0.0, 1e-3, math.pi]]))
+    sp = make_spectral(lam)
+    for n in range(4):
+        for r in (0.3, 0.7, 0.9, 0.99, 0.9999, 0.999999):
+            want = _ref_primitive(n, sp, r, xs)
+            try:
+                got = spherical._row_primitive(n, sp, r, xs)(xs)
+            except (NonConvergence, ResultOverflow):
+                got = None
+            assert (got is None) == (want is None), (n, r)
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, r)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1 + 0.5j, 1e3 + 1e3j])
+def test_a_rung_of_a_ladder_reads_as_the_rung_alone(lam):
+    # each offset is a lane of its own: its value does not depend on the
+    # other rungs of the ladder, nor on where their rows sit among its nodes
+    sp = make_spectral(lam)
+    xs = np.linspace(0.0, math.pi, 41)
+    rungs = [(0.9, xs), (0.99, xs[::3]), (0.3, xs[5:]), (0.9999, xs)]
+    for (r, x), primitive in zip(rungs, spherical._row_primitives(1, sp, rungs)):
+        assert primitive(x).tolist() == spherical._row_primitive(1, sp, r, x)(x).tolist()
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_scan_profile_agrees_with_quadrature(n, lam):
