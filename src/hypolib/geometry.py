@@ -59,8 +59,7 @@ def poisson_kernel(z: complex, xi):
 def poisson_radial_profile(r, phi):
     """P(r, e^{i phi}) as a function of the angular offset phi from the
     anchor; r is a radius, or an array of radii that broadcasts against phi."""
-    inside = (0.0 <= r) & (r < 1.0)
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     phi = np.asarray(phi, dtype=float)
     # 1 - r^2 as (1-r)(1+r), which keeps its digits near r = 1, over the

@@ -21,9 +21,9 @@ fixed rung each density is evaluated at the fan cells alone, by the
 transforms' density evaluator (transforms._density_values) over Phi_n(r):
 a trigonometric polynomial from the kernel row's Fourier modes R_k, and a
 density whose derivative is a constant plus jumps from the primitive of
-the row.  Each rung takes its modes once, and one quadrature over the
-whole ladder (spherical._row_primitives) gives every rung's primitive at
-every offset of every jump, from each rung's row on its own panels.
+the row.  Each rung takes its modes once, and one quadrature per run of
+rungs (spherical._row_primitives) gives every rung's primitive at every
+offset of every jump, from each rung's row on its own panels.
 """
 
 from __future__ import annotations
@@ -214,11 +214,11 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     computed once, and rungs inside the zero-free radius are skipped.
     Regions of one width and kind share their fan offsets.  The row's
     primitive at the offsets of every density's jumps from every fan cell
-    comes for every rung from one ladder quadrature
+    comes for every rung from one quadrature per run of rungs
     (spherical._row_primitives).  The rungs raise in ladder order, a rung's
     modes before its primitive, so the first refusal is the one a rung by
     rung sweep meets; the ladder takes only the rungs below the first whose
-    modes are refused.
+    modes are refused, and no density is evaluated after a refusal.
     """
     r_floor = _zero_free_cached(n, sp.lam)
     shared: dict[float, list[int]] = {}
@@ -258,11 +258,11 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
         primitives = _row_primitives(
             n, sp, [(r, np.concatenate([_wrapped(thetas, b) for b in jumps])) for r, *_, thetas in rungs]
         )
+    if refused is not None:
+        raise refused
 
     def rung(job) -> np.ndarray:
         (r, ks, row, fans, thetas), primitive = job
-        if isinstance(primitive, Exception):
-            raise primitive
         vals = np.abs([_field_at_radius(n, sp, thetas, g, r, row, primitive) for g in densities])
         sups = np.zeros((len(ks), len(densities), len(regions)))
         at = 0
@@ -277,8 +277,6 @@ def _region_sups(n: int, sp: SpectralParam, densities, regions, nets) -> list[np
     for (_, ks, *_), sups in zip(rungs, parallel_map(rung, list(zip(rungs, primitives)))):
         for k, sup in zip(ks, sups):
             out[k] = np.maximum(out[k], sup)
-    if refused is not None:
-        raise refused
     return out
 
 

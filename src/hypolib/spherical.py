@@ -18,8 +18,9 @@ normalized transform is a quotient of two results of one quadrature.  A
 density with jumps also takes the row's primitive int_0^x K_r, one lane
 per offset x, from the row on its own panels alone: the whole panels
 below x plus the integral of the row's Legendre interpolant on the panel
-that holds x (_row_primitives).  A maximal ladder takes every rung's
-offsets in one doubling, one row evaluation per step for all its rungs.
+that holds x (_row_primitives).  A maximal ladder takes its rungs' offsets
+in runs of up to _PRIMITIVE_LANES, one doubling per run and one row
+evaluation per step for all the rungs of a run.
 Next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on
 a dyadic panel, so the modes' doubling runs to 128 nodes per panel
 (_ROW_CAP), and the primitive's, whose interpolant needs about twice the
@@ -103,6 +104,10 @@ _ROW_CAP = 8 * _PANEL_ORDER
 # the same for the row's primitive, read off the Legendre interpolant of the
 # row on each panel, which needs about twice the nodes of the Gauss rule
 _PRIMITIVE_CAP = 2 * _ROW_CAP
+# offsets per doubling of the row's primitive: a lane holds about 30 doubles
+# across the doubling's arrays (235 bytes at the first step of a maximal
+# ladder), so a run of this many stays near _SWEEP_ELEMENTS doubles
+_PRIMITIVE_LANES = _SWEEP_ELEMENTS // 32
 
 
 def _kernel_row(n, sp, r, phi):
@@ -161,45 +166,14 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _row_primitive(n: int, sp: SpectralParam, r: float, xs) -> Callable:
     """x -> int_0^x K_r(t) dt for the offsets x among xs (|x| <= pi):
-    _row_primitives at the one rung, whose error it raises."""
-    (primitive,) = _row_primitives(n, sp, [(r, xs)])
-    if isinstance(primitive, Exception):
-        raise primitive
-    return primitive
+    _row_primitives at the one rung."""
+    return _row_primitives(n, sp, [(r, xs)])[0]
 
 
 def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
     """For each (r, xs) of rungs, x -> int_0^x K_r(t) dt for the offsets x
-    among xs (|x| <= pi), or the error that refused the rung at its first
-    failed offset: ResultOverflow or NonConvergence, naming n, lam and r.
-    The row is even, so the primitive is odd.  Each |x| is a lane of one
-    doubling (_primitive_lanes).  The rungs are taken in runs, one doubling
-    per run, whose offsets times the 33 Legendre degrees of the first
-    doubling step stay under numerics._SWEEP_ELEMENTS (or a run of one
-    rung), which bounds each run's arrays.
-    """
-    xss = [_distinct(np.abs(np.asarray(xs, dtype=float))) for _, xs in rungs]
-    budget = _SWEEP_ELEMENTS // (2 * _PANEL_ORDER + 1)
-    out: list = []
-    start = 0
-    while start < len(rungs):
-        stop, width = start + 1, xss[start].size
-        while stop < len(rungs) and width + xss[stop].size <= budget:
-            width += xss[stop].size
-            stop += 1
-        out += _primitive_lanes(n, sp, [float(r) for r, _ in rungs[start:stop]], xss[start:stop])
-        start = stop
-    return out
-
-
-def _odd_lookup(xs: np.ndarray, values: np.ndarray) -> Callable:
-    """x -> sign(x) times the value at |x|, for |x| among xs."""
-    return lambda x: np.sign(x) * values[np.searchsorted(xs, np.abs(x))]
-
-
-def _primitive_lanes(n: int, sp: SpectralParam, rs: list, xss: list) -> list:
-    """_row_primitives for the rows at the radii rs, at the sorted, distinct
-    offsets 0 <= x <= pi of xss, from one doubling with a lane per offset.
+    among xs (|x| <= pi).  The row is even, so the primitive is odd, and
+    each distinct |x| of each rung is a lane of one doubling.
 
     The rows are evaluated on their own panels (_row_panels) alone, every
     rung's in one _kernel_row call per doubling step.  The primitive at x
@@ -207,20 +181,30 @@ def _primitive_lanes(n: int, sp: SpectralParam, rs: list, xss: list) -> list:
     the row's Legendre interpolant on the panel [a, b] that holds x: with
     t the image of x in [-1, 1], (b - a)/2 sum_j c_j int_{-1}^t P_j
     (numerics._legendre_map, and numerics._legendre_integrals, one pass for
-    every order of a doubling step).  An x on a panel edge, pi among them,
-    takes the sums alone.  A degree m-1 interpolant needs about twice the
-    nodes the m-node Gauss rule needs on a turning row, so the lanes
-    double up to _PRIMITIVE_CAP.  Each lane is judged against its rung's
-    min(1, int_0^pi |K_r|), rounded down to a power of two that divides
-    the estimates exactly, and its value depends on no other offset and
-    no other rung.
+    every order of a doubling step, whose arrays are of the offsets' size).
+    An x on a panel edge, pi among them, takes the sums alone.  A degree
+    m-1 interpolant needs about twice the nodes the m-node Gauss rule needs
+    on a turning row, so the lanes double up to _PRIMITIVE_CAP.  Each lane
+    is judged against its rung's min(1, int_0^pi |K_r|), rounded down to a
+    power of two that divides the estimates exactly, and its value depends
+    on no other offset and no other rung.  A ladder of more than
+    _PRIMITIVE_LANES offsets is taken in runs of rungs, one doubling per
+    run.  The first rung with a failed offset raises ResultOverflow or
+    NonConvergence, naming n, lam and r.
     """
+    if not rungs:
+        return []
+    xss = [_distinct(np.abs(np.asarray(xs, dtype=float))) for _, xs in rungs]
+    sizes = [xs.size for xs in xss]
+    cut = max(1, int(np.searchsorted(np.cumsum(sizes), _PRIMITIVE_LANES, side="right")))
+    if cut < len(rungs):
+        return _row_primitives(n, sp, rungs[:cut]) + _row_primitives(n, sp, rungs[cut:])
+    rs = [float(r) for r, _ in rungs]
     edges = [np.asarray(_row_panels(r)) for r in rs]
     counts = np.array([e.size - 1 for e in edges])
     first = np.concatenate([[0], np.cumsum(counts)])  # each rung's first panel
     panels = np.concatenate([np.stack([e[:-1], e[1:]], axis=-1) for e in edges])
     radii = np.repeat(rs, counts)
-    sizes = [xs.size for xs in xss]
     rung = np.repeat(np.arange(len(rs)), sizes)
     x = np.concatenate(xss)
     # the last edge at or below each offset, and the panel that holds it
@@ -270,22 +254,15 @@ def _primitive_lanes(n: int, sp: SpectralParam, rs: list, xss: list) -> list:
         return out
 
     values, errors = _doubling(estimate, _PANEL_ORDER, _PRIMITIVE_CAP, x.size, _panel_failure)
-    values = values * scale[rung]
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    out = []
-    for i, r in enumerate(rs):
-        failed = [lane for lane in errors if bounds[i] <= lane < bounds[i + 1]]
-        if not failed:
-            out.append(_odd_lookup(xss[i], values[bounds[i] : bounds[i + 1]]))
-            continue
-        exc = errors[min(failed)]
-        where = f"order-{n} kernel row integral at lam = {sp.lam}, r = {r}: {exc}"
+    if errors:
+        lane = min(errors)
+        i, exc = rung[lane], errors[lane]
+        where = f"order-{n} kernel row integral at lam = {sp.lam}, r = {rs[i]}: {exc}"
         if isinstance(exc, NonConvergence):
-            estimates = tuple(v * scale[i] for v in exc.last_estimates)
-            out.append(NonConvergence(where, last_estimates=estimates))
-        else:
-            out.append(ResultOverflow(where))
-    return out
+            raise NonConvergence(where, last_estimates=tuple(v * scale[i] for v in exc.last_estimates))
+        raise ResultOverflow(where)
+    values = np.split(values * scale[rung], np.cumsum(sizes)[:-1])
+    return [lambda x, xs=xs, v=v: np.sign(x) * v[np.searchsorted(xs, np.abs(x))] for xs, v in zip(xss, values)]
 
 
 @lru_cache(maxsize=200_000)

@@ -170,16 +170,17 @@ def test_cumulative_panels_raise_typed_errors():
         _row_primitive(0, make_spectral(1e6), 0.9999, [0.5])
 
 
-def test_a_refused_rung_leaves_the_other_rungs_of_its_ladder():
-    # at lam = -3e4 + i the row turns too fast for the cap at r = 0.9, not at
-    # r = 0.3 or 0.5: only the middle rung of the ladder is refused
+def test_a_ladder_raises_at_its_first_refused_rung():
+    # at lam = -3e4 + i the row turns too fast for the cap at r = 0.9 and
+    # 0.99, not at r = 0.3 or 0.5: the ladder names the first refused rung
+    # in its own order
     sp = make_spectral(-3e4 + 1j)
     xs = np.array([0.5, 1.0, 3.0])
-    out = _row_primitives(0, sp, [(0.3, xs), (0.9, xs), (0.5, xs)])
-    assert isinstance(out[1], NonConvergence)
-    assert str(out[1]).startswith("order-0 kernel row integral at lam = (-30000+1j), r = 0.9: ")
-    for r, primitive in ((0.3, out[0]), (0.5, out[2])):
-        assert primitive(xs).tolist() == _row_primitive(0, sp, r, xs)(xs).tolist()
+    prefix = r"^order-0 kernel row integral at lam = \(-30000\+1j\), "
+    with pytest.raises(NonConvergence, match=prefix + r"r = 0.9: "):
+        _row_primitives(0, sp, [(0.3, xs), (0.9, xs), (0.5, xs), (0.99, xs)])
+    with pytest.raises(NonConvergence, match=prefix + r"r = 0.99: "):
+        _row_primitives(0, sp, [(0.5, xs), (0.99, xs), (0.9, xs)])
 
 
 def test_fd_laplacian_eigenrelation_for_kernel_powers():

@@ -324,6 +324,22 @@ def test_a_rung_of_a_ladder_reads_as_the_rung_alone(lam):
         assert primitive(x).tolist() == spherical._row_primitive(1, sp, r, x)(x).tolist()
 
 
+def test_a_long_ladder_is_taken_in_runs_of_rungs(monkeypatch):
+    # past _PRIMITIVE_LANES offsets the ladder splits into runs of whole
+    # rungs, at least one each, one doubling per run; the values do not move
+    sp = make_spectral(-1 + 0.5j)
+    xs = np.linspace(0.0, math.pi, 41)
+    rungs = [(0.9, xs), (0.99, xs[::3]), (0.3, xs[5:]), (0.9999, xs)]
+    whole = [p(x) for (_, x), p in zip(rungs, spherical._row_primitives(1, sp, rungs))]
+    runs = []
+    doubling = spherical._doubling
+    monkeypatch.setattr(spherical, "_PRIMITIVE_LANES", 60)
+    monkeypatch.setattr(spherical, "_doubling", lambda *a: runs.append(a[3]) or doubling(*a))
+    split = [p(x) for (_, x), p in zip(rungs, spherical._row_primitives(1, sp, rungs))]
+    assert runs == [41 + 14, 36, 41]
+    assert [v.tolist() for v in split] == [v.tolist() for v in whole]
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 1j, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_scan_profile_agrees_with_quadrature(n, lam):

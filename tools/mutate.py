@@ -16,7 +16,7 @@ the run times out.  Not part of the tier-1 suite: a run costs one pytest
 selection per mutant.
 
     python tools/mutate.py --workdir /tmp/mutants --seed 27 --count 24 \\
-        --target src/hypolib/spherical.py:_row_primitives,_primitive_lanes \\
+        --target src/hypolib/spherical.py:_row_primitive,_row_primitives \\
         --target src/hypolib/numerics.py:_legendre_map,_legendre_integrals \\
         -- tests/test_spherical.py tests/test_numerics.py tests/test_regions.py
 
@@ -42,6 +42,9 @@ SWAPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
 }
+# seconds a selection may run before its mutant counts as killed: a mutant
+# that stalls the quadrature never finishes, and a run takes well under this
+TIMEOUT = 300.0
 
 
 def _offsets(source: bytes) -> list[int]:
@@ -99,13 +102,13 @@ def candidates(path: Path, names: set[str]) -> list[tuple[int, int, bytes, str]]
     return sorted(out)
 
 
-def failing(workdir: Path, tests: list[str], timeout: float) -> set[str] | None:
+def failing(workdir: Path, tests: list[str]) -> set[str] | None:
     """The failing test ids of the selection in workdir, or None on a timeout."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
     try:
         run = subprocess.run(
             cmd, cwd=workdir, env={**os.environ, "PYTHONPATH": "src"},
-            capture_output=True, text=True, timeout=timeout,
+            capture_output=True, text=True, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return None
@@ -117,10 +120,9 @@ def main() -> int:
     parser.add_argument("--workdir", type=Path, required=True)
     parser.add_argument("--target", action="append", required=True,
                         help="FILE or FILE:func1,func2 (repeatable)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=20)
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("tests", nargs="*", default=["tests"])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--count", type=int, required=True)
+    parser.add_argument("tests", nargs="+", help="the pytest selection")
     args = parser.parse_args()
     workdir = args.workdir.resolve()
     if workdir == ROOT or ROOT in workdir.parents:
@@ -146,7 +148,7 @@ def main() -> int:
         if (ROOT / name).is_file():
             (workdir / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, workdir / name)
-    base = failing(workdir, args.tests, args.timeout)
+    base = failing(workdir, args.tests)
     if base is None:
         parser.error("the unmutated selection timed out")
     print(f"{len(pool)} candidate mutants, {len(mutants)} drawn; unmutated failures: {sorted(base)}")
@@ -157,7 +159,7 @@ def main() -> int:
         original = path.read_bytes()
         path.write_bytes(original[:a] + new + original[b:])
         try:
-            got = failing(workdir, args.tests, args.timeout)
+            got = failing(workdir, args.tests)
         finally:
             path.write_bytes(original)
         verdict = "killed (timeout)" if got is None else "killed" if got != base else "survived"
