@@ -30,7 +30,6 @@ _EXPORTS = {
     ),
     "geometry": (
         "RadialFrame",
-        "poisson_kernel",
         "poisson_radial_profile",
     ),
     "kernels": (

@@ -3,7 +3,10 @@
 Points live in the open unit disk D = {|z| < 1}, boundary points are angles
 phi with xi = e^{i phi}.  The Poisson kernel is
 
-    P(z, xi) = (1 - |z|^2) / |xi - z|^2.
+    P(z, xi) = (1 - |z|^2) / |xi - z|^2,
+
+a function of |z| and the angle from xi to z alone: poisson_radial_profile
+is the one formula for it, which every kernel value takes.
 
 For radial points the shorthand used all over the numerics is
 R = log((1+r)/(1-r)), the hyperbolic distance from r to the origin, and
@@ -21,7 +24,6 @@ import numpy as np
 __all__ = [
     "RadialFrame",
     "ensure_disk",
-    "poisson_kernel",
     "poisson_radial_profile",
 ]
 
@@ -46,14 +48,6 @@ class RadialFrame:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"radius must lie in [0, 1), got {r}")
         return cls(r=r, R=math.log1p(r) - math.log1p(-r), tau=2.0 * math.sqrt(r) / (1.0 - r))
-
-
-def poisson_kernel(z: complex, xi):
-    """P(z, xi) for a disk point z and boundary point(s) xi on the circle."""
-    z = ensure_disk(z, "z")
-    xi = np.asarray(xi, dtype=complex)
-    out = (1.0 - abs(z) ** 2) / np.abs(xi - z) ** 2
-    return out if out.ndim else float(out)
 
 
 def poisson_radial_profile(r, phi):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainBroken, ResultOverflow
-from .geometry import ensure_disk, poisson_kernel
+from .geometry import ensure_disk, poisson_radial_profile
 from .numerics import fd_laplacian
 from .polynomials import ComplexPoly
 
@@ -75,16 +75,6 @@ def make_spectral(lam: complex) -> SpectralParam:
         return SpectralParam(lam=lam, mu=mu, kind=FORBIDDEN, lam_star=None)
     mu = cmath.sqrt(w)
     return SpectralParam(lam=lam, mu=mu, kind=GENERIC, lam_star=mu.real**2 - 0.25)
-
-
-def _xi_point(xi):
-    """Boundary point e^{i xi} for a real angle or angle array."""
-    arr = np.asarray(xi)
-    if np.iscomplexobj(arr):
-        raise TypeError("xi must be a boundary angle in radians, not a complex point")
-    if arr.ndim:
-        return np.exp(1j * arr.astype(float))
-    return cmath.exp(1j * float(arr))
 
 
 def _in_double_range(what: str, n: int, sp: SpectralParam, value, zero_ok: bool = False):
@@ -142,12 +132,15 @@ def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
     """Order-n member of the graded kernel family at spectral parameter sp.
 
     Equals g_n(log P) P^{mu+1/2} with g_n from kernel_poly; order 0 is the
-    base eigenkernel itself.  xi is an angle, giving a complex value, or an
-    angle array, giving an array that is real where the kernel is
-    (_graded_values).  Raises ResultOverflow where a value does not fit in
-    a double.
+    base eigenkernel itself, and P the radial profile at |z| and arg z - xi.
+    xi is an angle, giving a complex value, or an angle array, giving an
+    array that is real where the kernel is (_graded_values).  Raises
+    ResultOverflow where a value does not fit in a double.
     """
-    p = poisson_kernel(z, _xi_point(xi))
+    if np.iscomplexobj(xi):
+        raise TypeError("xi must be a boundary angle in radians, not a complex point")
+    z = ensure_disk(z, "z")
+    p = poisson_radial_profile(abs(z), cmath.phase(z) - np.asarray(xi, dtype=float))
     value = _graded_values(kernel_poly(n, sp), sp, p)
     if isinstance(p, np.ndarray):
         if np.isfinite(value).all():

@@ -755,6 +755,8 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     L = np.log1p(-x)  # log(1 - x) = -log(1 - y)
     w = 1.0 / (1.0 - x)  # 1 - y
     ratio = np.ones(x.size)
+    # a lane past double range comes out non-finite, one that cancels to 0
+    # gets an infinite ratio, and _check_lanes refuses either below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if order == 0:
             out = np.empty(x.shape, dtype=complex)

@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HypolibError, NonConvergence, RatioDiverging
+from .errors import HypolibError, RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
-from .spherical import _kernel_modes, _row_primitives
+from .spherical import _row_primitives
 from .transforms import (
     Atoms,
     BoundaryDatum,
@@ -45,6 +45,7 @@ from .transforms import (
     Mixture,
     _density_values,
     _normalizer,
+    _row_modes,
     _sweep,
     _wrapped,
     _zero_free_cached,
@@ -169,19 +170,12 @@ def _grid_size(r: float) -> int:
 
 @lru_cache(maxsize=4)
 def _row_fft(n: int, lam: complex, r: float, top: int) -> np.ndarray:
-    """The kernel row's modes R_0..R_top at one rung: R_0 = Phi_n(r), the
-    row's circle mean, as the normalization takes it, then R_1..R_top
-    (spherical._kernel_modes), whose NonConvergence names n, lam and r."""
+    """The kernel row's modes R_0..R_top at one rung, as every circle takes
+    them (transforms._row_modes, whose R_0 is Phi_n(r)), once the
+    normalization has passed the rung (transforms._normalizer)."""
     sp = make_spectral(lam)
-    phi = _normalizer(n, sp, r)
-    try:
-        rest = _kernel_modes(n, sp, r, range(1, top + 1))
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"order-{n} kernel row modes at lam = {sp.lam}, r = {r}: {exc}",
-            last_estimates=exc.last_estimates,
-        ) from exc
-    out = np.concatenate([[phi], rest])
+    _normalizer(n, sp, r)
+    out = _row_modes(n, sp, r, range(top + 1))
     out.setflags(write=False)
     return out
 
@@ -192,8 +186,9 @@ def _field_at_radius(
     """Normalized order-n transform of the real density g at the angles
     thetas on |z| = r: transforms._density_values from the rung's modes
     (_row_fft) and the row's primitive at the offsets of every jump
-    (spherical._row_primitives), over Phi_n(r) = row[0]."""
-    return _density_values(n, sp, g, r, thetas, row, primitive) / row[0]
+    (spherical._row_primitives), over Phi_n(r) = row[0]: a quotient of one
+    number by itself where g is 1."""
+    return _density_values(g, thetas, row, primitive) / row[0]
 
 
 def _angular_offsets(region: AdmissibleRegion, r: float, count: int) -> np.ndarray:
@@ -332,8 +327,7 @@ def maximal_inequality_probe(
     def ratios(sups: np.ndarray) -> tuple[tuple[str, float], ...]:
         rows = []
         for (test_id, _, hl), sup in zip(tests, sups):
-            with np.errstate(divide="ignore"):
-                rows.append((test_id, float(np.max(np.where(hl > 0, sup / hl, 0.0)))))
+            rows.append((test_id, float(np.max(np.divide(sup, hl, out=np.zeros_like(sup), where=hl > 0)))))
         return tuple(rows)
 
     densities = [g for _, g, _ in tests]

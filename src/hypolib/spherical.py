@@ -267,25 +267,24 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
 
 @lru_cache(maxsize=200_000)
 def _spherical_cached(n: int, lam: complex, r: float) -> complex:
-    """Phi_n(r), mode 0 of the order-n kernel row (_kernel_modes).  An
-    order whose kernel coefficient leaves double range is refused by
-    kernel_poly before any quadrature.  Where the mean does not fit in a
-    double it raises ResultOverflow, and where the quadrature does not
-    stabilize NonConvergence, each naming n, lam and r."""
+    """Phi_n(r), mode 0 of the order-n kernel row (_kernel_modes): one
+    cached number for the R_0 of every circle (transforms._row_modes) and
+    the mean its normalization divides by.  An order whose kernel
+    coefficient leaves double range is refused by kernel_poly before any
+    quadrature.  Where the mean does not fit in a double it raises
+    ResultOverflow, and where the quadrature does not stabilize
+    NonConvergence, each naming n, lam and r."""
     sp = make_spectral(lam)
     kernel_poly(n, sp)
     try:
-        value = complex(_kernel_modes(n, sp, r, [0])[0])
-        if cmath.isfinite(value):
-            return value
-    except ResultOverflow:
-        pass
+        return complex(_kernel_modes(n, sp, r, [0])[0])
+    except ResultOverflow as exc:
+        raise ResultOverflow(f"Phi_{n} at lam = {lam} does not fit in a double at r = {r!r}") from exc
     except NonConvergence as exc:
         raise NonConvergence(
             f"Phi_{n} at lam = {lam} did not converge at r = {r!r}: {exc}",
             last_estimates=exc.last_estimates,
         ) from exc
-    raise ResultOverflow(f"Phi_{n} at lam = {lam} does not fit in a double at r = {r!r}")
 
 
 def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
@@ -347,6 +346,8 @@ def closed_form_many(rs, sp: SpectralParam, n: int = 0) -> np.ndarray:
         return jets
     if sp.kind == CRITICAL:
         return jets[order]
+    # a lane past double range comes out infinite or NaN, and the check
+    # below refuses the first such radius with ResultOverflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = jets[n] / (2.0 * sp.mu) ** n
     bad = np.flatnonzero(~np.isfinite(out))

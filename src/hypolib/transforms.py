@@ -13,25 +13,24 @@ atom of weight w at psi0 contributes nu_m = conj(w) e^{-i m psi0}.
 The order-n transform integrates the graded kernel against the datum;
 `normalized` divides by the circle mean of the kernel at |z|, the quantity
 that makes boundary limits meaningful.  That mean is Phi_n, mode 0 of the
-kernel row (spherical_function): the same quadrature engine as the
-transform's own modes (spherical._kernel_modes), in a call of its own, and
-on other panels once the transform's top mode is 2 or more.  Normalization
-refuses radii below the kernel's zero-free radius.
+kernel row (spherical_function), and the very number every transform on
+the circle takes as its R_0 (_row_modes), so the normalized unit density
+is exactly 1.  Normalization refuses radii below the zero-free radius.
 
 Transforms are computed one circle at a time: a sweep (_sweep) takes its
 points as (r, theta) and groups them by the radius r the caller gave.  On
 |z| = r the transform's mode k is R_|k| nu^_k, the kernel row's mode
-(spherical._kernel_modes, one panel quadrature) times the datum's
-(_datum_modes, exact for every datum: a Density carries its modes in
-closed form).  Fourier data and the weak-star pairings of every datum are
-read off these, and so is every density (_density_values): a
+(_row_modes: Phi_n, and one panel quadrature for the modes past 0) times
+the datum's (_datum_modes, exact for every datum: a Density carries its
+modes in closed form).  Fourier data and the weak-star pairings of every
+datum are read off these, and so is every density (_density_values): a
 trigonometric polynomial from the row's modes, a density with jumps from
-its mode 0 and the row's primitive (spherical._row_primitive, the
-ladder quadrature of spherical._row_primitives at one rung), so a circle
-of a density takes one or two row quadratures however many points it
-has.  The maximal sweeps of regions take the same evaluator at each rung,
-with every rung's primitive from one ladder.  Atoms take the kernel at
-each point.  poisson_transform is the one-point sweep.
+R_0 and the row's primitive (spherical._row_primitive, the ladder
+quadrature of spherical._row_primitives at one rung), however many
+points the circle has.  The maximal sweeps of regions take the same
+evaluator at each rung.  Atoms take the kernel row itself
+(spherical._kernel_row) at each point's offset from the atom.
+poisson_transform is the one-point sweep.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
-from .kernels import FORBIDDEN, SpectralParam, make_spectral, polyharmonic_kernel
-from .spherical import _distinct, _kernel_modes, _row_primitive, spherical_function, zero_free_radius
+from .kernels import FORBIDDEN, SpectralParam, make_spectral
+from .spherical import _kernel_modes, _kernel_row, _row_primitive, spherical_function, zero_free_radius
 
 __all__ = [
     "FourierSeq",
@@ -216,10 +215,20 @@ def _check_radii(radii) -> None:
 
 
 def _row_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
-    """R_|k| for each integer k of ks, from one _kernel_modes call."""
-    ks = np.abs(np.asarray(ks, dtype=int))
-    top = _distinct(ks)
-    return _kernel_modes(n, sp, r, top)[np.searchsorted(top, ks)]
+    """R_|k| for each integer k of ks, the one place a circle takes its
+    row's modes: R_0 is Phi_n(r) (spherical_function), the number the
+    normalization divides by, and the modes past 0 come from one
+    _kernel_modes call, whose NonConvergence names n, lam and r."""
+    ks = [abs(int(k)) for k in ks]
+    past = sorted(set(ks) - {0})
+    modes = {0: spherical_function(n, r, sp)} if 0 in ks else {}
+    if past:
+        try:
+            modes.update(zip(past, _kernel_modes(n, sp, r, past)))
+        except NonConvergence as exc:
+            where = f"order-{n} kernel row modes at lam = {sp.lam}, r = {r}: {exc}"
+            raise NonConvergence(where, last_estimates=exc.last_estimates) from exc
+    return np.array([modes[k] for k in ks], dtype=complex)
 
 
 def _datum_modes(datum, ks) -> np.ndarray:
@@ -259,14 +268,12 @@ def _wrapped(thetas: np.ndarray, b: float) -> np.ndarray:
     return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
 
 
-def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=None) -> np.ndarray:
-    """Order-n transform of the real density g at the angles thetas on
-    |z| = r.
-
-    row holds the kernel row's modes R_0, R_1, ... (_kernel_modes) and
-    primitive the row's primitive at the offset of every jump from every
-    angle (spherical._row_primitive); either is computed here when not
-    given.  A trigonometric polynomial {k >= 0: c_k} sums
+def _density_values(g: Density, thetas, row, primitive) -> np.ndarray:
+    """Transform of the real density g at the angles thetas on a circle,
+    from the circle's kernel row: row holds its modes R_0, R_1, ... up to
+    g's top mode (_row_modes), and primitive its primitive at the offset of
+    every jump from every angle (spherical._row_primitive), or is None for
+    a density without jumps.  A trigonometric polynomial {k >= 0: c_k} sums
     c_0 R_0 + sum_k R_k 2 Re(c_k e^{ik theta}): the row is even and g real,
     so mode -k pairs R_k with conj(c_k).  A density whose derivative is a
     constant plus jumps J_i at angles b_i, whose modes are therefore
@@ -277,52 +284,51 @@ def _density_values(n, sp, g: Density, r: float, thetas, row=None, primitive=Non
     x_i = theta - b_i wrapped into [-pi, pi].
     """
     thetas = np.asarray(thetas, dtype=float)
-    table = g.modes if isinstance(g.modes, dict) else None
-    if row is None:
-        top = max(table, default=0) if table is not None else 0
-        row = _kernel_modes(n, sp, r, range(top + 1))
-    if table is not None:
-        acc = np.full(thetas.shape, complex(table.get(0, 0.0)) * row[0])
-        for k, c in table.items():
+    if isinstance(g.modes, dict):
+        acc = np.full(thetas.shape, complex(g.modes.get(0, 0.0)) * row[0])
+        for k, c in g.modes.items():
             if k:
                 acc += row[k] * (2.0 * (c * np.exp(1j * k * thetas)).real)
         return acc
-    offsets = [_wrapped(thetas, b) for b, _ in g.jumps]
-    if primitive is None:
-        primitive = _row_primitive(n, sp, r, np.concatenate(offsets))
     acc = np.full(thetas.shape, complex(g.modes(np.zeros(1, dtype=int))[0]) * row[0])
-    for (_, jump), x in zip(g.jumps, offsets):
+    for b, jump in g.jumps:
+        x = _wrapped(thetas, b)
         acc += jump / (2.0 * math.pi) * (primitive(x) - row[0] * x)
     return acc
 
 
 def _circle_values(n, sp, datum, r: float, thetas: list) -> tuple[np.ndarray, dict]:
     """Order-n transform of the datum at the points r e^{i theta}, theta in
-    thetas, with {index: error} for the points where an atom's kernel does
+    thetas, with {index: error} for the points where the atoms' sum does
     not fit in a double; a row quadrature that fails raises for the circle.
 
-    A density takes _density_values; Fourier data take the kernel row's
-    modes they need once (_kernel_modes); atoms the kernel at each point.
-    """
+    Every datum reads the kernel row K_r: a density its modes (_row_modes)
+    and primitive (_density_values), Fourier data the modes they need, and
+    atoms the row itself at each angle's offset from each atom."""
+    thetas = np.asarray(thetas, dtype=float)
     if isinstance(datum, Density):
-        return _density_values(n, sp, datum, r, thetas), {}
-    values = np.zeros(len(thetas), dtype=complex)
+        top = max(datum.modes, default=0) if isinstance(datum.modes, dict) else 0
+        row = _row_modes(n, sp, r, range(top + 1))
+        primitive = None
+        if datum.jumps:
+            primitive = _row_primitive(n, sp, r, np.concatenate([_wrapped(thetas, b) for b, _ in datum.jumps]))
+        return _density_values(datum, thetas, row, primitive), {}
+    values = np.zeros(thetas.size, dtype=complex)
     errors: dict = {}
     if isinstance(datum, Atoms):
-        for i, theta in enumerate(thetas):
-            z = cmath.rect(r, theta)
-            try:
-                values[i] = sum(
-                    (complex(w) * polyharmonic_kernel(n, z, float(ang), sp) for ang, w in datum.points),
-                    0j,
-                )
-            except ResultOverflow as exc:
-                errors[i] = exc
+        for ang, w in datum.points:
+            row = _kernel_row(n, sp, r, _wrapped(thetas, float(ang)))
+            # a row value past double range leaves its point's sum non-finite,
+            # which is refused below, so the product need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                values += complex(w) * row
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            z = cmath.rect(r, thetas[i])
+            errors[i] = ResultOverflow(f"the order-{n} kernel at lam = {sp.lam} does not fit in a double at z = {z}")
     elif isinstance(datum, FourierSeq):
-        ks = [-m for m in datum.coeffs]
+        ks = np.array([-m for m in datum.coeffs], dtype=int)
         terms = _row_modes(n, sp, r, ks) * _datum_modes(datum, ks)
-        for i, theta in enumerate(thetas):
-            values[i] = complex(sum((t * cmath.exp(1j * k * theta) for k, t in zip(ks, terms)), 0j))
+        values = (terms * np.exp(1j * np.multiply.outer(thetas, ks))).sum(axis=1)
     elif isinstance(datum, Mixture):
         for part in (datum.density, datum.atoms):
             if part is not None:
@@ -469,6 +475,8 @@ def riquier_solve(sp: SpectralParam, gs):
 # else _PROBE_ANGLES; and the modes of its weak-star pairings
 _PROBE_ANGLES = 24
 _LP_ANGLES = 64
+# the power p of the Lp probe's discrete L^p distance
+_LP_POWER = 2.0
 _PAIRING_MODES = range(-3, 4)
 
 
@@ -478,13 +486,13 @@ def convergence_probe(
     datum: BoundaryDatum,
     mode: str,
     radii=(0.9, 0.99, 0.999),
-    p: float = 2.0,
 ) -> dict:
     """Empirical boundary-convergence report.
 
     uniform: sup over xi of |normalized - g| per radius (continuous g).
     pointwise-ae: same rows but only at angles away from the jumps.
-    Lp: discrete L^p distance between the normalized field and g per radius.
+    Lp: discrete L^p distance, p = _LP_POWER, between the normalized field
+    and g per radius.
     weak-star: pairings of the normalized field against e^{i k phi} per
     radius and |k| <= 3, R_|k| nu^_k / Phi_n(r) from the kernel row's modes
     (_row_modes) and the datum's (_datum_modes); they tend to the datum's
@@ -518,7 +526,7 @@ def convergence_probe(
     for i, r in enumerate(radii):
         errs = [abs(v - t) for v, t in zip(swept[i * len(targets) :], targets)]
         if mode == "Lp":
-            lp = float(np.mean([e**p for e in errs])) ** (1.0 / p)
+            lp = float(np.mean([e**_LP_POWER for e in errs])) ** (1.0 / _LP_POWER)
             report["rows"].append({"r": r, "lp_error": lp})
         else:
             report["rows"].append({"r": r, "sup_error": max(errs)})

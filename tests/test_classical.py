@@ -43,15 +43,15 @@ def brute_weight(n: int, r: float) -> float:
 
 def test_weight_at_zero_is_the_harmonic_number():
     assert radial_log_weight(0, 0.0) == 0.0
-    assert radial_log_weight(3, 0.0) == pytest.approx(1 + 0.5 + 1 / 3, rel=1e-14)
+    assert radial_log_weight(3, 0.0) == pytest.approx(1 + 0.5 + 1 / 3, rel=1e-14, abs=0)
 
 
 def test_weight_closed_forms():
     for r in (0.2, 0.7, 0.99):
-        assert radial_log_weight(0, r) == pytest.approx(-math.log1p(-r * r), rel=1e-13)
+        assert radial_log_weight(0, r) == pytest.approx(-math.log1p(-r * r), rel=1e-13, abs=0)
         # exact identity: the order-1 weight is the order-0 one over r^2
         assert radial_log_weight(1, r) == pytest.approx(
-            radial_log_weight(0, r) / (r * r), rel=1e-13
+            radial_log_weight(0, r) / (r * r), rel=1e-13, abs=0
         )
 
 
@@ -73,7 +73,7 @@ def test_block_sums_match_the_lerch_transcendent(n, r):
     mp.mp.dps = 40
     x = mp.mpf(r * r)
     want = mp.harmonic(n) + x * mp.lerchphi(x, 1, n + 1)
-    assert radial_log_weight(n, r) == pytest.approx(float(want), rel=1e-14)
+    assert radial_log_weight(n, r) == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n,r", [(20_000, 0.96), (10**6, 0.95), (10**7, 0.99)])
@@ -145,7 +145,7 @@ def test_the_gap_series_probes_refuse_radii_outside_the_open_interval(radius):
 def test_circle_sup_frozen_value():
     spec = demo_lacunary_spec()
     sup = lacunary_circle_sup(2, spec, grid_size=1 << 16)
-    assert sup.radius == pytest.approx(1.0 - 2.0 ** (-2 * math.sqrt(2)), rel=1e-14)
+    assert sup.radius == pytest.approx(1.0 - 2.0 ** (-2 * math.sqrt(2)), rel=1e-14, abs=0)
     assert sup.value == pytest.approx(6.8995033096161391, rel=1e-9)
 
 
@@ -250,7 +250,7 @@ def test_witness_points_push_past_unit_scale():
         stride = 1 << math.factorial(N)
         assert w.z**stride == pytest.approx(w.spiral_point, rel=1e-10)
         assert w.poly_value == pytest.approx(
-            spec.poly.evaluate(w.spiral_point), rel=1e-12
+            spec.poly.evaluate(w.spiral_point), rel=1e-12, abs=0
         )
 
 

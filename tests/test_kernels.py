@@ -34,10 +34,10 @@ def test_spectral_rejects_non_finite_lambda():
 
 
 def test_spectral_mu_values():
-    assert make_spectral(2.0).mu == pytest.approx(1.5, rel=1e-14)
+    assert make_spectral(2.0).mu == pytest.approx(1.5, rel=1e-14, abs=0)
     assert make_spectral(-0.25).mu == 0j
-    assert make_spectral(-1.0).mu == pytest.approx(1j * math.sqrt(0.75), rel=1e-14)
-    assert make_spectral(1j).mu == pytest.approx(MU_AT_I, rel=1e-13)
+    assert make_spectral(-1.0).mu == pytest.approx(1j * math.sqrt(0.75), rel=1e-14, abs=0)
+    assert make_spectral(1j).mu == pytest.approx(MU_AT_I, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("lam", [3.0, -0.2, 1j, -2 + 0.5j, -5 - 1j])
@@ -50,7 +50,7 @@ def test_mu_round_trip_and_principal_branch(lam):
 
 def test_lam_star_is_real_part_spectrum():
     sp = make_spectral(1j)
-    assert sp.lam_star == pytest.approx(MU_AT_I.real**2 - 0.25, rel=1e-12)
+    assert sp.lam_star == pytest.approx(MU_AT_I.real**2 - 0.25, rel=1e-12, abs=0)
     assert make_spectral(-1.0).lam_star is None
 
 
@@ -58,7 +58,7 @@ def test_kernel_poly_generic_coefficients():
     sp = make_spectral(2.0)  # mu = 3/2
     g2 = kernel_poly(2, sp)
     # w^2 / (2! (2 mu)^2) = w^2 / 18
-    assert g2.evaluate(1.0) == pytest.approx(1.0 / 18.0, rel=1e-14)
+    assert g2.evaluate(1.0) == pytest.approx(1.0 / 18.0, rel=1e-14, abs=0)
     assert len(g2.coeffs) == 3
 
 
@@ -66,7 +66,7 @@ def test_kernel_poly_critical_uses_doubled_degree():
     sp = make_spectral(-0.25)
     g1 = kernel_poly(1, sp)
     assert len(g1.coeffs) == 3
-    assert g1.evaluate(2.0) == pytest.approx(2.0, rel=1e-14)  # w^2/2 at w=2
+    assert g1.evaluate(2.0) == pytest.approx(2.0, rel=1e-14, abs=0)  # w^2/2 at w=2
 
 
 def test_kernel_poly_coefficient_in_double_range():
@@ -101,13 +101,13 @@ def test_polyharmonic_kernel_matches_manual_formula():
     for lam in (2.0, 1j):
         sp = make_spectral(lam)
         want0 = cmath.exp(sp.exponent * math.log(p))
-        assert polyharmonic_kernel(0, z, xi_angle, sp) == pytest.approx(want0, rel=1e-13)
+        assert polyharmonic_kernel(0, z, xi_angle, sp) == pytest.approx(want0, rel=1e-13, abs=0)
         g1 = math.log(p) / (2.0 * sp.mu)
         assert polyharmonic_kernel(1, z, xi_angle, sp) == pytest.approx(
-            g1 * want0, rel=1e-13
+            g1 * want0, rel=1e-13, abs=0
         )
     assert polyharmonic_kernel(0, z, xi_angle, make_spectral(2.0)) == pytest.approx(
-        p**2, rel=1e-13
+        p**2, rel=1e-13, abs=0
     )
 
 
@@ -123,7 +123,7 @@ def test_kernel_accepts_angle_arrays():
     vals = polyharmonic_kernel(1, 0.4 + 0.1j, angles, sp)
     assert vals.shape == angles.shape
     single = polyharmonic_kernel(1, 0.4 + 0.1j, float(angles[3]), sp)
-    assert vals[3] == pytest.approx(single, rel=1e-13)
+    assert vals[3] == pytest.approx(single, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5, 1j, 1 + 1j, -0.25, -1.0])
@@ -142,7 +142,7 @@ def test_reduce_step_drops_one_degree_and_closes():
     # one step from order 1 lands exactly on the constant 1
     final = reduce_step(kernel_poly(1, sp), sp)
     assert len(final.coeffs) == 1
-    assert final.evaluate(0.0) == pytest.approx(1.0, rel=1e-14)
+    assert final.evaluate(0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("lam", [2.0, -0.25, 1j])

@@ -14,7 +14,7 @@ EXPORTS = {
         "NormalizationUnavailable", "PrecisionLoss", "RatioDiverging", "ResultOverflow",
         "ScanInconclusive", "StencilOutOfDomain", "TruncationWarning",
     ],
-    "geometry": ["RadialFrame", "poisson_kernel", "poisson_radial_profile"],
+    "geometry": ["RadialFrame", "poisson_radial_profile"],
     "kernels": [
         "CRITICAL", "FORBIDDEN", "GENERIC", "SpectralParam", "kernel_poly", "make_spectral",
         "polyharmonic_kernel", "reduce_step", "verify_reduce_chain",

@@ -11,7 +11,7 @@ def test_evaluate_matches_numpy_polyval():
     p = ComplexPoly.from_coeffs(coeffs)
     for z in (0.0, 1.0, -0.3 + 0.7j, 2.5j):
         want = np.polyval(list(reversed(coeffs)), z)
-        assert p.evaluate(z) == pytest.approx(want, rel=1e-14)
+        assert p.evaluate(z) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_evaluate_accepts_arrays():
@@ -31,15 +31,15 @@ def test_differentiate_power_rule():
     p = ComplexPoly.from_coeffs((1.0, 1.0, 1.0, 1.0))  # 1 + w + w^2 + w^3
     dp = p.differentiate()
     for z in (0.5, -1.2j):
-        assert dp.evaluate(z) == pytest.approx(1 + 2 * z + 3 * z**2, rel=1e-14)
+        assert dp.evaluate(z) == pytest.approx(1 + 2 * z + 3 * z**2, rel=1e-14, abs=0)
 
 
 def test_add_scale_zero():
     p = ComplexPoly.from_coeffs((1.0, 2.0))
     q = ComplexPoly.from_coeffs((0.0, -2.0, 4.0))
     s = p.add(q)
-    assert s.evaluate(1.5) == pytest.approx(p.evaluate(1.5) + q.evaluate(1.5), rel=1e-14)
-    assert p.scale(3.0).evaluate(2.0) == pytest.approx(3.0 * p.evaluate(2.0), rel=1e-14)
+    assert s.evaluate(1.5) == pytest.approx(p.evaluate(1.5) + q.evaluate(1.5), rel=1e-14, abs=0)
+    assert p.scale(3.0).evaluate(2.0) == pytest.approx(3.0 * p.evaluate(2.0), rel=1e-14, abs=0)
     z = p.add(p.scale(-1.0))
     assert z.coeffs == (0j,)
 

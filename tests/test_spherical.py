@@ -42,13 +42,13 @@ def test_mean_of_squared_kernel_is_rational():
     sp = make_spectral(2.0)
     for r in (0.0, 0.3, 0.9, 0.99):
         want = (1 + r * r) / (1 - r * r)
-        assert spherical_function(0, r, sp) == pytest.approx(want, rel=1e-12)
+        assert spherical_function(0, r, sp) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_mean_of_plain_kernel_is_one():
     sp = make_spectral(0.0)
     for r in (0.2, 0.95):
-        assert spherical_function(0, r, sp) == pytest.approx(1.0, rel=1e-12)
+        assert spherical_function(0, r, sp) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_frozen_means_at_complex_and_critical_values():
@@ -94,7 +94,7 @@ def test_closed_form_many_matches_scalar_and_the_oracle_near_the_boundary():
     rs = np.array([0.2, 0.6, 0.95, 0.9996, 1.0 - 1e-8])
     batch = closed_form_many(rs, sp)
     for r, v in zip(rs, batch):
-        assert v == pytest.approx(closed_form(float(r), sp), rel=1e-14)
+        assert v == pytest.approx(closed_form(float(r), sp), rel=1e-14, abs=0)
     _assert_matches_oracle(rs, sp)
 
 
@@ -513,7 +513,7 @@ def test_zero_free_radius_and_abs_mean():
     zf = zero_free_radius(0, sp)
     assert 0.0 <= zf.r_min < 0.5
     # the kernel is positive, so the mean of |kernel| is |Phi_0|
-    assert _abs_mean(0, 0.6, sp) == pytest.approx(abs(spherical_function(0, 0.6, sp)), rel=1e-12)
+    assert _abs_mean(0, 0.6, sp) == pytest.approx(abs(spherical_function(0, 0.6, sp)), rel=1e-12, abs=0)
 
 
 def _dips_at(monkeypatch, n, sp, dips) -> np.ndarray:

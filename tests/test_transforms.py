@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
@@ -132,7 +133,7 @@ def test_atom_transform_is_a_kernel_evaluation():
     z = 0.45 * cmath.exp(-0.2j)
     res = poisson_transform(1, sp, datum, z, normalize=False)
     want = (2.0 - 1.0j) * polyharmonic_kernel(1, z, 0.9, sp)
-    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_fourier_datum_matches_density_transform():
@@ -263,9 +264,7 @@ def test_convergence_probe_uniform_shrinks():
 
 def test_convergence_probe_lp_handles_jumps():
     sp = make_spectral(0.0)
-    rep = convergence_probe(
-        0, sp, density_preset("sawtooth"), "Lp", radii=(0.9, 0.99), p=2.0
-    )
+    rep = convergence_probe(0, sp, density_preset("sawtooth"), "Lp", radii=(0.9, 0.99))
     errs = [row["lp_error"] for row in rep["rows"]]
     assert errs[1] < errs[0]
 
@@ -278,6 +277,27 @@ def test_weak_star_pairings_of_a_unit_atom():
     for row in rep["rows"]:
         for k, v in row["pairings"].items():
             assert abs(v - row["r"] ** abs(k) * cmath.exp(-1j * k * xi)) < 1e-12
+
+
+@pytest.mark.parametrize("lam,n", [(0.0, 0), (2.0, 0), (-0.25, 1)])
+def test_a_unit_atom_pairs_to_exactly_one_at_mode_0(lam, n):
+    # the pairing's R_0 is the Phi_n it divides by, one cached number
+    rep = convergence_probe(n, make_spectral(lam), Atoms(((0.0, 1.0),)), "weak-star", radii=(0.9, 0.99, 0.999))
+    assert [row["pairings"][0] for row in rep["rows"]] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("r", [0.99, 0.9999, 0.999999])
+def test_an_atom_transform_keeps_its_digits_next_to_the_circle(r):
+    # at lam = 0 the order-0 transform of an atom of mass 1 at angle c is
+    # the Poisson kernel itself; at exact (r, theta) it matches 40 digits
+    c = 0.3
+    thetas = [c, c + 1e-7, c - 1e-4, c + 0.01, 1.3, c + math.pi]
+    got = _sweep(0, make_spectral(0.0), Atoms(((c, 1.0),)), [(r, t) for t in thetas], normalize=False)
+    with mpmath.workdps(40):
+        for (value, _), t in zip(got, thetas):
+            rr, phi = mpmath.mpf(r), mpmath.mpf(t) - mpmath.mpf(c)
+            want = float((1 - rr**2) / (1 - 2 * rr * mpmath.cos(phi) + rr**2))
+            assert abs(value - want) <= 1e-14 * want, (r, t, value, want)
 
 
 @pytest.mark.parametrize(
@@ -454,12 +474,13 @@ def test_a_circle_sweep_evaluates_the_kernel_row_per_order_not_per_point(preset,
     sp = make_spectral(0.0)
     counts = {}
     for count in (1, 8, 64):
+        spherical._spherical_cached.cache_clear()  # each sweep pays its R_0 = Phi_n
         calls.clear()
         points = [(0.99, 0.1 + 2.0 * math.pi * j / count) for j in range(count)]
         _sweep(1, sp, density_preset(preset), points, normalize=False)
         counts[count] = len(calls)
-    # one evaluation for the row's modes and one for its primitive, per
-    # doubling order (16, 32, 64)
+    # one evaluation for R_0 and one for the modes past 0 or for the
+    # primitive, per doubling order (16, 32, 64)
     assert counts[64] <= 2 * 3
     assert counts[1] == counts[8] == counts[64]
 
@@ -479,28 +500,30 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("preset", ["cos2", "sawtooth", "indicator:0.3:0.7"])
 def test_a_sweep_takes_one_row_quadrature_per_circle(preset, monkeypatch):
-    # a table preset reads the row's modes once per circle, a jump preset
-    # its modes and its primitive once per circle, however many points
+    # a table preset reads the row's modes past 0 once per circle, a jump
+    # preset its primitive once per circle, however many points; R_0 is
+    # the Phi_n the normalization takes
     modes = _counting(monkeypatch, "_kernel_modes")
     primitives = _counting(monkeypatch, "_row_primitive")
     g = density_preset(preset)
     radii = (0.5, 0.9, 0.99, 0.9999)
     points = [(r, 2.0 * math.pi * j / 37 - 3.0) for j in range(37) for r in radii]
     _sweep(1, make_spectral(2.0), g, points)
-    assert sorted(modes) == list(radii)
+    assert sorted(modes) == ([] if g.jumps else list(radii))
     assert sorted(primitives) == (list(radii) if g.jumps else [])
 
 
 def test_a_probe_takes_one_row_quadrature_per_radius_the_caller_meant(monkeypatch):
     # the probe's points r (cos a + i sin a) round to 2 or 3 moduli per
-    # radius; each radius takes one row quadrature per layer, and the
-    # normalized layer of one reads the same value at every angle
+    # radius; each radius takes one row quadrature for the cos layer's
+    # mode 1 and none past Phi_n for the layer of one, whose normalized
+    # value is R_0 / Phi_n, the same at every angle
     modes = _counting(monkeypatch, "_kernel_modes")
     radii = [0.9, 0.99, 0.9999]
     angles = np.linspace(-math.pi, math.pi, 64, endpoint=False)
     sol = riquier_solve(make_spectral(1 + 1j), (density_preset("cos"), density_preset("one")))
     own = sol.verify(angles, radii)["own"]
-    assert sorted(modes) == sorted(radii * 2)
+    assert sorted(modes) == radii
     for r in radii:
         assert len({row.value for row in own[len(own) // 2 :] if row.r == r}) == 1
 

@@ -32,6 +32,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -103,16 +104,25 @@ def candidates(path: Path, names: set[str]) -> list[tuple[int, int, bytes, str]]
 
 
 def failing(workdir: Path, tests: list[str]) -> set[str] | None:
-    """The failing test ids of the selection in workdir, or None on a timeout."""
+    """The failing test ids of the selection in workdir, or None on a timeout.
+
+    The selection runs in a session of its own, and a run cut short (by the
+    timeout, or by this script being stopped) kills its whole process group,
+    so no subprocess a test starts outlives it."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.Popen(
+        cmd, cwd=workdir, env={**os.environ, "PYTHONPATH": "src"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
     try:
-        run = subprocess.run(
-            cmd, cwd=workdir, env={**os.environ, "PYTHONPATH": "src"},
-            capture_output=True, text=True, timeout=TIMEOUT,
-        )
+        stdout, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None
-    return {line.split()[1] for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return {line.split()[1] for line in stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
 
 
 def main() -> int:
@@ -124,6 +134,8 @@ def main() -> int:
     parser.add_argument("--count", type=int, required=True)
     parser.add_argument("tests", nargs="+", help="the pytest selection")
     args = parser.parse_args()
+    # a stopped census unwinds through failing(), which kills the selection
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     workdir = args.workdir.resolve()
     if workdir == ROOT or ROOT in workdir.parents:
         parser.error("the working directory must lie outside the repository")
