@@ -154,6 +154,13 @@ def test_quadrature_overflow_is_a_typed_error(r):
         spherical_function(0, r, sp)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("r", [1.0, -0.1, math.nan, math.inf])
+def test_spherical_function_refuses_a_radius_outside_the_disk(n, r):
+    with pytest.raises(ValueError, match=r"radius must lie in \[0, 1\)"):
+        spherical_function(n, r, make_spectral(0.5 + 1.5j))
+
+
 def test_quadrature_non_convergence_names_its_inputs():
     # far out on the forbidden ray (past |lam| ~ 1.5e4) the row's panel
     # doubling cannot meet its tolerance by its cap
