@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +91,7 @@ def _in_double_range(what: str, n: int, sp: SpectralParam, value, zero_ok: bool 
     return out
 
 
+@lru_cache(maxsize=64)
 def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:
     """The log-Poisson polynomial g_n attached to the order-n kernel.
 
@@ -108,24 +110,23 @@ def kernel_poly(n: int, sp: SpectralParam) -> ComplexPoly:
     return ComplexPoly.monomial(2 * n if critical else n, coeff)
 
 
-def _graded_values(g: ComplexPoly, sp: SpectralParam, p):
-    """g(log P) P^{mu+1/2} at the Poisson values p (an array or a float):
-    the graded kernel with log-Poisson polynomial g.
+def _graded_values(g: ComplexPoly, sp: SpectralParam, logp):
+    """g(log P) P^{mu+1/2} from the log Poisson values logp (an array or a
+    float): the graded kernel with log-Poisson polynomial g.
 
     Real, and computed in real arithmetic, where the exponent and g are
     real, which holds for every real lam off the forbidden ray.  A value
-    past double range comes out infinite or NaN, without a warning: each
-    caller refuses it with a typed error.
+    past double range comes out infinite or NaN: each caller evaluates
+    under np.errstate(over="ignore", invalid="ignore") and refuses it with
+    a typed error.
     """
     coeffs, exponent = g.coeffs, sp.exponent
     if exponent.imag == 0.0 and not any(c.imag for c in coeffs):
         coeffs, exponent = [c.real for c in coeffs], exponent.real
-    with np.errstate(over="ignore", invalid="ignore"):
-        logp = np.log(p)
-        value = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            value = value * logp + c
-        return value * np.exp(exponent * logp)
+    value = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        value = value * logp + c
+    return value * np.exp(exponent * logp)
 
 
 def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
@@ -141,7 +142,8 @@ def polyharmonic_kernel(n: int, z: complex, xi, sp: SpectralParam):
         raise TypeError("xi must be a boundary angle in radians, not a complex point")
     z = ensure_disk(z, "z")
     p = poisson_radial_profile(abs(z), cmath.phase(z) - np.asarray(xi, dtype=float))
-    value = _graded_values(kernel_poly(n, sp), sp, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _graded_values(kernel_poly(n, sp), sp, np.log(p))
     if isinstance(p, np.ndarray):
         if np.isfinite(value).all():
             return value
@@ -211,11 +213,13 @@ def fd_verify_kernel(n: int, z: complex, xi: float, sp: SpectralParam, h: float)
     pt = cmath.exp(1j * float(xi))
 
     def q(poly: ComplexPoly):
-        return lambda w: _graded_values(poly, sp, (1.0 - np.abs(w) ** 2) / np.abs(pt - w) ** 2)
+        return lambda w: _graded_values(poly, sp, np.log((1.0 - np.abs(w) ** 2) / np.abs(pt - w) ** 2))
 
-    lap = fd_laplacian(q(f), z, h)
-    # lam Q_f + Q_g is the kernel of the one polynomial lam f + g
-    residual = abs(lap - q(f.scale(sp.lam).add(g))(np.array([z]))[0])
+    # values past double range give inf or NaN quietly, and the check below refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = fd_laplacian(q(f), z, h)
+        # lam Q_f + Q_g is the kernel of the one polynomial lam f + g
+        residual = abs(lap - q(f.scale(sp.lam).add(g))(np.array([z]))[0])
     if not math.isfinite(residual):
         raise ResultOverflow(
             f"the order-{n} kernel at lam = {sp.lam} does not fit in a double near z = {complex(z)}"

@@ -190,12 +190,12 @@ def _doubling(estimate: Callable, order: int, cap: int, count: int, failure: Cal
         (cur,) = estimate((order,), lanes)
 
 
-def _settled(outcome) -> list:
+def _settled(outcome) -> np.ndarray:
     """The values of a _doubling, or the error of its first failed lane raised."""
     values, errors = outcome
     if errors:
         raise errors[min(errors)]
-    return values.tolist()
+    return values
 
 
 def _panel_failure(order: int, prev: complex, last: complex) -> NonConvergence:
@@ -212,7 +212,7 @@ def _refine_panels(f: Callable, edges: Sequence[float]) -> complex:
     """The panel integral of f over the edges (see _panel_estimator) with
     node doubling until it is stable; two failed doublings abort."""
     estimate = _panel_estimator(f, edges)
-    return _settled(_doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure))[0]
+    return complex(_settled(_doubling(estimate, _PANEL_ORDER, 4 * _PANEL_ORDER, 1, _panel_failure))[0])
 
 
 def _trapezoid_grid(n: int, refine: bool) -> np.ndarray:
@@ -296,9 +296,9 @@ def integrate_circle(
             kept = vals if kept is None else _interleaved(kept, vals)
             return [[m] for m in _trapezoid_means(kept, orders)]
 
-        return _settled(_doubling(
+        return complex(_settled(_doubling(
             trapezoid, _TRAPEZOID_START, _TRAPEZOID_CAP, 1, _trapezoid_failure
-        ))[0]
+        ))[0])
     return _refine_panels(f, _with_kinks(base, breakpoints)) / (2.0 * math.pi)
 
 

@@ -7,20 +7,25 @@ The order-n polyspherical function is the circle mean
 with g_n from kernels.kernel_poly.  Phi_0(.|0) is identically 1, and for
 lam = 0, n = 1 the integrand is P log P.
 
-Quadrature.  The integrand is the order-n kernel row K_r(phi)
-(_kernel_row), and Phi_n is its Fourier mode 0.  The row is even and
-peaked at phi = 0 with width ~ 1/tau, tau = 2 sqrt(r)/(1-r), so its modes
+Quadrature.  The integrand is the order-n kernel row K_r(phi), and Phi_n
+is its Fourier mode 0.  The row is even and peaked at phi = 0 with width
+~ 1/tau, tau = 2 sqrt(r)/(1-r), so its modes
 R_k = (1/pi) int_0^pi K_r(t) cos(kt) dt are taken on Gauss-Legendre
 panels dyadic toward the peak (_row_panels), one lane per mode of one
-node doubling (_kernel_modes).  spherical_function takes mode 0 alone;
-the transforms take every mode of every row from the same engine, so a
-normalized transform is a quotient of two results of one quadrature.  A
-density with jumps also takes the row's primitive int_0^x K_r, one lane
-per offset x, from the row on its own panels alone: the whole panels
-below x plus the integral of the row's Legendre interpolant on the panel
-that holds x (_row_primitives).  A maximal ladder takes its rungs' offsets
-in runs of up to _PRIMITIVE_LANES, one doubling per run and one row
-evaluation per step for all the rungs of a run.
+node doubling (_kernel_modes).  Each doubling step reads the row plan of
+(r, top mode, Gauss orders) (_row_plan): the nodes, weights and log P_r
+on the panels, none of which depends on n or lam.  The last 128 plans
+are kept, so every order and lam at a radius shares one plan, and a call
+evaluates only g_n(log P) P^{mu+1/2} (kernels._graded_values) on it.
+spherical_function takes mode 0 alone; the transforms take every mode of
+every row from the same engine, so a normalized transform is a quotient
+of two results of one quadrature.  A density with jumps also takes the
+row's primitive int_0^x K_r, one lane per offset x, from the row on its
+own panels alone: the whole panels below x plus the integral of the
+row's Legendre interpolant on the panel that holds x (_row_primitives).
+A maximal ladder takes its rungs' offsets in runs of up to
+_PRIMITIVE_LANES, one doubling per run and one row evaluation per step
+for all the rungs of a run.
 Next to the forbidden ray the row turns about 2 log(2) |Im mu| radians on
 a dyadic panel, so the modes' doubling runs to 128 nodes per panel
 (_ROW_CAP), and the primitive's, whose interpolant needs about twice the
@@ -112,8 +117,10 @@ _PRIMITIVE_LANES = _SWEEP_ELEMENTS // 32
 
 def _kernel_row(n, sp, r, phi):
     """Order-n kernel at radius r against boundary angle offsets phi
-    (kernels._graded_values: real where the kernel is)."""
-    return _graded_values(kernel_poly(n, sp), sp, poisson_radial_profile(r, phi))
+    (kernels._graded_values: real where the kernel is), with log P taken
+    here; the row's modes take it from their plan (_row_plan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _graded_values(kernel_poly(n, sp), sp, np.log(poisson_radial_profile(r, phi)))
 
 
 def _row_panels(r: float, top: int = 0) -> list[float]:
@@ -128,31 +135,49 @@ def _row_panels(r: float, top: int = 0) -> list[float]:
     return sorted(set(edges).union(np.linspace(0.0, math.pi, top + 1).tolist()))
 
 
+@lru_cache(maxsize=128)
+def _row_plan(r: float, top: int, orders: tuple[int, ...]):
+    """The kernel row's quadrature plan at radius r for modes up to top, at
+    the Gauss-Legendre orders of one doubling step: the nodes and weights
+    on _row_panels(r, top) (panels x every order's nodes), log P_r at the
+    nodes and each order's block.  Nothing in it depends on n or lam, so
+    every order and lam at r shares it, and a sweep over up to 128 radii
+    builds each once.  Building it refuses a radius outside [0, 1); its
+    arrays are read-only."""
+    x, w, blocks = _gl_nodes(orders)
+    nodes, weights = _panel_nodes(np.asarray(_row_panels(r, top)), x, w)
+    logp = np.log(poisson_radial_profile(r, nodes))
+    for a in (nodes, weights, logp):
+        a.setflags(write=False)
+    return nodes, weights, logp, blocks
+
+
 def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
     """The kernel row's Fourier modes R_k = (1/2pi) int K_r(t) e^{-ikt} dt
     at each k >= 0 of ks.  The row is even, so R_k is
     (1/pi) int_0^pi K_r(t) cos(kt) dt: one panel quadrature with a lane
-    per mode, the row evaluated once per doubling step for every lane, the
-    lanes taken in chunks (numerics._chunks) to bound the memory."""
+    per mode, on the plan of r and the highest k (_row_plan) at each
+    doubling step, the row evaluated once per step for every lane from the
+    plan's log P.  Mode 0 alone sums the row itself; other lanes are taken
+    in chunks (numerics._chunks) to bound the memory."""
     ks = np.array([int(k) for k in ks], dtype=float)
-    edges = np.asarray(_row_panels(r, int(ks.max(initial=0))))
+    top = int(ks.max(initial=0))
+    g = kernel_poly(n, sp)
 
     def estimate(orders, lanes):
-        x, w, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(edges, x, w)
+        nodes, weights, logp, blocks = _row_plan(r, top, tuple(orders))
         # a non-finite row makes non-finite modes, which _doubling refuses
-        with np.errstate(invalid="ignore"):
-            row = _kernel_row(n, sp, r, nodes) * weights
-        sums = np.empty((len(blocks), lanes.size), dtype=complex)
-        for c in _chunks(np.arange(lanes.size), row.size):
-            k = ks[lanes[c]]
-            # cos(0 t) = 1: mode 0 alone is the row itself
-            vals = row[None] if not k.any() else np.cos(np.multiply.outer(k, nodes)) * row
-            sums[:, c] = [vals[..., b].sum(axis=(1, 2)) for b in blocks]
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _graded_values(g, sp, logp) * weights
+            if not top:
+                return [[row[:, b].sum()] * lanes.size for b in blocks]
+            sums = np.empty((len(blocks), lanes.size), dtype=complex)
+            for c in _chunks(np.arange(lanes.size), row.size):
+                vals = np.cos(np.multiply.outer(ks[lanes[c]], nodes)) * row
+                sums[:, c] = [vals[..., b].sum(axis=(1, 2)) for b in blocks]
         return sums
 
-    modes = _doubling(estimate, _PANEL_ORDER, _ROW_CAP, ks.size, _panel_failure)
-    return np.array(_settled(modes), dtype=complex) / math.pi
+    return _settled(_doubling(estimate, _PANEL_ORDER, _ROW_CAP, ks.size, _panel_failure)) / math.pi
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -266,7 +291,7 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
 
 
 @lru_cache(maxsize=200_000)
-def _spherical_cached(n: int, lam: complex, r: float) -> complex:
+def _spherical_cached(n: int, sp: SpectralParam, r: float) -> complex:
     """Phi_n(r), mode 0 of the order-n kernel row (_kernel_modes): one
     cached number for the R_0 of every circle (transforms._row_modes) and
     the mean its normalization divides by.  An order whose kernel
@@ -274,15 +299,14 @@ def _spherical_cached(n: int, lam: complex, r: float) -> complex:
     quadrature.  Where the mean does not fit in a double it raises
     ResultOverflow, and where the quadrature does not stabilize
     NonConvergence, each naming n, lam and r."""
-    sp = make_spectral(lam)
     kernel_poly(n, sp)
     try:
         return complex(_kernel_modes(n, sp, r, [0])[0])
     except ResultOverflow as exc:
-        raise ResultOverflow(f"Phi_{n} at lam = {lam} does not fit in a double at r = {r!r}") from exc
+        raise ResultOverflow(f"Phi_{n} at lam = {sp.lam} does not fit in a double at r = {r!r}") from exc
     except NonConvergence as exc:
         raise NonConvergence(
-            f"Phi_{n} at lam = {lam} did not converge at r = {r!r}: {exc}",
+            f"Phi_{n} at lam = {sp.lam} did not converge at r = {r!r}: {exc}",
             last_estimates=exc.last_estimates,
         ) from exc
 
@@ -290,7 +314,7 @@ def _spherical_cached(n: int, lam: complex, r: float) -> complex:
 def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
     """Order-n polyspherical function at radius r (ResultOverflow where it
     does not fit in a double)."""
-    return _spherical_cached(n, sp.lam, float(r))
+    return _spherical_cached(n, sp, float(r))
 
 
 def boundary_constant(sp: SpectralParam) -> complex:

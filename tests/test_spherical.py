@@ -161,6 +161,29 @@ def test_spherical_function_refuses_a_radius_outside_the_disk(n, r):
         spherical_function(n, r, make_spectral(0.5 + 1.5j))
 
 
+def test_every_order_and_lam_at_a_radius_share_one_row_plan():
+    # the plan holds nothing of n or lam, so sharing it moves no bit
+    r = 0.7
+    rng = np.random.default_rng(29)
+    sps = [make_spectral(complex(a, b)) for a, b in rng.uniform(-2.0, 2.0, (20, 2))]
+
+    def phis(fresh: bool) -> list:
+        out = []
+        for sp in sps:
+            for n in range(3):
+                if fresh or not out:
+                    spherical._spherical_cached.cache_clear()
+                    spherical._row_plan.cache_clear()
+                v = spherical_function(n, r, sp)
+                out.append((v.real.hex(), v.imag.hex()))
+        return out
+
+    shared = phis(fresh=False)
+    plans = spherical._row_plan.cache_info()
+    assert (plans.misses, plans.currsize) == (1, 1)
+    assert shared == phis(fresh=True)
+
+
 def test_quadrature_non_convergence_names_its_inputs():
     # far out on the forbidden ray (past |lam| ~ 1.5e4) the row's panel
     # doubling cannot meet its tolerance by its cap
