@@ -169,7 +169,7 @@ def _kernel_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
         # a non-finite row makes non-finite modes, which _doubling refuses
         with np.errstate(over="ignore", invalid="ignore"):
             row = _graded_values(g, sp, logp) * weights
-            if not top:
+            if not top:  # cos(0 t) = 1: mode 0 alone is the row itself
                 return [[row[:, b].sum()] * lanes.size for b in blocks]
             sums = np.empty((len(blocks), lanes.size), dtype=complex)
             for c in _chunks(np.arange(lanes.size), row.size):
