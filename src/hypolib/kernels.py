@@ -25,12 +25,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .errors import ChainBroken, ResultOverflow
+from .errors import ChainBroken, ResultOverflow, StencilOutOfDomain
 from .geometry import ensure_disk, poisson_radial_profile
-from .numerics import fd_laplacian
 from .polynomials import ComplexPoly
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "kernel_poly",
     "reduce_step",
     "verify_reduce_chain",
+    "fd_laplacian",
     "fd_verify_kernel",
 ]
 
@@ -196,6 +197,28 @@ def verify_reduce_chain(n: int, sp: SpectralParam, tol: float = 1e-12) -> Reduce
             f"critical single-step collapse off by {max(steps):.3e}", residual=cur
         )
     return ReduceChainReport(n=n, kind=sp.kind, final_residual=resid, step_residuals=tuple(steps))
+
+
+def fd_laplacian(f: Callable, z: complex, h: float) -> complex:
+    """Hyperbolic Laplacian via 5-point stencil of step h:
+
+        ((1-|z|^2)^2 / 4) * (f(z+h)+f(z-h)+f(z+ih)+f(z-ih)-4 f(z)) / h^2.
+
+    f takes the five stencil points as one array, z last, and returns
+    their values.  Every stencil point must lie inside the disk.
+    """
+    z = ensure_disk(z, "z")
+    if h <= 0:
+        raise ValueError(f"step must be positive, got {h}")
+    pts = (z + h, z - h, z + 1j * h, z - 1j * h)
+    for p in pts:
+        if abs(p) >= 1.0:
+            raise StencilOutOfDomain(f"stencil point {p} left the unit disk")
+    v = f(np.array([*pts, z]))
+    # values past double range give inf or NaN quietly: the caller refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
+    return 0.25 * (1.0 - abs(z) ** 2) ** 2 * flat
 
 
 def fd_verify_kernel(n: int, z: complex, xi: float, sp: SpectralParam, h: float) -> float:

@@ -6,9 +6,9 @@ integrands) and panelized Gauss-Legendre with dyadically refined panels
 accumulating at phi = 0, for integrands with a peak of angular width
 ~ peak_scale there; both double their nodes until a stability check
 passes, one loop (_doubling) that also serves many lanes at once, as when
-spherical._kernel_modes takes many Fourier modes of one kernel row, or
-spherical._row_primitives the primitives of many rows at many offsets,
-read off each panel's Legendre interpolant (_legendre_map).
+spherical takes many Fourier modes of one kernel row, or the primitives
+of many rows at many offsets, read off each panel's Legendre interpolant
+(_legendre_map).
 The loop's first step takes both orders (16 and 32 Gauss-Legendre nodes
 per panel, or 64 and 128 trapezoid nodes) from one evaluation of the
 integrand, and each later trapezoid doubling evaluates only the odd nodes
@@ -37,8 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CancellationLoss, NonConvergence, ResultOverflow, StencilOutOfDomain
-from .geometry import ensure_disk
+from .errors import CancellationLoss, NonConvergence, ResultOverflow
 
 __all__ = [
     "integrate_circle",
@@ -46,7 +45,6 @@ __all__ = [
     "integrate_halfline_peak",
     "gauss_2f1",
     "gauss_2f1_many",
-    "fd_laplacian",
     "circle_fft",
 ]
 
@@ -786,28 +784,6 @@ def gauss_2f1_many(a, b, c, xs, order: int = 0) -> np.ndarray:
     if a.imag == b.imag == c.imag == 0.0:
         out.imag = 0.0
     return out.reshape(out.shape[:-1] + xs.shape)
-
-
-def fd_laplacian(f: Callable, z: complex, h: float) -> complex:
-    """Hyperbolic Laplacian via 5-point stencil of step h:
-
-        ((1-|z|^2)^2 / 4) * (f(z+h)+f(z-h)+f(z+ih)+f(z-ih)-4 f(z)) / h^2.
-
-    f takes the five stencil points as one array, z last, and returns
-    their values.  Every stencil point must lie inside the disk.
-    """
-    z = ensure_disk(z, "z")
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    pts = (z + h, z - h, z + 1j * h, z - 1j * h)
-    for p in pts:
-        if abs(p) >= 1.0:
-            raise StencilOutOfDomain(f"stencil point {p} left the unit disk")
-    v = f(np.array([*pts, z]))
-    # values past double range give inf or NaN quietly: the caller refuses them
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h)
-    return 0.25 * (1.0 - abs(z) ** 2) ** 2 * flat
 
 
 def circle_fft(samples) -> np.ndarray:

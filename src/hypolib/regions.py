@@ -23,7 +23,7 @@ a trigonometric polynomial from the kernel row's Fourier modes R_k, and a
 density whose derivative is a constant plus jumps from the primitive of
 the row.  Each rung takes its modes once, and one quadrature per run of
 rungs (spherical._row_primitives) gives every rung's primitive at every
-offset of every jump, from each rung's row on its own panels.
+offset of every jump, from the row plan Phi_n(r) reads at each rung.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import HypolibError, RatioDiverging
 from .kernels import SpectralParam, make_spectral
 from .numerics import next_pow2, parallel_map
-from .spherical import _row_primitives
+from .spherical import _row_modes, _row_primitives
 from .transforms import (
     Atoms,
     BoundaryDatum,
@@ -45,7 +45,6 @@ from .transforms import (
     Mixture,
     _density_values,
     _normalizer,
-    _row_modes,
     _sweep,
     _wrapped,
     _zero_free_cached,
@@ -171,7 +170,7 @@ def _grid_size(r: float) -> int:
 @lru_cache(maxsize=4)
 def _row_fft(n: int, lam: complex, r: float, top: int) -> np.ndarray:
     """The kernel row's modes R_0..R_top at one rung, as every circle takes
-    them (transforms._row_modes, whose R_0 is Phi_n(r)), once the
+    them (spherical._row_modes, whose R_0 is Phi_n(r)), once the
     normalization has passed the rung (transforms._normalizer)."""
     sp = make_spectral(lam)
     _normalizer(n, sp, r)

@@ -17,12 +17,12 @@ node doubling (_kernel_modes).  Each doubling step reads the row plan of
 on the panels, none of which depends on n or lam.  The last 128 plans
 are kept, so every order and lam at a radius shares one plan, and a call
 evaluates only g_n(log P) P^{mu+1/2} (kernels._graded_values) on it.
-spherical_function takes mode 0 alone; the transforms take every mode of
-every row from the same engine, so a normalized transform is a quotient
-of two results of one quadrature.  A density with jumps also takes the
-row's primitive int_0^x K_r, one lane per offset x, from the row on its
-own panels alone: the whole panels below x plus the integral of the
-row's Legendre interpolant on the panel that holds x (_row_primitives).
+spherical_function takes mode 0 alone, and a circle every mode it needs
+(_row_modes, R_0 the cached Phi_n), so a normalized transform is a
+quotient of two results of one quadrature.  A density with jumps also
+takes the row's primitive int_0^x K_r, one lane per offset x, on the plan
+Phi_n reads: the whole panels below x plus the integral of the row's
+Legendre interpolant on the panel that holds x (_row_primitives).
 A maximal ladder takes its rungs' offsets in runs of up to
 _PRIMITIVE_LANES, one doubling per run and one row evaluation per step
 for all the rungs of a run.
@@ -117,8 +117,8 @@ _PRIMITIVE_LANES = _SWEEP_ELEMENTS // 32
 
 def _kernel_row(n, sp, r, phi):
     """Order-n kernel at radius r against boundary angle offsets phi
-    (kernels._graded_values: real where the kernel is), with log P taken
-    here; the row's modes take it from their plan (_row_plan)."""
+    (kernels._graded_values: real where the kernel is), for the atoms'
+    offsets; every quadrature of the row reads log P off a plan."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _graded_values(kernel_poly(n, sp), sp, np.log(poisson_radial_profile(r, phi)))
 
@@ -200,10 +200,11 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
     among xs (|x| <= pi).  The row is even, so the primitive is odd, and
     each distinct |x| of each rung is a lane of one doubling.
 
-    The rows are evaluated on their own panels (_row_panels) alone, every
-    rung's in one _kernel_row call per doubling step.  The primitive at x
-    is the sum of the whole panels below x, plus the integral up to x of
-    the row's Legendre interpolant on the panel [a, b] that holds x: with
+    Each doubling step reads every live rung's nodes, weights and log P_r
+    off the plan Phi_n reads (_row_plan at top mode 0), and evaluates all
+    their rows in one _graded_values call.  The primitive at x is the sum
+    of the whole panels below x, plus the integral up to x of the row's
+    Legendre interpolant on the panel [a, b] that holds x: with
     t the image of x in [-1, 1], (b - a)/2 sum_j c_j int_{-1}^t P_j
     (numerics._legendre_map, and numerics._legendre_integrals, one pass for
     every order of a doubling step, whose arrays are of the offsets' size).
@@ -229,7 +230,6 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
     counts = np.array([e.size - 1 for e in edges])
     first = np.concatenate([[0], np.cumsum(counts)])  # each rung's first panel
     panels = np.concatenate([np.stack([e[:-1], e[1:]], axis=-1) for e in edges])
-    radii = np.repeat(rs, counts)
     rung = np.repeat(np.arange(len(rs)), sizes)
     x = np.concatenate(xss)
     # the last edge at or below each offset, and the panel that holds it
@@ -244,19 +244,18 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
     partial = first[rung] + rung + at
     scale = np.ones(len(rs))
     unset = np.ones(len(rs), dtype=bool)
+    g = kernel_poly(n, sp)
 
     def estimate(orders, lanes):
         live = _distinct(rung[lanes]).tolist()
-        sel = np.concatenate([np.arange(first[i], first[i + 1]) for i in live])
-        gl_x, gl_w, blocks = _gl_nodes(tuple(orders))
-        nodes, weights = _panel_nodes(panels[sel], gl_x, gl_w)
-        vals = _kernel_row(n, sp, radii[sel, None, None], nodes).reshape(sel.size, -1)
-        weights = weights.reshape(sel.size, -1)
+        _, weights, logp, blocks = zip(*[_row_plan(rs[i], 0, tuple(orders)) for i in live])
+        weights = np.concatenate(weights)
         out = []
         # a row past double range leaves its lanes non-finite, and _doubling refuses them
         with np.errstate(over="ignore", invalid="ignore"):
+            vals = _graded_values(g, sp, np.concatenate(logp))
             tables, sums = [], []
-            for order, blk in zip(orders, blocks):
+            for order, blk in zip(orders, blocks[0]):
                 f, fw = vals[:, blk], vals[:, blk] * weights[:, blk]
                 to_coef = _legendre_map(order).T
                 coef = np.zeros((first[-1], order), dtype=f.dtype)
@@ -293,12 +292,12 @@ def _row_primitives(n: int, sp: SpectralParam, rungs) -> list:
 @lru_cache(maxsize=200_000)
 def _spherical_cached(n: int, sp: SpectralParam, r: float) -> complex:
     """Phi_n(r), mode 0 of the order-n kernel row (_kernel_modes): one
-    cached number for the R_0 of every circle (transforms._row_modes) and
-    the mean its normalization divides by.  An order whose kernel
-    coefficient leaves double range is refused by kernel_poly before any
-    quadrature.  Where the mean does not fit in a double it raises
-    ResultOverflow, and where the quadrature does not stabilize
-    NonConvergence, each naming n, lam and r."""
+    cached number for the R_0 of every circle (_row_modes) and the mean
+    its normalization divides by.  An order whose kernel coefficient
+    leaves double range is refused by kernel_poly before any quadrature.
+    Where the mean does not fit in a double it raises ResultOverflow, and
+    where the quadrature does not stabilize NonConvergence, each naming
+    n, lam and r."""
     kernel_poly(n, sp)
     try:
         return complex(_kernel_modes(n, sp, r, [0])[0])
@@ -315,6 +314,23 @@ def spherical_function(n: int, r: float, sp: SpectralParam) -> complex:
     """Order-n polyspherical function at radius r (ResultOverflow where it
     does not fit in a double)."""
     return _spherical_cached(n, sp, float(r))
+
+
+def _row_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
+    """R_|k| for each integer k of ks, the one place a circle takes its
+    row's modes: R_0 is Phi_n(r) (spherical_function), the number the
+    normalization divides by, and the modes past 0 come from one
+    _kernel_modes call, whose NonConvergence names n, lam and r."""
+    ks = [abs(int(k)) for k in ks]
+    past = sorted(set(ks) - {0})
+    modes = {0: spherical_function(n, r, sp)} if 0 in ks else {}
+    if past:
+        try:
+            modes.update(zip(past, _kernel_modes(n, sp, r, past)))
+        except NonConvergence as exc:
+            where = f"order-{n} kernel row modes at lam = {sp.lam}, r = {r}: {exc}"
+            raise NonConvergence(where, last_estimates=exc.last_estimates) from exc
+    return np.array([modes[k] for k in ks], dtype=complex)
 
 
 def boundary_constant(sp: SpectralParam) -> complex:

@@ -14,20 +14,22 @@ The order-n transform integrates the graded kernel against the datum;
 `normalized` divides by the circle mean of the kernel at |z|, the quantity
 that makes boundary limits meaningful.  That mean is Phi_n, mode 0 of the
 kernel row (spherical_function), and the very number every transform on
-the circle takes as its R_0 (_row_modes), so the normalized unit density
-is exactly 1.  Normalization refuses radii below the zero-free radius.
+the circle takes as its R_0 (spherical._row_modes), so the normalized unit
+density is exactly 1.  Normalization refuses radii below the zero-free
+radius.
 
 Transforms are computed one circle at a time: a sweep (_sweep) takes its
 points as (r, theta) and groups them by the radius r the caller gave.  On
 |z| = r the transform's mode k is R_|k| nu^_k, the kernel row's mode
-(_row_modes: Phi_n, and one panel quadrature for the modes past 0) times
-the datum's (_datum_modes, exact for every datum: a Density carries its
-modes in closed form).  Fourier data and the weak-star pairings of every
-datum are read off these, and so is every density (_density_values): a
-trigonometric polynomial from the row's modes, a density with jumps from
-R_0 and the row's primitive (spherical._row_primitive, the ladder
-quadrature of spherical._row_primitives at one rung), however many
-points the circle has.  The maximal sweeps of regions take the same
+(spherical._row_modes: Phi_n, and one panel quadrature for the modes past
+0) times the datum's (_datum_modes, exact for every datum: a Density
+carries its modes in closed form).  Fourier data and the weak-star
+pairings of every datum are read off these, and so is every density
+(_density_values): a trigonometric polynomial from the row's modes, a
+density with jumps from R_0 and the row's primitive
+(spherical._row_primitive, the ladder quadrature of
+spherical._row_primitives at one rung), however many points the circle
+has.  The maximal sweeps of regions take the same
 evaluator at each rung.  Atoms take the kernel row itself
 (spherical._kernel_row) at each point's offset from the atom.
 poisson_transform is the one-point sweep.
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import NonConvergence, NormalizationUnavailable, ResultOverflow
 from .kernels import FORBIDDEN, SpectralParam, make_spectral
-from .spherical import _kernel_modes, _kernel_row, _row_primitive, spherical_function, zero_free_radius
+from .spherical import _kernel_row, _row_modes, _row_primitive, spherical_function, zero_free_radius
 
 __all__ = [
     "FourierSeq",
@@ -212,23 +214,6 @@ def _check_radii(radii) -> None:
     for r in radii:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"radius must lie in [0, 1), got {r}")
-
-
-def _row_modes(n: int, sp: SpectralParam, r: float, ks) -> np.ndarray:
-    """R_|k| for each integer k of ks, the one place a circle takes its
-    row's modes: R_0 is Phi_n(r) (spherical_function), the number the
-    normalization divides by, and the modes past 0 come from one
-    _kernel_modes call, whose NonConvergence names n, lam and r."""
-    ks = [abs(int(k)) for k in ks]
-    past = sorted(set(ks) - {0})
-    modes = {0: spherical_function(n, r, sp)} if 0 in ks else {}
-    if past:
-        try:
-            modes.update(zip(past, _kernel_modes(n, sp, r, past)))
-        except NonConvergence as exc:
-            where = f"order-{n} kernel row modes at lam = {sp.lam}, r = {r}: {exc}"
-            raise NonConvergence(where, last_estimates=exc.last_estimates) from exc
-    return np.array([modes[k] for k in ks], dtype=complex)
 
 
 def _datum_modes(datum, ks) -> np.ndarray:

@@ -481,7 +481,7 @@ def test_cli_import_leaves_scipy_out():
     "argv,absent",
     [
         (["kernel", "--lambda", "2", "0"],
-         {"spherical", "transforms", "regions", "classical", "acceptance"}),
+         {"numerics", "spherical", "transforms", "regions", "classical", "acceptance"}),
         (["examples", "--what", "d"], {"kernels", "spherical"}),
         (["examples", "--what", "growth"], {"kernels", "spherical"}),
         (["lacunary", "--grid-size", "64"], {"kernels", "spherical"}),

@@ -11,10 +11,9 @@ import pytest
 
 from hypolib import numerics
 from hypolib.errors import CancellationLoss, NonConvergence, ResultOverflow, StencilOutOfDomain
-from hypolib.kernels import make_spectral
+from hypolib.kernels import fd_laplacian, make_spectral
 from hypolib.numerics import (
     circle_fft,
-    fd_laplacian,
     gauss_2f1,
     gauss_2f1_many,
     integrate_circle,

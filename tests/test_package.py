@@ -1,7 +1,9 @@
 """The package namespace: the exported names load on first use and are the
-defining modules' own objects."""
+defining modules' own objects; and the private names its modules share."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +69,32 @@ def test_unknown_name_and_version():
     with pytest.raises(AttributeError, match="no_such_name"):
         hypolib.no_such_name
     assert hypolib.__version__ == "0.1.0"
+
+
+SRC = Path(hypolib.__file__).resolve().parent
+# cross-module private imports (from .m import _name) under src/hypolib; a
+# change may lower this, never raise it
+PRIVATE_IMPORTS = 26
+
+
+def _relative_imports() -> list[tuple[str, str, str]]:
+    """(importing module, imported module, name) for every from-import
+    between hypolib modules, function-local ones included."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                out += [(path.stem, node.module or "", alias.name) for alias in node.names]
+    return out
+
+
+def test_modules_share_no_more_private_names_than_before():
+    shared = [imp for imp in _relative_imports() if imp[2].startswith("_")]
+    assert len(shared) <= PRIVATE_IMPORTS, shared
+
+
+def test_the_row_engine_stays_in_spherical_and_numerics_is_a_leaf():
+    engine = ("_kernel_modes", "_row_plan", "_row_panels")
+    naming = [p.stem for p in SRC.glob("*.py") if p.stem != "spherical" and any(e in p.read_text() for e in engine)]
+    assert not naming
+    assert {module for importer, module, _ in _relative_imports() if importer == "numerics"} == {"errors"}

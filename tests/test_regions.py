@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hypolib import spherical, transforms
+from hypolib import spherical
 from hypolib.errors import NonConvergence
 from hypolib.kernels import FORBIDDEN, kernel_poly, make_spectral
 from hypolib.regions import (
@@ -293,11 +293,15 @@ def test_an_unsettled_primitive_names_lam_n_and_r(monkeypatch):
 
 def test_unsettled_rung_modes_name_lam_n_and_r(monkeypatch):
     # R_0 = Phi_n converges (spherical_function) and R_1.. do not
+    real = spherical._kernel_modes
+
     def refuse_past_mode_0(n, sp, r, ks):
+        if max(ks) == 0:  # Phi_n, through spherical._spherical_cached
+            return real(n, sp, r, ks)
         assert min(ks) >= 1
         raise NonConvergence("panel quadrature did not stabilize at order 64", last_estimates=(1.0, 2.0))
 
-    monkeypatch.setattr(transforms, "_kernel_modes", refuse_past_mode_0)
+    monkeypatch.setattr(spherical, "_kernel_modes", refuse_past_mode_0)
     _row_fft.cache_clear()
     with pytest.raises(NonConvergence, match=r"^order-1 kernel row modes at lam = \(2\+0j\), r = 0.9: ") as exc:
         _row_fft(1, 2 + 0j, 0.9, 2)
@@ -314,6 +318,22 @@ def test_probe_takes_each_rung_row_once():
     _row_fft.cache_clear()
     maximal_inequality_probe(0, make_spectral(0.0), 1.0)
     assert _row_fft.cache_info().misses == 22
+
+
+def test_the_jump_densities_of_a_probe_build_no_row_plan():
+    # the rungs' primitives read the plans their Phi_n built
+    def plans(suite):
+        spherical._spherical_cached.cache_clear()
+        spherical._row_plan.cache_clear()
+        _row_fft.cache_clear()
+        maximal_inequality_probe(0, make_spectral(0.0), 1.0, suite=suite)
+        return spherical._row_plan.cache_info()
+
+    trig = tuple((name, preset) for name, preset in _DEFAULT_SUITE if not density_preset(preset).jumps)
+    assert len(trig) < len(_DEFAULT_SUITE)
+    full, alone = plans(_DEFAULT_SUITE), plans(trig)
+    assert full.misses == alone.misses
+    assert full.hits > alone.hits
 
 
 def test_a_default_probe_evaluates_a_tenth_of_the_row_values_it_did(monkeypatch):

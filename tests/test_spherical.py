@@ -184,6 +184,82 @@ def test_every_order_and_lam_at_a_radius_share_one_row_plan():
     assert shared == phis(fresh=True)
 
 
+def test_the_row_primitive_reads_the_plans_phi_n_built():
+    # the plan holds nothing of n, lam or the offsets, so sharing it moves no bit
+    rng = np.random.default_rng(32)
+    cases = []
+    for a, b in rng.uniform(-2.0, 2.0, (12, 2)):
+        rs = np.sort(1.0 - 10.0 ** -rng.uniform(0.1, 4.0, 3)).tolist()
+        rungs = [(r, rng.uniform(-math.pi, math.pi, 6)) for r in rs]
+        cases.append((int(rng.integers(0, 3)), make_spectral(complex(a, b)), rungs))
+
+    def primitives(fresh: bool) -> list:
+        out = []
+        for n, sp, rungs in cases:
+            if fresh:
+                spherical._row_plan.cache_clear()
+            for (_, xs), primitive in zip(rungs, spherical._row_primitives(n, sp, rungs)):
+                out += [(v.real.hex(), v.imag.hex()) for v in np.asarray(primitive(xs), dtype=complex)]
+        return out
+
+    alone = primitives(fresh=True)
+    spherical._row_plan.cache_clear()
+    spherical._spherical_cached.cache_clear()
+    for n, sp, rungs in cases:
+        for r, _ in rungs:
+            spherical_function(n, r, sp)
+    built = spherical._row_plan.cache_info()
+    assert primitives(fresh=False) == alone
+    plans = spherical._row_plan.cache_info()
+    assert plans.hits > built.hits
+
+
+def test_the_row_primitive_at_a_panel_edge_is_its_panel_sums_exactly():
+    # each rung's estimates are divided by a power of two and multiplied back,
+    # which moves no bit: at an edge the primitive is the running sum of the
+    # plan's panel sums at the order where its lane settled
+    rng = np.random.default_rng(32)
+    for a, b in rng.uniform(-2.0, 2.0, (8, 2)):
+        sp, n, r = make_spectral(complex(a, b)), int(rng.integers(0, 3)), float(rng.uniform(0.3, 0.999))
+        edges = np.asarray(spherical._row_panels(r))[1:]
+        got = spherical._row_primitive(n, sp, r, edges)(edges)
+        sums = []
+        for order in (32, 64, 128, 256):
+            _, weights, logp, _ = spherical._row_plan(r, 0, (order,))
+            with np.errstate(over="ignore", invalid="ignore"):
+                row = spherical._graded_values(kernel_poly(n, sp), sp, logp) * weights
+            sums.append(np.cumsum(row.sum(axis=1)))
+        for k, value in enumerate(np.asarray(got, dtype=complex)):
+            assert any(value == c[k] for c in sums), (a, b, n, r, k)
+
+
+@pytest.mark.parametrize("lam,n,r,unit", [(0.0, 0, 0.9, math.pi), (2.0, 2, 0.05, None)])
+def test_a_primitive_lane_is_judged_in_units_of_its_rows_mass(lam, n, r, unit, monkeypatch):
+    # a nonnegative row's lane at pi is int_0^pi K_r itself, its mass m, and
+    # the doubling judges it divided by min(1, m) rounded down to a power of
+    # two: pi unscaled where m = pi, in [1, 2) where m < 1
+    seen = []
+    doubling = spherical._doubling
+
+    def recording(estimate, *rest):
+        def recorded(orders, lanes):
+            out = estimate(orders, lanes)
+            seen.extend(complex(v[0]) for v in out)
+            return out
+
+        return doubling(recorded, *rest)
+
+    monkeypatch.setattr(spherical, "_doubling", recording)
+    spherical._row_primitive(n, make_spectral(lam), r, [math.pi])
+    assert seen
+    for v in seen:
+        assert v.imag == 0.0
+        if unit is None:
+            assert 1.0 - 1e-9 < v.real < 2.0
+        else:
+            assert v.real == pytest.approx(unit, rel=1e-9, abs=0)
+
+
 def test_quadrature_non_convergence_names_its_inputs():
     # far out on the forbidden ray (past |lam| ~ 1.5e4) the row's panel
     # doubling cannot meet its tolerance by its cap

@@ -12,8 +12,9 @@ The mutations:
 Each mutation is a textual edit at the operator or literal the AST locates,
 so the rest of the file keeps its layout.  A mutant is killed when the
 selection's failing tests differ from those of the unmutated copy, or when
-the run times out.  Not part of the tier-1 suite: a run costs one pytest
-selection per mutant.
+the run times out: it may take SLOWDOWN times the unmutated selection's wall
+time, and at least FLOOR seconds.  Not part of the tier-1 suite: a run costs
+one pytest selection per mutant.
 
     python tools/mutate.py --workdir /tmp/mutants --seed 27 --count 24 \\
         --target src/hypolib/spherical.py:_row_primitive,_row_primitives \\
@@ -35,6 +36,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +45,13 @@ SWAPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
 }
-# seconds a selection may run before its mutant counts as killed: a mutant
-# that stalls the quadrature never finishes, and a run takes well under this
-TIMEOUT = 300.0
+# seconds the unmutated selection may run
+BASE_TIMEOUT = 900.0
+# a mutant's selection may run SLOWDOWN times the unmutated one's wall time,
+# and at least FLOOR seconds, before the mutant counts as killed: a mutant
+# that stalls the quadrature never finishes
+SLOWDOWN = 4.0
+FLOOR = 30.0
 
 
 def _offsets(source: bytes) -> list[int]:
@@ -103,8 +109,9 @@ def candidates(path: Path, names: set[str]) -> list[tuple[int, int, bytes, str]]
     return sorted(out)
 
 
-def failing(workdir: Path, tests: list[str]) -> set[str] | None:
-    """The failing test ids of the selection in workdir, or None on a timeout.
+def failing(workdir: Path, tests: list[str], timeout: float) -> set[str] | None:
+    """The failing test ids of the selection in workdir, or None once it
+    has run timeout seconds.
 
     The selection runs in a session of its own, and a run cut short (by the
     timeout, or by this script being stopped) kills its whole process group,
@@ -115,7 +122,7 @@ def failing(workdir: Path, tests: list[str]) -> set[str] | None:
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
-        stdout, _ = proc.communicate(timeout=TIMEOUT)
+        stdout, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
     finally:
@@ -160,10 +167,13 @@ def main() -> int:
         if (ROOT / name).is_file():
             (workdir / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, workdir / name)
-    base = failing(workdir, args.tests)
+    start = time.monotonic()
+    base = failing(workdir, args.tests, BASE_TIMEOUT)
     if base is None:
         parser.error("the unmutated selection timed out")
-    print(f"{len(pool)} candidate mutants, {len(mutants)} drawn; unmutated failures: {sorted(base)}")
+    timeout = max(FLOOR, SLOWDOWN * (time.monotonic() - start))
+    print(f"{len(pool)} candidate mutants, {len(mutants)} drawn; unmutated failures: {sorted(base)}; "
+          f"timeout {timeout:.0f} s")
 
     killed = 0
     for a, b, new, label in mutants:
@@ -171,7 +181,7 @@ def main() -> int:
         original = path.read_bytes()
         path.write_bytes(original[:a] + new + original[b:])
         try:
-            got = failing(workdir, args.tests)
+            got = failing(workdir, args.tests, timeout)
         finally:
             path.write_bytes(original)
         verdict = "killed (timeout)" if got is None else "killed" if got != base else "survived"
